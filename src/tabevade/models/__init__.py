@@ -112,18 +112,30 @@ def save_model(model: Model, path: Union[str, Path]) -> None:
 
 
 def load_model(path: Union[str, Path]) -> Model:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    kind = payload["kind"]
-    if kind not in _IMPLS:
-        raise FitError(f"model file names unknown kind {kind!r}")
-    cls, _ = _IMPLS[kind]
-    return Model(
-        kind=kind,
-        scaler=ScalerState(
-            mins=np.asarray(payload["scaler"]["mins"], dtype=float),
-            maxs=np.asarray(payload["scaler"]["maxs"], dtype=float),
-        ),
-        impl=cls.from_dict(payload["params"]),
-        hyperparameters=payload["hyperparameters"],
-        seed=payload["seed"],
-    )
+    """Read a model written by :func:`save_model`; any defect raises FitError naming the file."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise FitError(f"model file {path} is not valid JSON: {exc}") from exc
+    try:
+        kind = payload["kind"]
+        if kind not in _IMPLS:
+            raise FitError(f"unknown model kind {kind!r}")
+        cls, _ = _IMPLS[kind]
+        params = payload["params"]
+        if any("root" in tree for tree in params.get("trees", [params])):
+            raise FitError("it holds nested trees saved before the flat tree layout; retrain the model")
+        return Model(
+            kind=kind,
+            scaler=ScalerState(
+                mins=np.asarray(payload["scaler"]["mins"], dtype=float),
+                maxs=np.asarray(payload["scaler"]["maxs"], dtype=float),
+            ),
+            impl=cls.from_dict(params),
+            hyperparameters=dict(payload["hyperparameters"]),
+            seed=int(payload["seed"]),
+        )
+    except FitError as exc:
+        raise FitError(f"model file {path}: {exc}") from exc
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise FitError(f"model file {path} is malformed ({type(exc).__name__}: {exc})") from exc

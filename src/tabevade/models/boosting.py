@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .logistic import sigmoid
+from .tree import FlatTree, best_split, grow_tree, traverse
 
 DEFAULTS = {"n_trees": 100, "max_depth": 3, "learning_rate": 0.1, "min_leaf": 1}
 
@@ -41,105 +42,18 @@ def best_mse_split(col: np.ndarray, target: np.ndarray, min_leaf: int):
     return float(total[best]), float(threshold)
 
 
-class _RegressionNode:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+def _grow_regression_tree(X, residual, hessian, max_depth: int, min_leaf: int) -> FlatTree:
+    """Squared-error tree on ``residual`` whose leaves hold Newton steps."""
 
-    def __init__(self):
-        self.feature: int | None = None
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.value = 0.0
-
-
-class _RegressionTree:
-    def __init__(self, max_depth: int, min_leaf: int):
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.root: _RegressionNode | None = None
-
-    def fit(self, X, residual, hessian):
-        self.root = self._grow(X, residual, hessian, np.arange(X.shape[0]), 0)
-        return self
-
-    def _newton_value(self, residual, hessian, rows) -> float:
+    def visit(rows, depth):
         h = hessian[rows].sum()
-        if h <= 1e-12:
-            return 0.0
-        return float(residual[rows].sum() / h)
-
-    def _grow(self, X, residual, hessian, rows, depth) -> _RegressionNode:
-        node = _RegressionNode()
-        node.value = self._newton_value(residual, hessian, rows)
-        if depth >= self.max_depth or rows.size < 2 * self.min_leaf:
-            return node
+        value = 0.0 if h <= 1e-12 else float(residual[rows].sum() / h)
         target = residual[rows]
-        if np.allclose(target, target[0]):
-            return node
-        best_cost = np.inf
-        best_feature = -1
-        best_threshold = 0.0
-        for j in range(X.shape[1]):
-            found = best_mse_split(X[rows, j], target, self.min_leaf)
-            if found is None:
-                continue
-            cost, threshold = found
-            if cost < best_cost - 1e-15:
-                best_cost, best_feature, best_threshold = cost, j, threshold
-        if best_feature < 0:
-            return node
-        node.feature = best_feature
-        node.threshold = best_threshold
-        mask = X[rows, best_feature] < best_threshold
-        node.left = self._grow(X, residual, hessian, rows[mask], depth + 1)
-        node.right = self._grow(X, residual, hessian, rows[~mask], depth + 1)
-        return node
+        if depth >= max_depth or rows.size < 2 * min_leaf or np.allclose(target, target[0]):
+            return value, None
+        return value, best_split(X, rows, target, range(X.shape[1]), best_mse_split, min_leaf)
 
-    def predict(self, X) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        self._route(self.root, X, np.arange(X.shape[0]), out)
-        return out
-
-    def _route(self, node, X, rows, out):
-        if rows.size == 0:
-            return
-        if node.feature is None:
-            out[rows] = node.value
-            return
-        mask = X[rows, node.feature] < node.threshold
-        self._route(node.left, X, rows[mask], out)
-        self._route(node.right, X, rows[~mask], out)
-
-    def to_dict(self) -> dict:
-        def pack(node):
-            if node.feature is None:
-                return {"value": node.value}
-            return {
-                "feature": node.feature,
-                "threshold": node.threshold,
-                "value": node.value,
-                "left": pack(node.left),
-                "right": pack(node.right),
-            }
-
-        return {"max_depth": self.max_depth, "min_leaf": self.min_leaf, "root": pack(self.root)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "_RegressionTree":
-        tree = cls(payload["max_depth"], payload["min_leaf"])
-
-        def unpack(entry):
-            node = _RegressionNode()
-            node.value = entry["value"]
-            if "feature" in entry:
-                node.feature = entry["feature"]
-                node.threshold = entry["threshold"]
-                node.left = unpack(entry["left"])
-                node.right = unpack(entry["right"])
-            return node
-
-        tree.root = unpack(payload["root"])
-        return tree
+    return grow_tree(X, visit)
 
 
 class GradientBoostedTrees:
@@ -149,11 +63,13 @@ class GradientBoostedTrees:
         self.learning_rate = float(learning_rate)
         self.min_leaf = int(min_leaf)
         self.base_score = 0.0  # log-odds of the positive rate
-        self.trees: list[_RegressionTree] = []
+        self.n_features = 0
+        self.trees: list[FlatTree] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng=None):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
+        self.n_features = X.shape[1]
         rate = min(max(y.mean(), 1e-6), 1 - 1e-6)
         self.base_score = float(np.log(rate / (1.0 - rate)))
         raw = np.full(y.size, self.base_score)
@@ -162,31 +78,35 @@ class GradientBoostedTrees:
             p = sigmoid(raw)
             residual = y - p
             hessian = p * (1.0 - p)
-            tree = _RegressionTree(self.max_depth, self.min_leaf).fit(X, residual, hessian)
-            raw += self.learning_rate * tree.predict(X)
+            tree = _grow_regression_tree(X, residual, hessian, self.max_depth, self.min_leaf)
+            raw += self.learning_rate * traverse(tree, X, lambda leaves: tree.value[leaves[0]])
             self.trees.append(tree)
+        self._flat = FlatTree.stack(self.trees)  # so one traversal predicts every tree
         return self
 
+    def _raw_sum(self, leaves: np.ndarray) -> np.ndarray:
+        # tree by tree, in fit order, so the float sums match a loop over trees
+        raw = np.full(leaves.shape[1], self.base_score)
+        for step in self.learning_rate * self._flat.value[leaves]:
+            raw += step
+        return raw
+
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        raw = np.full(X.shape[0], self.base_score)
-        for tree in self.trees:
-            raw += self.learning_rate * tree.predict(X)
-        return sigmoid(raw)
+        return sigmoid(traverse(self._flat, X, self._raw_sum))
 
     def to_dict(self) -> dict:
         return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "learning_rate": self.learning_rate,
-            "min_leaf": self.min_leaf,
+            **{name: getattr(self, name) for name in DEFAULTS},
             "base_score": self.base_score,
+            "n_features": self.n_features,
             "trees": [t.to_dict() for t in self.trees],
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "GradientBoostedTrees":
-        model = cls(payload["n_trees"], payload["max_depth"], payload["learning_rate"], payload["min_leaf"])
+        model = cls(**{name: payload[name] for name in DEFAULTS})
         model.base_score = float(payload["base_score"])
-        model.trees = [_RegressionTree.from_dict(t) for t in payload["trees"]]
+        model.n_features = int(payload["n_features"])
+        model.trees = [FlatTree.from_dict(t, model.n_features) for t in payload["trees"]]
+        model._flat = FlatTree.stack(model.trees)
         return model

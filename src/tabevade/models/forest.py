@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import DecisionTree
+from .tree import DecisionTree, FlatTree, traverse
 
 DEFAULTS = {"n_trees": 100, "max_depth": 12, "min_leaf": 2, "max_features": "sqrt", "bootstrap": True}
 
@@ -31,14 +31,13 @@ class RandomForest:
             tree = DecisionTree(self.max_depth, self.min_leaf, self.max_features)
             tree.fit(X[rows], y[rows], rng=rng)
             self.trees.append(tree)
+        self._flat = FlatTree.stack([tree.flat for tree in self.trees])  # so one traversal predicts every tree
         return self
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        votes = np.zeros(X.shape[0])
-        for tree in self.trees:
-            votes += tree.predict_scores(X) >= 0.5
-        return votes / len(self.trees)
+        n_trees = len(self.trees)
+        return traverse(self._flat, X,
+                        lambda leaves: np.count_nonzero(self._flat.value[leaves] >= 0.5, axis=0) / n_trees)
 
     @property
     def importances(self) -> np.ndarray:
@@ -47,23 +46,11 @@ class RandomForest:
         return stacked / total if total > 0 else stacked
 
     def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "max_features": self.max_features,
-            "bootstrap": self.bootstrap,
-            "trees": [t.to_dict() for t in self.trees],
-        }
+        return {**{name: getattr(self, name) for name in DEFAULTS}, "trees": [t.to_dict() for t in self.trees]}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RandomForest":
-        model = cls(
-            payload["n_trees"],
-            payload["max_depth"],
-            payload["min_leaf"],
-            payload["max_features"],
-            payload["bootstrap"],
-        )
+        model = cls(**{name: payload[name] for name in DEFAULTS})
         model.trees = [DecisionTree.from_dict(t) for t in payload["trees"]]
+        model._flat = FlatTree.stack([tree.flat for tree in model.trees])
         return model

@@ -102,3 +102,18 @@ def confusion_recall(predictions, labels) -> float:
     tp = sum(1 for p, y in zip(predictions, labels) if p == 1 and y == 1)
     fn = sum(1 for p, y in zip(predictions, labels) if p == 0 and y == 1)
     return tp / (tp + fn)
+
+
+def walk_flat_tree(tree: dict, row, root: int = 0) -> float:
+    """Leaf value one row reaches in a flat tree (lists as in ``to_dict``).
+
+    One node at a time: go left when ``row[feature] < threshold``, else
+    right, so ties and NaN go right; a leaf points left at itself.
+    """
+    node = root
+    while tree["left"][node] != node:
+        if row[tree["feature"][node]] < tree["threshold"][node]:
+            node = tree["left"][node]
+        else:
+            node = tree["right"][node]
+    return tree["value"][node]

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from oracles import walk_flat_tree
 
 from tabevade.data import Dataset, FeatureSchema, FeatureSpec, split
 from tabevade.errors import FitError, ShapeError
@@ -13,7 +16,11 @@ from tabevade.models import (
     predict_score,
     save_model,
 )
+from tabevade.models import tree as tree_module
+from tabevade.models.boosting import GradientBoostedTrees
+from tabevade.models.forest import RandomForest
 from tabevade.models.logistic import LogisticRegression, sigmoid
+from tabevade.models.tree import DecisionTree
 
 
 def schema_of(n):
@@ -170,3 +177,196 @@ def test_save_load_round_trip(kind, tmp_path):
 def test_sigmoid_is_stable_at_extremes():
     assert sigmoid(np.array([800.0]))[0] == 1.0
     assert sigmoid(np.array([-800.0]))[0] == 0.0
+
+
+# -- flat trees: the stacked traversal against a per-row walk ---------------
+
+
+def oracle_scores(impl, X):
+    """Scores from walking each tree's saved lists one row at a time."""
+    rows = X.tolist()
+    if isinstance(impl, DecisionTree):
+        tree = impl.to_dict()
+        return np.array([walk_flat_tree(tree, row) for row in rows])
+    if isinstance(impl, RandomForest):
+        trees = [t.to_dict() for t in impl.trees]
+        return np.array([sum(walk_flat_tree(t, row) >= 0.5 for t in trees) / len(trees) for row in rows])
+    payload = impl.to_dict()
+    raws = []
+    for row in rows:
+        raw = payload["base_score"]
+        for tree in payload["trees"]:
+            raw += payload["learning_rate"] * walk_flat_tree(tree, row)
+        raws.append(raw)
+    return sigmoid(np.array(raws, dtype=float))
+
+
+def tree_dicts(impl):
+    if isinstance(impl, DecisionTree):
+        return [impl.to_dict()]
+    if isinstance(impl, RandomForest):
+        return [t.to_dict() for t in impl.trees]
+    return impl.to_dict()["trees"]
+
+
+def probe_matrix(impl, n_features, rng):
+    """Random rows in and out of the [0, 1] training range, rows sitting
+    exactly on split thresholds, and rows holding NaN or infinities."""
+    rows = [rng.uniform(-0.5, 1.5, size=(40, n_features))]
+    for tree in tree_dicts(impl)[:3]:
+        for node, (feature, threshold) in enumerate(zip(tree["feature"], tree["threshold"])):
+            if tree["left"][node] != node:
+                row = rng.uniform(0.0, 1.0, size=(1, n_features))
+                row[0, feature] = threshold
+                rows.append(row)
+    for special in (np.nan, np.inf, -np.inf, 1e300):
+        for j in range(n_features):
+            row = rng.uniform(0.0, 1.0, size=(1, n_features))
+            row[0, j] = special
+            rows.append(row)
+    return np.vstack(rows)
+
+
+def fitted_tree_models(X, y, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        DecisionTree(min_leaf=1).fit(X, y),
+        RandomForest(n_trees=7, max_depth=6).fit(X, y, rng),
+        GradientBoostedTrees(n_trees=6, max_depth=3).fit(X, y),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_traversal_matches_per_row_walk(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 1.0, size=(150, 4))
+    y = ((X[:, 0] + X[:, 1] > 1.0) ^ (rng.uniform(size=150) < 0.1)).astype(int)
+    # small row blocks, so the block seams are crossed too
+    monkeypatch.setattr(tree_module, "_TRAVERSE_BLOCK", 20)
+    for impl in fitted_tree_models(X, y, seed):
+        probe = probe_matrix(impl, 4, rng)
+        expected = oracle_scores(impl, probe)
+        assert np.array_equal(impl.predict_scores(probe), expected), type(impl).__name__
+        assert impl.predict_scores(probe[:1]).tolist() == expected[:1].tolist()
+        assert impl.predict_scores(probe[:0]).shape == (0,)
+
+
+def test_traversal_of_single_leaf_trees():
+    rng = np.random.default_rng(3)
+    X = rng.uniform(0.0, 1.0, size=(30, 3))
+    y = np.ones(30, dtype=int)
+    probe = probe_matrix(DecisionTree().fit(X, y), 3, rng)
+    models = fitted_tree_models(X, y, 3) + [GradientBoostedTrees(n_trees=4, max_depth=0).fit(X, (X[:, 0] > 0.5).astype(int))]
+    for impl in models:
+        assert all(len(tree["value"]) == 1 for tree in tree_dicts(impl))
+        assert np.array_equal(impl.predict_scores(probe), oracle_scores(impl, probe))
+
+
+LEAF = {"feature": [0], "threshold": [0.0], "left": [0], "right": [0], "value": [0.75], "n_samples": [4]}
+# depth 3 down the left edge, depth 1 on the right
+CHAIN = {
+    "feature": [0, 1, 0, 0, 0, 0, 0],
+    "threshold": [0.5, 0.3, 0.2, 0.0, 0.0, 0.0, 0.0],
+    "left": [1, 2, 3, 3, 4, 5, 6],
+    "right": [6, 5, 4, 3, 4, 5, 6],
+    "value": [0.5, 0.4, 0.3, 0.1, 0.2, 0.3, 0.9],
+    "n_samples": [10, 7, 4, 2, 2, 3, 3],
+}
+GINI = {"max_depth": 3, "min_leaf": 1, "max_features": None, "n_features": 2, "importances": [0.5, 0.5]}
+
+
+def test_stacked_traversal_of_uneven_trees():
+    probe = np.array([
+        [0.1, 0.1], [0.2, 0.1], [0.3, 0.3], [0.5, 0.0], [0.49, 0.29], [np.nan, 0.0], [0.0, np.nan], [-9.0, 9.0],
+    ])
+    gbt = GradientBoostedTrees.from_dict({
+        "n_trees": 3, "max_depth": 3, "learning_rate": 0.5, "min_leaf": 1, "base_score": 0.1, "n_features": 2,
+        "trees": [LEAF, CHAIN, LEAF],
+    })
+    forest = RandomForest.from_dict({
+        "n_trees": 2, "max_depth": 3, "min_leaf": 1, "max_features": None, "bootstrap": False,
+        "trees": [dict(tree, **GINI) for tree in (CHAIN, LEAF)],
+    })
+    for impl in (gbt, forest, forest.trees[0]):
+        assert np.array_equal(impl.predict_scores(probe), oracle_scores(impl, probe))
+    assert forest.trees[0].predict_scores(probe).tolist() == [0.1, 0.2, 0.3, 0.9, 0.2, 0.9, 0.3, 0.3]
+
+
+def test_traversal_rejects_a_too_narrow_matrix():
+    impl = DecisionTree.from_dict(dict(CHAIN, **GINI))
+    with pytest.raises(ShapeError):
+        impl.predict_scores(np.zeros((3, 1)))
+
+
+# -- strict model loading ----------------------------------------------------
+
+
+def saved(tmp_path, kind="decision_tree"):
+    path = tmp_path / "model.json"
+    save_model(fit(kind, separable_blobs(n=60, seed=1), seed=0), path)
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+def assert_load_fails(path, payload, match):
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
+    with pytest.raises(FitError, match=match) as info:
+        load_model(path)
+    assert str(path) in str(info.value)
+
+
+def test_load_rejects_missing_key(tmp_path):
+    path, payload = saved(tmp_path)
+    del payload["params"]["max_depth"]
+    assert_load_fails(path, payload, "malformed.*max_depth")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p["params"].update(threshold="0.5"),
+    lambda p: p["params"].update(feature=[[0]] * len(p["params"]["feature"])),
+    lambda p: p["params"].update(left=[str(i) for i in p["params"]["left"]]),
+    lambda p: p.update(seed="one"),
+    lambda p: p.update(params=[1, 2]),
+    lambda p: p["scaler"].update(mins="low"),
+])
+def test_load_rejects_wrong_types(tmp_path, edit):
+    path, payload = saved(tmp_path)
+    edit(payload)
+    assert_load_fails(path, payload, "model file")
+
+
+def test_load_rejects_invalid_json(tmp_path):
+    path, payload = saved(tmp_path)
+    assert_load_fails(path, json.dumps(payload)[:-40], "not valid JSON")
+
+
+@pytest.mark.parametrize("kind", ["decision_tree", "random_forest", "gradient_boosted_trees"])
+def test_load_rejects_nested_trees_with_retrain_message(tmp_path, kind):
+    path, payload = saved(tmp_path, kind)
+    nested = {"max_depth": 3, "min_leaf": 1, "root": {"value": 0.5, "n": 4}}
+    if kind == "decision_tree":
+        payload["params"] = dict(nested, n_features=2, importances=[0.5, 0.5])
+    else:
+        payload["params"]["trees"] = [nested]
+    assert_load_fails(path, payload, "retrain")
+
+
+def inner_node(params):
+    return next(i for i, left in enumerate(params["left"]) if left != i)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda p: p["value"].append(0.5), "unequal lengths"),
+    (lambda p: p.update({name: [] for name in ("feature", "threshold", "left", "right", "value", "n_samples")}),
+     "empty"),
+    (lambda p: p["feature"].__setitem__(0, 2), "feature outside"),
+    (lambda p: p["feature"].__setitem__(-1, -1), "feature outside"),
+    (lambda p: p["left"].__setitem__(inner_node(p), len(p["left"])), "out of range"),
+    (lambda p: p["right"].__setitem__(inner_node(p), 0), "not after their parent"),
+    (lambda p: p["left"].__setitem__(-1, len(p["left"]) - 2), "not a preorder tree"),
+    (lambda p: p["threshold"].__setitem__(inner_node(p), float("nan")), "non-finite threshold"),
+    (lambda p: p["threshold"].__setitem__(0, float("inf")), "non-finite threshold"),
+])
+def test_load_rejects_invalid_flat_arrays(tmp_path, edit, match):
+    path, payload = saved(tmp_path)
+    edit(payload["params"])
+    assert_load_fails(path, payload, match)
