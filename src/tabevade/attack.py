@@ -131,19 +131,38 @@ def build_plan(train: Dataset, config: AttackConfig, seed: int = 0) -> AttackPla
     )
 
 
-def _group_consistency(x_out: np.ndarray, plan: AttackPlan, touched: set[int]) -> None:
-    """Force exactly one hot per group that the perturbation touched.
+def _perturb_rows(X: np.ndarray, plan: AttackPlan) -> np.ndarray:
+    """Perturb every row of a raw matrix at once; unselected features stay bit-identical.
 
-    Relaxes the untouched-feature guarantee for members of touched groups;
-    only active when the config asks for it.
+    A row whose budget is not positive (zero epsilon, or a pathological
+    negative scaled sum) comes back unchanged, and so does a selected value
+    whose clamp lands back on the original.
     """
-    scaled = transform(x_out, plan.scaler)
-    for group, members in plan.schema.onehot_groups().items():
-        if not touched.intersection(members):
-            continue
-        winner = max(members, key=lambda i: (scaled[i], -i))
-        for i in members:
-            x_out[i] = plan.scaler.maxs[i] if i == winner else plan.scaler.mins[i]
+    selected = select_features(plan)
+    config, scaler = plan.config, plan.scaler
+    scaled = transform(X, scaler)
+    delta = (config.epsilon / config.n) * scaled.sum(axis=1, keepdims=True)
+    signs = plan.direction.signs[selected]
+    before = scaled[:, selected]
+    moved = np.minimum(np.maximum(before + delta * signs, 0.0), 1.0)
+    mins = scaler.mins[selected]
+    raw = moved * (scaler.maxs[selected] - mins) + mins
+    # discrete features round toward the original: floor when growing, ceil when shrinking
+    raw = np.where(plan.schema.discrete_mask()[selected], np.floor(raw * signs) * signs, raw)
+    live = delta > 0.0
+    out = X.copy()
+    out[:, selected] = np.where(live & (moved != before), raw, out[:, selected])
+    if config.onehot_consistency:
+        # exactly one hot per touched group: the member with the highest scaled
+        # value wins, the lowest index on ties; only rows that had a budget
+        rows = np.flatnonzero(live)
+        hot_scaled = transform(out[rows], scaler)
+        for members in plan.schema.onehot_groups().values():
+            if set(members).isdisjoint(selected):
+                continue
+            hot = np.argmax(hot_scaled[:, members], axis=1)[:, None] == np.arange(len(members))
+            out[np.ix_(rows, members)] = np.where(hot, scaler.maxs[members], scaler.mins[members])
+    return out
 
 
 def perturb(x: np.ndarray, plan: AttackPlan) -> np.ndarray:
@@ -151,68 +170,17 @@ def perturb(x: np.ndarray, plan: AttackPlan) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != plan.schema.n_features:
         raise ShapeError(f"sample must be a vector of {plan.schema.n_features} features")
-    selected = select_features(plan)
-    config = plan.config
-    scaled = transform(x, plan.scaler)
-    delta = (config.epsilon / config.n) * float(scaled.sum())
-    if delta <= 0.0:
-        # zero budget (or a pathological negative scaled sum) moves nothing
-        return x.copy()
-    discrete = plan.schema.discrete_mask()
-    signs = plan.direction.signs
-    out = x.copy()
-    for i in selected:
-        moved = min(max(scaled[i] + delta * signs[i], 0.0), 1.0)
-        if moved == scaled[i]:
-            continue  # clamp landed back on the original: keep the raw value
-        raw = float(inverse_transform_scalar(moved, plan.scaler, i))
-        if discrete[i]:
-            raw = float(np.floor(raw)) if signs[i] > 0 else float(np.ceil(raw))
-        out[i] = raw
-    if config.onehot_consistency:
-        _group_consistency(out, plan, set(selected))
-    return out
-
-
-def inverse_transform_scalar(value: float, scaler: ScalerState, index: int) -> float:
-    span = scaler.maxs[index] - scaler.mins[index]
-    if span == 0.0:
-        return float(scaler.mins[index])
-    return float(value * span + scaler.mins[index])
+    return _perturb_rows(x[None], plan)[0]
 
 
 def perturb_batch(samples: Dataset, plan: AttackPlan) -> np.ndarray:
     """Row-wise perturbation of an input-class-only dataset.
 
-    Vectorized but exactly equivalent to mapping :func:`perturb` over rows;
+    Each row comes out exactly as :func:`perturb` would return it;
     already-misclassified rows are perturbed like any other.
     """
     if samples.n_rows and not np.all(samples.y == 1):
         raise ValueError("perturb_batch expects input-class rows only")
     if samples.n_features != plan.schema.n_features:
         raise ShapeError("sample columns do not match the plan's schema")
-    selected = select_features(plan)
-    config = plan.config
-    X = samples.X
-    scaled = transform(X, plan.scaler)
-    deltas = (config.epsilon / config.n) * scaled.sum(axis=1)
-    deltas = np.maximum(deltas, 0.0)
-    discrete = plan.schema.discrete_mask()
-    signs = plan.direction.signs
-    out = X.copy()
-    for i in selected:
-        column = scaled[:, i]
-        moved = np.clip(column + deltas * signs[i], 0.0, 1.0)
-        span = plan.scaler.maxs[i] - plan.scaler.mins[i]
-        raw = moved * span + plan.scaler.mins[i]
-        if discrete[i]:
-            raw = np.floor(raw) if signs[i] > 0 else np.ceil(raw)
-        # rows with a zero budget stay untouched even when the clamp would
-        # pull an out-of-range value back in (mirrors the scalar early-out)
-        changed = (moved != column) & (deltas > 0.0)
-        out[:, i] = np.where(changed, raw, X[:, i])
-    if config.onehot_consistency:
-        touched = set(selected)
-        for k in range(out.shape[0]):
-            _group_consistency(out[k], plan, touched)
-    return out
+    return _perturb_rows(samples.X, plan)

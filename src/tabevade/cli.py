@@ -19,7 +19,7 @@ from urllib.parse import unquote
 
 from . import __version__, synth
 from .attack import AttackConfig, build_plan, perturb_batch, select_features
-from .data import Dataset, format_number, load_dataset, load_schema, save_schema, split
+from .data import Dataset, atomic_write_text, format_number, load_dataset, load_schema, save_schema, split
 from .errors import TabevadeError
 from .evaluation import (
     CURVE_AXES,
@@ -41,12 +41,6 @@ from .webspace import problem_space_attack
 # ---------------------------------------------------------------------------
 # small helpers
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _run_dir(args, command: str) -> Path:
     name = args.run_name or f"{command}-{time.strftime('%Y%m%d-%H%M%S')}"
     run = Path(args.out) / name
@@ -60,7 +54,7 @@ def _write_manifest(run: Path, args) -> None:
     for key, value in payload.items():
         if isinstance(value, Path):
             payload[key] = str(value)
-    _atomic_write(run / "manifest.json", json.dumps(payload, indent=2, default=str) + "\n")
+    atomic_write_text(run / "manifest.json", json.dumps(payload, indent=2, default=str) + "\n")
 
 
 def _load(args) -> Dataset:
@@ -126,7 +120,7 @@ def _cmd_synth(args) -> int:
         save_schema(dataset.schema, run / "schema.json")
     elif args.dataset == "census":
         rows = synth.census_like_rows(n_rows=args.rows, seed=args.seed)
-        _atomic_write(run / "data.csv", _csv_text(rows))
+        atomic_write_text(run / "data.csv", _csv_text(rows))
         save_schema(synth.census_like_schema(), run / "schema.json")
     else:
         corpus = synth.demo_pages(seed=args.seed)
@@ -153,7 +147,7 @@ def _cmd_train(args) -> int:
         "train_recall": recall(model, train.X, train.y),
         "test_recall": recall(model, test.X, test.y),
     }
-    _atomic_write(run / "metrics.json", json.dumps(report, indent=2) + "\n")
+    atomic_write_text(run / "metrics.json", json.dumps(report, indent=2) + "\n")
     print(f"trained {args.kind}: test recall {report['test_recall']:.3f} -> {run}")
     return 0
 
@@ -168,7 +162,7 @@ def _cmd_rank(args) -> int:
         )
     run = _run_dir(args, "rank")
     _write_manifest(run, args)
-    _atomic_write(run / "rank.csv", _csv_text(rows))
+    atomic_write_text(run / "rank.csv", _csv_text(rows))
     print(f"wrote {run / 'rank.csv'}")
     return 0
 
@@ -202,8 +196,8 @@ def _cmd_attack(args) -> int:
 
     run = _run_dir(args, "attack")
     _write_manifest(run, args)
-    _atomic_write(run / "adversarial.csv", _csv_text(adversarial_rows))
-    _atomic_write(run / "deltas.csv", _csv_text(delta_rows))
+    atomic_write_text(run / "adversarial.csv", _csv_text(adversarial_rows))
+    atomic_write_text(run / "deltas.csv", _csv_text(delta_rows))
     print(f"perturbed {perturbed.shape[0]} rows -> {run}")
     return 0
 
@@ -232,7 +226,7 @@ def _cmd_evaluate(args) -> int:
         "epsilon": config.epsilon,
         "method": config.method,
     }
-    _atomic_write(run / "report.json", json.dumps(payload, indent=2) + "\n")
+    atomic_write_text(run / "report.json", json.dumps(payload, indent=2) + "\n")
     print(
         f"{report.model_kind}: recall {report.baseline_recall:.3f} -> {report.attack_recall:.3f} "
         f"(success {report.success_rate:.3f}) -> {run}"
@@ -309,7 +303,7 @@ def emit_report(grid: GridResult, out_dir: Path) -> list[Path]:
                     ]
                 )
             csv_path = out_dir / f"curve_{model}_{axis}.csv"
-            _atomic_write(csv_path, _csv_text(rows))
+            atomic_write_text(csv_path, _csv_text(rows))
             written.append(csv_path)
             title = f"{model}: max success rate by {axis}"
             if axis == "method":
@@ -323,10 +317,10 @@ def emit_report(grid: GridResult, out_dir: Path) -> list[Path]:
                     title, axis, "max success rate",
                 )
             svg_path = out_dir / f"curve_{model}_{axis}.svg"
-            _atomic_write(svg_path, svg)
+            atomic_write_text(svg_path, svg)
             written.append(svg_path)
     summary_path = out_dir / "summary.csv"
-    _atomic_write(summary_path, _csv_text(summary))
+    atomic_write_text(summary_path, _csv_text(summary))
     written.append(summary_path)
     return written
 
@@ -348,7 +342,7 @@ def _cmd_extract(args) -> int:
         rows.append([path.name, *[format_number(v) for v in vector.values]])
     run = _run_dir(args, "extract")
     _write_manifest(run, args)
-    _atomic_write(run / "features.csv", _csv_text(rows))
+    atomic_write_text(run / "features.csv", _csv_text(rows))
     print(f"extracted {len(paths)} pages -> {run / 'features.csv'}")
     return 0
 
@@ -385,7 +379,8 @@ def _cmd_forge(args) -> int:
     for path in _page_paths(Path(args.pages)):
         page = _read_page(path)
         forged, record = problem_space_attack(page, plan, model)
-        _atomic_write(page_dir / path.name, forged.html)
+        # forge_report.csv, written last and synced, vouches for the pages
+        atomic_write_text(page_dir / path.name, forged.html, fsync=False)
         planned = ";".join(f"{k}:+{v}" for k, v in sorted(record.planned.items()))
         effects = ";".join(f"{k}:{v:+g}" for k, v in sorted(record.side_effects.items()))
         rows.append(
@@ -401,7 +396,7 @@ def _cmd_forge(args) -> int:
             ]
         )
         flipped += int(record.evaded)
-    _atomic_write(run / "forge_report.csv", _csv_text(rows))
+    atomic_write_text(run / "forge_report.csv", _csv_text(rows))
     print(f"forged {len(rows) - 1} pages, {flipped} evaded -> {run}")
     return 0
 

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, TextIO, Union
@@ -22,6 +23,10 @@ from typing import Mapping, TextIO, Union
 import numpy as np
 
 from .errors import ParseError, SchemaError, ShapeError, StratificationError
+
+# the process umask, read once (reading it means setting it)
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
 
 FEATURE_KINDS = ("continuous", "discrete", "categorical", "onehot")
 
@@ -183,12 +188,29 @@ def load_schema(path: Union[str, Path]) -> FeatureSchema:
     return schema_from_dict(payload)
 
 
-def atomic_write_text(path: Union[str, Path], text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
+def atomic_write_text(path: Union[str, Path], text: str, *, fsync: bool = True) -> None:
+    """Write-then-rename so readers never observe a partial file.
+
+    The text goes, untranslated, to a unique temp file beside ``path``, so
+    concurrent writers never share one, and replaces ``path`` once written.
+    With ``fsync`` (the default) it reaches the disk first, so a crash
+    leaves the old file or the new one; bulk outputs that a later, synced
+    file vouches for may skip that, as it costs a journal commit per file.
+    The temp file is removed when anything fails.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            os.chmod(tmp, 0o666 & ~_UMASK)  # mkstemp makes it 0600; match a plain open()
+            handle.write(text)
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def save_schema(schema: FeatureSchema, path: Union[str, Path]) -> None:

@@ -9,7 +9,9 @@ pool may shard cells because every record is merged back in cell order.
 from __future__ import annotations
 
 import csv
+import io
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Union
@@ -17,7 +19,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .attack import AttackConfig, AttackPlan, compute_direction, perturb_batch
-from .data import Dataset, fit_scaler, format_number
+from .data import Dataset, atomic_write_text, fit_scaler, format_number
 from .errors import MetricError
 from .metrics import auprc, recall, success_rate
 from .models import MODEL_KINDS, Model, fit, predict, predict_score
@@ -125,34 +127,30 @@ class GridResult:
     records: tuple[GridRecord, ...]
 
     def to_csv(self, path: Union[str, Path]) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(GRID_COLUMNS)
-            for r in self.records:
-                writer.writerow(_record_row(r))
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(GRID_COLUMNS)
+        writer.writerows(_record_row(r) for r in self.records)
+        atomic_write_text(path, buffer.getvalue())
 
     @staticmethod
     def from_csv(path: Union[str, Path]) -> "GridResult":
+        """Read a grid CSV; a malformed row raises :class:`MetricError` naming its line."""
         with open(path, "r", encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or tuple(header) != GRID_COLUMNS:
-                raise MetricError(f"grid CSV must start with header {','.join(GRID_COLUMNS)}")
             records = []
-            for row in reader:
-                if not row:
-                    continue
-                records.append(
-                    GridRecord(
-                        model=row[0],
-                        method=row[1],
-                        n=int(row[2]),
-                        epsilon=float(row[3]),
-                        baseline_recall=float(row[4]),
-                        attack_recall=float(row[5]),
-                        success_rate=float(row[6]),
-                    )
-                )
+            try:
+                header = next(reader, None)
+                if header is None or tuple(header) != GRID_COLUMNS:
+                    raise MetricError(f"grid CSV must start with header {','.join(GRID_COLUMNS)}")
+                for row in reader:
+                    if not row:
+                        continue
+                    if len(row) != len(GRID_COLUMNS):
+                        raise ValueError(f"expected {len(GRID_COLUMNS)} cells, found {len(row)}")
+                    records.append(GridRecord(row[0], row[1], int(row[2]), *map(float, row[3:])))
+            except (ValueError, csv.Error) as exc:
+                raise MetricError(f"{path}, line {reader.line_num}: {exc}") from None
         return GridResult(records=tuple(records))
 
 
@@ -205,6 +203,21 @@ def _eval_cell(task: tuple) -> GridRecord:
     )
 
 
+def _trim_torn_tail(sink: Union[str, Path]) -> None:
+    """Cut a sink back to its last complete line.
+
+    A run interrupted mid-write leaves a last row without its newline; the
+    row may even parse, with a truncated number, so it is dropped and its
+    cell evaluated again.  A file that does not start like a grid CSV is
+    left alone for :meth:`GridResult.from_csv` to reject.
+    """
+    header = ",".join(GRID_COLUMNS).encode()
+    with open(sink, "rb+") as handle:
+        text = handle.read()
+        if not text.endswith(b"\n") and header.startswith(text[:len(header)]):
+            handle.truncate(text.rfind(b"\n") + 1)
+
+
 def grid_search(
     train: Dataset,
     test: Dataset,
@@ -221,9 +234,11 @@ def grid_search(
     any worker count because cells are merged in task order.
     """
     done: dict[tuple, GridRecord] = {}
-    if sink is not None and Path(sink).exists() and Path(sink).stat().st_size > 0:
-        for r in GridResult.from_csv(sink).records:
-            done[_cell_key(r.model, r.method, r.n, r.epsilon)] = r
+    if sink is not None and Path(sink).exists():
+        _trim_torn_tail(sink)
+        if Path(sink).stat().st_size > 0:
+            for r in GridResult.from_csv(sink).records:
+                done[_cell_key(r.model, r.method, r.n, r.epsilon)] = r
 
     models = {kind: fit(kind, train, seed=seed) for kind in spec.model_kinds}
     pos = test.rows_of_class(1)
@@ -249,46 +264,28 @@ def grid_search(
     ]
     pending = [c for c in cells if _cell_key(*c) not in done]
 
-    sink_handle = None
-    sink_writer = None
-    if sink is not None:
-        new_file = not (Path(sink).exists() and Path(sink).stat().st_size > 0)
-        sink_handle = open(sink, "a", encoding="utf-8", newline="")
-        sink_writer = csv.writer(sink_handle)
-        if new_file:
-            sink_writer.writerow(GRID_COLUMNS)
-            sink_handle.flush()
-
-    finished = len(done)
-    total = len(cells)
-    try:
+    with ExitStack() as stack:
+        if sink is not None:
+            handle = stack.enter_context(open(sink, "a", encoding="utf-8", newline=""))
+            sink_writer = csv.writer(handle)
+            if handle.tell() == 0:
+                sink_writer.writerow(GRID_COLUMNS)
+                handle.flush()
         if workers <= 1 or len(pending) <= 1:
             _init_worker(ctx)
-            iterator = map(_eval_cell, pending)
-            for record in iterator:
-                done[_cell_key(record.model, record.method, record.n, record.epsilon)] = record
-                if sink_writer is not None:
-                    sink_writer.writerow(_record_row(record))
-                    sink_handle.flush()
-                finished += 1
-                if progress:
-                    progress(finished, total)
+            records = map(_eval_cell, pending)
         else:
-            chunk = max(1, len(pending) // (workers * 4))
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(ctx,)
-            ) as pool:
-                for record in pool.map(_eval_cell, pending, chunksize=chunk):
-                    done[_cell_key(record.model, record.method, record.n, record.epsilon)] = record
-                    if sink_writer is not None:
-                        sink_writer.writerow(_record_row(record))
-                        sink_handle.flush()
-                    finished += 1
-                    if progress:
-                        progress(finished, total)
-    finally:
-        if sink_handle is not None:
-            sink_handle.close()
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(ctx,))
+            )
+            records = pool.map(_eval_cell, pending, chunksize=max(1, len(pending) // (workers * 4)))
+        for finished, record in enumerate(records, start=len(done) + 1):
+            done[_cell_key(record.model, record.method, record.n, record.epsilon)] = record
+            if sink is not None:
+                sink_writer.writerow(_record_row(record))
+                handle.flush()
+            if progress:
+                progress(finished, len(cells))
 
     records = tuple(done[_cell_key(*c)] for c in cells)
     return GridResult(records=records)

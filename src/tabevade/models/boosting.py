@@ -9,37 +9,23 @@ from __future__ import annotations
 import numpy as np
 
 from .logistic import sigmoid
-from .tree import FlatTree, best_split, grow_tree, traverse
+from .tree import FlatTree, best_split, grow_tree, scan_splits, traverse
 
 DEFAULTS = {"n_trees": 100, "max_depth": 3, "learning_rate": 0.1, "min_leaf": 1}
 
 
 def best_mse_split(col: np.ndarray, target: np.ndarray, min_leaf: int):
     """Best threshold minimizing weighted child variance; None if no split."""
-    n = col.size
-    order = np.argsort(col, kind="stable")
-    values = col[order]
-    t = target[order]
-    distinct = values[:-1] < values[1:]
-    pos = np.flatnonzero(distinct)
-    pos = pos[(pos + 1 >= min_leaf) & (n - pos - 1 >= min_leaf)]
-    if pos.size == 0:
+    scan = scan_splits(col, min_leaf, target, target * target)
+    if scan is None:
         return None
-    csum = np.cumsum(t)
-    csum2 = np.cumsum(t * t)
-    left_n = pos + 1.0
-    right_n = n - left_n
-    left_sum = csum[pos]
-    right_sum = csum[-1] - left_sum
-    left_sq = csum2[pos]
-    right_sq = csum2[-1] - left_sq
+    left_n, right_n, [(left_sum, right_sum), (left_sq, right_sq)], threshold = scan
     # sum of squared deviations per side, no division needed for comparison weights
     left_sse = left_sq - left_sum * left_sum / left_n
     right_sse = right_sq - right_sum * right_sum / right_n
     total = left_sse + right_sse
     best = int(np.argmin(total))
-    threshold = 0.5 * (values[pos[best]] + values[pos[best] + 1])
-    return float(total[best]), float(threshold)
+    return float(total[best]), threshold(best)
 
 
 def _grow_regression_tree(X, residual, hessian, max_depth: int, min_leaf: int) -> FlatTree:

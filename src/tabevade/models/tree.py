@@ -32,33 +32,52 @@ def _gini(counts: np.ndarray, total: float) -> float:
     return float(1.0 - np.sum(p * p))
 
 
-def best_gini_split(col: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Best threshold for one feature: (weighted child impurity, threshold).
+def scan_splits(col: np.ndarray, min_leaf: int, *targets: np.ndarray):
+    """The boundaries between consecutive distinct values of ``col`` that keep
+    at least ``min_leaf`` rows on each side, or None when there is none.
 
-    Returns None when no split keeps ``min_leaf`` rows on both sides.
-    Vectorized over all candidate midpoints via cumulative label counts.
+    The column is sorted once (stably).  Returns ``(left_n, right_n, sums,
+    threshold)`` in ascending threshold order: the row counts below and at or
+    above each threshold, each target's ``(left, right)`` sums there (all as
+    floats), and ``threshold(k)``, the midpoint of the two distinct values
+    around boundary ``k``.
     """
     n = col.size
     order = np.argsort(col, kind="stable")
     values = col[order]
-    labels = y[order]
-    # candidate boundary after position i (left = first i+1 rows)
-    distinct = values[:-1] < values[1:]
-    pos = np.flatnonzero(distinct)
-    pos = pos[(pos + 1 >= min_leaf) & (n - pos - 1 >= min_leaf)]
+    pos = np.flatnonzero(values[:-1] < values[1:])  # sorted position of the last row below
+    # ascending, so the boundaries with min_leaf <= pos + 1 <= n - min_leaf are a slice
+    lo, hi = np.searchsorted(pos, (min_leaf - 1, n - min_leaf))
+    pos = pos[lo:hi]
     if pos.size == 0:
         return None
-    ones = np.cumsum(labels)
+    sums = []
+    for target in targets:
+        running = np.cumsum(target[order])
+        left = running[pos].astype(float, copy=False)
+        sums.append((left, running[-1] - left))
+
+    def threshold(k: int) -> float:
+        return float(0.5 * (values[pos[k]] + values[pos[k] + 1]))
+
     left_n = pos + 1.0
-    right_n = n - left_n
-    left_ones = ones[pos].astype(float)
-    right_ones = ones[-1] - left_ones
+    return left_n, n - left_n, sums, threshold
+
+
+def best_gini_split(col: np.ndarray, y: np.ndarray, min_leaf: int):
+    """Best threshold for one feature: (weighted child impurity, threshold).
+
+    Returns None when no split keeps ``min_leaf`` rows on both sides.
+    """
+    scan = scan_splits(col, min_leaf, y)
+    if scan is None:
+        return None
+    left_n, right_n, [(left_ones, right_ones)], threshold = scan
     left_gini = 1.0 - ((left_ones / left_n) ** 2 + ((left_n - left_ones) / left_n) ** 2)
     right_gini = 1.0 - ((right_ones / right_n) ** 2 + ((right_n - right_ones) / right_n) ** 2)
-    weighted = (left_n * left_gini + right_n * right_gini) / n
+    weighted = (left_n * left_gini + right_n * right_gini) / col.size
     best = int(np.argmin(weighted))  # first occurrence -> lowest threshold
-    threshold = 0.5 * (values[pos[best]] + values[pos[best] + 1])
-    return float(weighted[best]), float(threshold)
+    return float(weighted[best]), threshold(best)
 
 
 @dataclass(eq=False)

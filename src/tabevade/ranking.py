@@ -17,7 +17,8 @@ from . import models as models_mod
 from .data import Dataset, fit_scaler, split, transform
 from .errors import RankingError
 from .metrics import recall
-from .models import Model, predict
+from .models import Model
+from .models.tree import scan_splits
 
 RANKING_METHODS = ("info_gain_ratio", "gini_impurity", "permutation", "rfe", "ffs")
 
@@ -69,20 +70,10 @@ def _entropy(y: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def _split_counts(col: np.ndarray, y: np.ndarray):
-    """Left/right (ones, totals) at every distinct-value boundary, or None."""
-    order = np.argsort(col, kind="stable")
-    values = col[order]
-    labels = y[order]
-    boundaries = np.flatnonzero(values[:-1] < values[1:])
-    if boundaries.size == 0:
-        return None
-    ones = np.cumsum(labels)
-    left_n = boundaries + 1.0
-    right_n = y.size - left_n
-    left_ones = ones[boundaries].astype(float)
-    right_ones = ones[-1] - left_ones
-    return left_ones, left_n, right_ones, right_n
+def _boundaries(train: Dataset, feature_index: int):
+    """Labels and the split scan of one feature over every distinct-value boundary."""
+    X, y = _class_arrays(train)
+    return y, scan_splits(X[:, feature_index], 1, y)
 
 
 def _gini_vec(ones: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -101,27 +92,27 @@ def _entropy_vec(ones: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return out
 
 
+def _conditional_entropy(left_n, right_n, left_ones, right_ones, n: int) -> np.ndarray:
+    return (left_n * _entropy_vec(left_ones, left_n) + right_n * _entropy_vec(right_ones, right_n)) / n
+
+
 def gini_gain(train: Dataset, feature_index: int) -> float:
     """Parent Gini impurity minus the best split's weighted child impurity."""
-    X, y = _class_arrays(train)
-    counts = _split_counts(X[:, feature_index], y)
-    if counts is None:
+    y, scan = _boundaries(train, feature_index)
+    if scan is None:
         return 0.0
-    left_ones, left_n, right_ones, right_n = counts
-    n = y.size
-    weighted = (left_n * _gini_vec(left_ones, left_n) + right_n * _gini_vec(right_ones, right_n)) / n
+    left_n, right_n, [(left_ones, right_ones)], _ = scan
+    weighted = (left_n * _gini_vec(left_ones, left_n) + right_n * _gini_vec(right_ones, right_n)) / y.size
     return max(_gini(y) - float(weighted.min()), 0.0)
 
 
 def info_gain(train: Dataset, feature_index: int) -> float:
     """Raw information gain (bits) of the best binary split."""
-    X, y = _class_arrays(train)
-    counts = _split_counts(X[:, feature_index], y)
-    if counts is None:
+    y, scan = _boundaries(train, feature_index)
+    if scan is None:
         return 0.0
-    left_ones, left_n, right_ones, right_n = counts
-    n = y.size
-    conditional = (left_n * _entropy_vec(left_ones, left_n) + right_n * _entropy_vec(right_ones, right_n)) / n
+    left_n, right_n, [(left_ones, right_ones)], _ = scan
+    conditional = _conditional_entropy(left_n, right_n, left_ones, right_ones, y.size)
     return max(_entropy(y) - float(conditional.min()), 0.0)
 
 
@@ -133,15 +124,12 @@ def info_gain_ratio(train: Dataset, feature_index: int) -> float:
     let noise features score arbitrarily high.  A split entropy of 0
     (impossible for a real two-sided split) would give ratio 0.
     """
-    X, y = _class_arrays(train)
-    counts = _split_counts(X[:, feature_index], y)
-    if counts is None:
+    y, scan = _boundaries(train, feature_index)
+    if scan is None:
         return 0.0
-    left_ones, left_n, right_ones, right_n = counts
+    left_n, right_n, [(left_ones, right_ones)], _ = scan
     n = y.size
-    gains = _entropy(y) - (
-        left_n * _entropy_vec(left_ones, left_n) + right_n * _entropy_vec(right_ones, right_n)
-    ) / n
+    gains = _entropy(y) - _conditional_entropy(left_n, right_n, left_ones, right_ones, n)
     best = int(np.argmax(gains))
     split_entropy = float(_entropy_vec(np.array([left_n[best]]), np.array([float(n)]))[0])
     if split_entropy <= 0.0:

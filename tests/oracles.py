@@ -117,3 +117,75 @@ def walk_flat_tree(tree: dict, row, root: int = 0) -> float:
         else:
             node = tree["right"][node]
     return tree["value"][node]
+
+
+def split_costs(column, target, min_leaf: int, cost) -> list[tuple[float, float]]:
+    """``(threshold, cost(left, right))`` at every midpoint leaving ``min_leaf`` rows per side."""
+    out = []
+    for t in _thresholds(column):
+        left = [y for c, y in zip(column, target) if c < t]
+        right = [y for c, y in zip(column, target) if c >= t]
+        if len(left) >= min_leaf and len(right) >= min_leaf:
+            out.append((t, cost(left, right)))
+    return out
+
+
+def weighted_gini(left, right) -> float:
+    return (len(left) * gini(left) + len(right) * gini(right)) / (len(left) + len(right))
+
+
+def squared_deviations(left, right) -> float:
+    """Sum over both sides of each value's squared distance from its side's mean."""
+    total = 0.0
+    for side in (left, right):
+        mean = sum(side) / len(side)
+        total += sum((y - mean) ** 2 for y in side)
+    return total
+
+
+def perturb_reference(x, plan, selected) -> list[float]:
+    """One raw sample perturbed one selected feature at a time.
+
+    Each feature moves by (epsilon / n) * sum(scaled) in its direction,
+    clamped to [0, 1] scaled, inverted, and rounded toward the original when
+    discrete; a clamp landing on the original keeps the raw value, and a row
+    without a positive budget is returned as is.  With one-hot consistency,
+    every group holding a selected feature ends with exactly one hot member:
+    the highest scaled value, the lowest index on ties.  Only the budget's
+    sum goes through numpy, so that it adds in numpy's pairwise order.
+    """
+    import numpy as np
+
+    mins = [float(v) for v in plan.scaler.mins]
+    maxs = [float(v) for v in plan.scaler.maxs]
+
+    def scale(values):
+        return [0.0 if hi == lo else (v - lo) / (hi - lo) for v, lo, hi in zip(values, mins, maxs)]
+
+    out = [float(v) for v in x]
+    scaled = scale(out)
+    delta = (plan.config.epsilon / plan.config.n) * float(np.sum(scaled))
+    if delta <= 0.0:
+        return out
+    for i in selected:
+        sign = int(plan.direction.signs[i])
+        moved = min(max(scaled[i] + delta * sign, 0.0), 1.0)
+        if moved == scaled[i]:
+            continue
+        raw = moved * (maxs[i] - mins[i]) + mins[i]
+        if plan.schema.features[i].is_discrete:
+            raw = float(math.floor(raw) if sign > 0 else math.ceil(raw))
+        out[i] = raw
+    if plan.config.onehot_consistency:
+        scaled = scale(out)
+        groups: dict = {}
+        for i, spec in enumerate(plan.schema.features):
+            if spec.kind == "onehot":
+                groups.setdefault(spec.group, []).append(i)
+        for members in groups.values():
+            if not set(members) & set(selected):
+                continue
+            winner = max(members, key=lambda i: (scaled[i], -i))
+            for i in members:
+                out[i] = maxs[i] if i == winner else mins[i]
+    return out

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import perturb_reference
 
 from tabevade.attack import (
     AttackConfig,
@@ -339,3 +340,74 @@ def test_build_plan_components_agree():
     assert plan.direction.signs[2] == 1  # target mean above input mean
     out = perturb(X[0], plan)
     assert out.shape == (4,)
+
+
+# ---------------------------------------------------------------------------
+# scalar reference
+
+ORACLE_KINDS = ["continuous", "discrete", "onehot", "onehot", "onehot", "continuous", "onehot", "onehot", "discrete"]
+ORACLE_GROUPS = [None, None, "a", "a", "a", None, "b", "b", None]
+
+
+def one_hot_rows(rng, n_rows, kinds=ORACLE_KINDS, groups=ORACLE_GROUPS):
+    """Rows whose one-hot groups each hold exactly one 1, at a random member."""
+    X = np.zeros((n_rows, len(kinds)))
+    for group in {g for g in groups if g is not None}:
+        members = [j for j, g in enumerate(groups) if g == group]
+        X[np.arange(n_rows), rng.choice(members, size=n_rows)] = 1.0
+    return X
+
+
+def oracle_plan_and_rows(seed, n_rows=40):
+    rng = np.random.default_rng(seed)
+    count = len(ORACLE_KINDS)
+    numeric = [j for j, kind in enumerate(ORACLE_KINDS) if kind != "onehot"]
+    discrete = [j for j, kind in enumerate(ORACLE_KINDS) if kind == "discrete"]
+    train = one_hot_rows(rng, 30)
+    train[:, numeric] = rng.random((30, len(numeric))) * 10 - 3
+    train[:, discrete] = np.floor(train[:, discrete])
+    if rng.random() < 0.3:
+        train[:, 0] = 4.0  # a constant column is never selected
+    mins, maxs = train.min(axis=0), train.max(axis=0)
+    signs = rng.choice([-1, 0, 1], size=count, p=[0.45, 0.1, 0.45])
+    mask = None if rng.random() < 0.6 else frozenset(int(j) for j in rng.permutation(count)[:6])
+    eligible = [j for j in range(count)
+                if signs[j] != 0 and maxs[j] > mins[j] and (mask is None or j in mask)]
+    if not eligible:
+        return oracle_plan_and_rows(seed + 1000, n_rows)
+    epsilon = float(rng.choice([0.0, rng.random() * 2, 0.05, 1e6]))
+    plan = manual_plan(
+        ORACLE_KINDS, order=list(rng.permutation(count)), signs=signs, mins=mins, maxs=maxs,
+        n=int(rng.integers(1, len(eligible) + 1)), epsilon=epsilon, mask=mask,
+        groups=ORACLE_GROUPS, onehot_consistency=bool(rng.integers(2)),
+    )
+    rows = one_hot_rows(rng, n_rows)
+    span = maxs[numeric] - mins[numeric]
+    # a third of each numeric column lies below the training range, a third above it
+    rows[:, numeric] = mins[numeric] + (rng.random((n_rows, len(numeric))) * 3 - 1) * span
+    rows[:, discrete] = np.floor(rows[:, discrete])
+    return plan, rows
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_perturb_and_batch_match_the_scalar_reference(seed):
+    plan, rows = oracle_plan_and_rows(seed)
+    expected = np.array([perturb_reference(x, plan, select_features(plan)) for x in rows])
+    batch = perturb_batch(Dataset(X=rows, y=np.ones(len(rows), dtype=int), schema=plan.schema), plan)
+    assert np.array_equal(batch, expected)
+    for x, want in zip(rows, expected):
+        assert np.array_equal(perturb(x, plan), want)
+
+
+def test_zero_budget_leaves_an_unseen_category_alone():
+    # training never saw the last member hot, so every member scales to 0 and
+    # a consistency pass would move the hot bit to the first member
+    plan = manual_plan(
+        ["onehot", "onehot", "onehot", "continuous"], order=[0, 1, 2, 3], signs=[1, -1, 0, 1],
+        mins=[0, 0, 0, 0], maxs=[1, 1, 0, 1], n=1, epsilon=0.0,
+        groups=["g", "g", "g", None], onehot_consistency=True,
+    )
+    row = np.array([0.0, 0.0, 1.0, 0.4])
+    assert perturb(row, plan).tobytes() == row.tobytes()
+    batch = perturb_batch(Dataset(X=row[None], y=np.ones(1, dtype=int), schema=plan.schema), plan)
+    assert batch.tobytes() == row[None].tobytes()

@@ -197,3 +197,24 @@ def test_inputs_are_never_mutated(tmp_path, census_files):
     run_ok(["rank", "--data", str(data), "--schema", str(schema), "--method", "gini_impurity",
             "--out", str(tmp_path), "--run-name", "im"])
     assert (data.read_bytes(), schema.read_bytes()) == before
+
+
+def test_curves_on_a_torn_grid_reports_the_line(tmp_path, census_files, capsys):
+    data, schema = census_files
+    run_ok(["gridsearch", "--data", str(data), "--schema", str(schema),
+            "--models", "logistic_regression", "--methods", "gini_impurity",
+            "--n-values", "1", "--eps-min", "0.1", "--eps-max", "1.2", "--eps-steps", "3",
+            "--workers", "1", "--out", str(tmp_path), "--run-name", "gc"])
+    torn = tmp_path / "torn.csv"
+    torn.write_bytes((tmp_path / "gc" / "grid.csv").read_bytes()[:-20])
+    assert run(["curves", "--grid", str(torn), "--out", str(tmp_path), "--run-name", "cv"]) == 1
+    assert "torn.csv, line 4: expected 7 cells" in capsys.readouterr().err
+
+
+def test_a_directory_at_the_old_temp_name_does_not_break_a_run(tmp_path, census_files):
+    data, schema = census_files
+    (tmp_path / "r").mkdir()
+    (tmp_path / "r" / "manifest.json.tmp").mkdir()
+    run_ok(["rank", "--data", str(data), "--schema", str(schema), "--method", "gini_impurity",
+            "--out", str(tmp_path), "--run-name", "r"])
+    assert json.loads((tmp_path / "r" / "manifest.json").read_text())["method"] == "gini_impurity"

@@ -9,6 +9,7 @@ from tabevade.data import (
     FeatureSchema,
     FeatureSpec,
     ScalerState,
+    atomic_write_text,
     fit_scaler,
     inverse_transform,
     load_dataset,
@@ -262,3 +263,31 @@ def test_transform_shape_mismatch():
 def test_scaler_rejects_min_above_max():
     with pytest.raises(SchemaError):
         ScalerState(mins=np.array([1.0]), maxs=np.array([0.0]))
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+
+def test_atomic_write_ignores_a_directory_at_the_old_temp_name(tmp_path):
+    # the temp file used to be a fixed <name>.tmp, so this directory broke the write
+    (tmp_path / "manifest.json.tmp").mkdir()
+    atomic_write_text(tmp_path / "manifest.json", "{}\n")
+    assert (tmp_path / "manifest.json").read_text(encoding="utf-8") == "{}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "manifest.json.tmp"]
+
+
+def test_atomic_write_replaces_and_keeps_text_untranslated(tmp_path):
+    target = tmp_path / "grid.csv"
+    atomic_write_text(target, "old\n")
+    atomic_write_text(target, "a,b\r\nc\n")
+    assert target.read_bytes() == b"a,b\r\nc\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
+
+
+def test_atomic_write_removes_its_temp_file_on_failure(tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()  # a file cannot replace a directory
+    with pytest.raises(OSError):
+        atomic_write_text(target, "text")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert list(target.iterdir()) == []

@@ -6,6 +6,7 @@ from tabevade.attack import AttackConfig, build_plan
 from tabevade.data import Dataset, FeatureSchema, FeatureSpec, split
 from tabevade.errors import MetricError
 from tabevade.evaluation import (
+    GRID_COLUMNS,
     GridRecord,
     GridResult,
     GridSpec,
@@ -304,3 +305,49 @@ def test_curve_max_equals_grid_max():
 def test_curve_unknown_model_errors():
     with pytest.raises(MetricError):
         max_success_curve(toy_grid(), "n", "decision_tree")
+
+
+# ---------------------------------------------------------------------------
+# torn and malformed grid files
+
+@pytest.mark.parametrize("body, message", [
+    ("logistic_regression,gini_impurity,1,0.5,0.9,0.1,0.8\nlogistic_regression,gini_impurity,2,0.5,0.9\n",
+     "line 3: expected 7 cells, found 5"),
+    ("logistic_regression,gini_impurity,1,0.5,0.9,0.1,0.8,extra\n", "line 2: expected 7 cells, found 8"),
+    ("logistic_regression,gini_impurity,two,0.5,0.9,0.1,0.8\n", "line 2: invalid literal"),
+    ("logistic_regression,gini_impurity,1,0.5,0.9,0.1,0.8\n\nlogistic_regression,gini_impurity,1,0.5,0.9,n/a,0.8\n",
+     "line 4: could not convert"),
+])
+def test_grid_csv_malformed_row_names_its_line(tmp_path, body, message):
+    path = tmp_path / "grid.csv"
+    path.write_text(",".join(GRID_COLUMNS) + "\n" + body, encoding="utf-8")
+    with pytest.raises(MetricError, match=f"grid.csv, {message}"):
+        GridResult.from_csv(path)
+
+
+def test_grid_resume_after_truncation_at_every_byte(tmp_path):
+    train, test = split(gaussian_blobs(60, seed=6, separation=1.0), 0.7, seed=0)
+    spec = GridSpec(
+        n_values=(1, 2), epsilon_values=(0.5,), methods=("gini_impurity",),
+        model_kinds=("decision_tree",),
+    )
+    full_sink = tmp_path / "full.csv"
+    full = grid_search(train, test, spec, seed=0, sink=full_sink)
+    whole = full_sink.read_bytes()
+    sink = tmp_path / "torn.csv"
+    for offset in range(len(whole) + 1):
+        sink.write_bytes(whole[:offset])
+        resumed = grid_search(train, test, spec, seed=0, sink=sink)
+        assert resumed.records == full.records, offset
+        assert sink.read_bytes() == whole, offset
+
+
+def test_grid_resume_leaves_a_file_that_is_not_a_grid_alone(tmp_path):
+    train, test = split(gaussian_blobs(60, seed=6, separation=1.0), 0.7, seed=0)
+    spec = GridSpec(n_values=(1,), epsilon_values=(0.5,), methods=("gini_impurity",),
+                    model_kinds=("decision_tree",))
+    sink = tmp_path / "summary.csv"
+    sink.write_bytes(b"model,best\nlogistic_regression,0.9")
+    with pytest.raises(MetricError, match="header"):
+        grid_search(train, test, spec, seed=0, sink=sink)
+    assert sink.read_bytes() == b"model,best\nlogistic_regression,0.9"

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import walk_flat_tree
+from oracles import split_costs, squared_deviations, walk_flat_tree, weighted_gini
 
 from tabevade.data import Dataset, FeatureSchema, FeatureSpec, split
 from tabevade.errors import FitError, ShapeError
@@ -17,10 +17,10 @@ from tabevade.models import (
     save_model,
 )
 from tabevade.models import tree as tree_module
-from tabevade.models.boosting import GradientBoostedTrees
+from tabevade.models.boosting import GradientBoostedTrees, best_mse_split
 from tabevade.models.forest import RandomForest
 from tabevade.models.logistic import LogisticRegression, sigmoid
-from tabevade.models.tree import DecisionTree
+from tabevade.models.tree import DecisionTree, best_gini_split
 
 
 def schema_of(n):
@@ -370,3 +370,30 @@ def test_load_rejects_invalid_flat_arrays(tmp_path, edit, match):
     path, payload = saved(tmp_path)
     edit(payload["params"])
     assert_load_fails(path, payload, match)
+
+
+# ---------------------------------------------------------------------------
+# split scan against every midpoint
+
+@pytest.mark.parametrize("min_leaf", [1, 2, 5])
+@pytest.mark.parametrize("criterion", ["gini", "mse"])
+def test_best_split_matches_brute_force(criterion, min_leaf):
+    rng = np.random.default_rng(min_leaf)
+    scan, cost = (best_gini_split, weighted_gini) if criterion == "gini" else (best_mse_split, squared_deviations)
+    for trial in range(60):
+        n = int(rng.integers(1, 16))
+        # few distinct values and targets, so equal costs are common
+        col = rng.integers(0, int(rng.integers(1, 6)), size=n).astype(float)
+        if criterion == "gini":
+            target = rng.integers(0, 2, size=n)
+        else:
+            target = rng.choice([-1.0, 0.0, 0.5, 2.0], size=n)
+        found = scan(col, target, min_leaf)
+        candidates = split_costs(col.tolist(), target.tolist(), min_leaf, cost)
+        if not candidates:
+            assert found is None, trial
+            continue
+        best = min(c for _, c in candidates)
+        assert found[0] == pytest.approx(best, abs=1e-9), trial
+        # ties go to the lowest threshold
+        assert found[1] == min(t for t, c in candidates if c <= best + 1e-9), trial
