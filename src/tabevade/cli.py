@@ -4,7 +4,8 @@ Subcommands: synth, train, rank, attack, evaluate, gridsearch, curves,
 extract, forge.  Every run writes into a fresh run directory (timestamped
 unless --run-name pins it) containing a manifest.json with the resolved
 configuration.  Output files are written atomically (temp file + rename).
-Exit codes: 0 success, 1 runtime/I-O failure, 2 usage error.
+Exit codes: 0 success, 1 runtime/I-O failure, 2 usage error (a bad
+command line, or a grid resume against other data or flags than the sink's).
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from urllib.parse import unquote
 from . import __version__, synth
 from .attack import AttackConfig, build_plan, perturb_batch, select_features
 from .data import Dataset, atomic_write_text, format_number, load_dataset, load_schema, save_schema, split
-from .errors import TabevadeError
+from .errors import ResumeError, TabevadeError
 from .evaluation import (
     CURVE_AXES,
     GridResult,
@@ -475,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-steps", type=int, default=50)
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--resume-from", default=None, help="existing grid.csv sink to continue")
+    p.add_argument("--resume-from", default=None,
+                   help="existing grid.csv sink to continue; refused (exit 2) if started with other data or flags")
     p.add_argument("--verbose", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_gridsearch)
@@ -510,6 +512,9 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ResumeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (TabevadeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

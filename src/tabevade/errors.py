@@ -37,6 +37,10 @@ class MetricError(TabevadeError):
     """A metric is undefined for the given inputs."""
 
 
+class ResumeError(TabevadeError):
+    """A grid sink was written for other data or flags than the resume gives."""
+
+
 class InfeasibleInjectionError(TabevadeError):
     """A feature-space perturbation cannot be realized by additions only."""
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -19,8 +20,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .attack import AttackConfig, AttackPlan, compute_direction, perturb_batch
-from .data import Dataset, atomic_write_text, fit_scaler, format_number
-from .errors import MetricError
+from .data import Dataset, atomic_write_text, fit_scaler, format_number, schema_to_dict
+from .errors import MetricError, ResumeError
 from .metrics import auprc, recall, success_rate
 from .models import MODEL_KINDS, Model, fit, predict, predict_score
 from .ranking import RANKING_METHODS, rank_features
@@ -218,6 +219,58 @@ def _trim_torn_tail(sink: Union[str, Path]) -> None:
             handle.truncate(text.rfind(b"\n") + 1)
 
 
+def grid_fingerprint(train: Dataset, test: Dataset, spec: GridSpec, seed: int) -> dict:
+    """What a grid's cells depend on: content hashes of the data and schema,
+    the seed, the spec and the package version."""
+    import hashlib  # loads OpenSSL, a few ms that only a grid with a sink should pay
+
+    from . import __version__
+
+    def digest(array: np.ndarray) -> str:
+        hashed = hashlib.sha256(f"{array.dtype.str}{array.shape}".encode())
+        hashed.update(np.ascontiguousarray(array))  # hashed in place, not copied to bytes
+        return hashed.hexdigest()
+
+    schema = json.dumps(schema_to_dict(train.schema), sort_keys=True).encode()
+    return {
+        "train_X": digest(train.X),
+        "train_y": digest(train.y.astype("<i8")),
+        "test_X": digest(test.X),
+        "test_y": digest(test.y.astype("<i8")),
+        "schema": hashlib.sha256(schema).hexdigest(),
+        "seed": int(seed),
+        "spec": {name: list(getattr(spec, name)) for name in ("n_values", "epsilon_values", "methods", "model_kinds")},
+        "version": __version__,
+    }
+
+
+def fingerprint_path(sink: Union[str, Path]) -> Path:
+    """Where a sink's fingerprint lives: ``<sink>.fingerprint.json`` beside it."""
+    sink = Path(sink)
+    return sink.with_name(sink.name + ".fingerprint.json")
+
+
+def _check_fingerprint(sink: Path, fingerprint: dict) -> bool:
+    """True when the sink's stored fingerprint equals ``fingerprint``, False
+    when it has none; a different one raises :class:`ResumeError`."""
+    path = fingerprint_path(sink)
+    if not path.exists():
+        return False
+    try:
+        stored = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ResumeError(f"cannot resume {sink}: its fingerprint {path} is not valid JSON ({exc})") from None
+    if not isinstance(stored, dict):
+        raise ResumeError(f"cannot resume {sink}: its fingerprint {path} does not hold a JSON object")
+    differing = sorted(key for key in fingerprint.keys() | stored.keys() if stored.get(key) != fingerprint.get(key))
+    if differing:
+        raise ResumeError(
+            f"cannot resume {sink}: it was written for other inputs (differing: {', '.join(differing)}); "
+            "resume with the data and flags that started it, or start a new sink"
+        )
+    return True
+
+
 def grid_search(
     train: Dataset,
     test: Dataset,
@@ -230,30 +283,25 @@ def grid_search(
     """Evaluate the full (model, method, n, epsilon) cross product.
 
     ``sink`` appends records as they complete and lets an interrupted run
-    resume (already-present cells are skipped).  Results are identical for
-    any worker count because cells are merged in task order.
+    resume: already-present cells are skipped, and only the model kinds and
+    ranking methods of the pending cells are fitted and ranked.  A fingerprint
+    of the inputs is kept beside the sink (see :func:`fingerprint_path`), and
+    resuming a sink whose fingerprint differs raises :class:`ResumeError`; a
+    sink without one resumes and gets one.  Results are identical for any
+    worker count because cells are merged in task order.
     """
     done: dict[tuple, GridRecord] = {}
-    if sink is not None and Path(sink).exists():
-        _trim_torn_tail(sink)
-        if Path(sink).stat().st_size > 0:
-            for r in GridResult.from_csv(sink).records:
-                done[_cell_key(r.model, r.method, r.n, r.epsilon)] = r
-
-    models = {kind: fit(kind, train, seed=seed) for kind in spec.model_kinds}
-    pos = test.rows_of_class(1)
-    positives = test.take(pos)
-    baselines = {kind: recall(models[kind], test.X, test.y) for kind in spec.model_kinds}
-    rankings = {m: rank_features(train, m, seed=seed) for m in spec.methods}
-    ctx = {
-        "schema": train.schema,
-        "scaler": fit_scaler(train),
-        "direction": compute_direction(train),
-        "rankings": rankings,
-        "models": models,
-        "baselines": baselines,
-        "positives": positives,
-    }
+    fingerprinted = False
+    if sink is not None:
+        fingerprint = grid_fingerprint(train, test, spec, seed)
+        if Path(sink).exists():
+            fingerprinted = _check_fingerprint(Path(sink), fingerprint)
+            _trim_torn_tail(sink)
+            if Path(sink).stat().st_size > 0:
+                for r in GridResult.from_csv(sink).records:
+                    done[_cell_key(r.model, r.method, r.n, r.epsilon)] = r
+        if not fingerprinted:
+            atomic_write_text(fingerprint_path(sink), json.dumps(fingerprint, indent=2) + "\n")
 
     cells = [
         (kind, method, n, epsilon)
@@ -263,6 +311,8 @@ def grid_search(
         for epsilon in spec.epsilon_values
     ]
     pending = [c for c in cells if _cell_key(*c) not in done]
+    kinds = [kind for kind in spec.model_kinds if any(c[0] == kind for c in pending)]
+    methods = [method for method in spec.methods if any(c[1] == method for c in pending)]
 
     with ExitStack() as stack:
         if sink is not None:
@@ -271,6 +321,16 @@ def grid_search(
             if handle.tell() == 0:
                 sink_writer.writerow(GRID_COLUMNS)
                 handle.flush()
+        models = {kind: fit(kind, train, seed=seed) for kind in kinds}
+        ctx = {
+            "schema": train.schema,
+            "scaler": fit_scaler(train),
+            "direction": compute_direction(train),
+            "rankings": {m: rank_features(train, m, seed=seed) for m in methods},
+            "models": models,
+            "baselines": {kind: recall(models[kind], test.X, test.y) for kind in kinds},
+            "positives": test.take(test.rows_of_class(1)),
+        }
         if workers <= 1 or len(pending) <= 1:
             _init_worker(ctx)
             records = map(_eval_cell, pending)

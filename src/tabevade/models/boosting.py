@@ -3,43 +3,52 @@
 Each round fits a squared-error regression tree to the residual y - p and
 replaces leaf values with a Newton step sum(residual) / sum(p(1-p)), the
 classic binomial-deviance update.  Scores are the sigmoid of the raw sum.
+The training matrix never changes between rounds, so its columns are
+sorted once per fit and every round's tree partitions a copy of that order.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .logistic import sigmoid
-from .tree import FlatTree, best_split, grow_tree, scan_splits, traverse
+from .tree import FlatTree, best_split, grow_tree, presort, traverse
 
 DEFAULTS = {"n_trees": 100, "max_depth": 3, "learning_rate": 0.1, "min_leaf": 1}
 
 
-def best_mse_split(col: np.ndarray, target: np.ndarray, min_leaf: int):
-    """Best threshold minimizing weighted child variance; None if no split."""
-    scan = scan_splits(col, min_leaf, target, target * target)
-    if scan is None:
-        return None
-    left_n, right_n, [(left_sum, right_sum), (left_sq, right_sq)], threshold = scan
-    # sum of squared deviations per side, no division needed for comparison weights
+def mse_cost(left_n, right_n, sums, n: int) -> np.ndarray:
+    """Children's summed squared deviations at each boundary :func:`scan_splits` gives.
+
+    No division by ``n``: the cost only ranks boundaries of one node.
+    """
+    [(left_sum, right_sum), (left_sq, right_sq)] = sums
     left_sse = left_sq - left_sum * left_sum / left_n
     right_sse = right_sq - right_sum * right_sum / right_n
-    total = left_sse + right_sse
-    best = int(np.argmin(total))
-    return float(total[best]), threshold(best)
+    return left_sse + right_sse
 
 
-def _grow_regression_tree(X, residual, hessian, max_depth: int, min_leaf: int) -> FlatTree:
-    """Squared-error tree on ``residual`` whose leaves hold Newton steps."""
+def best_mse_split(col: np.ndarray, target: np.ndarray, min_leaf: int):
+    """Best threshold minimizing weighted child variance; None if no split."""
+    target = np.asarray(target, dtype=float)
+    found = best_split(np.asarray(col, dtype=float)[:, None], np.arange(col.size), [0],
+                       (target, target * target), mse_cost, min_leaf)
+    return None if found is None else (found[0], found[2])
 
-    def visit(rows, depth):
+
+def _grow_regression_tree(X, ordered, residual, hessian, max_depth: int, min_leaf: int) -> FlatTree:
+    """Squared-error tree on ``residual`` whose leaves hold Newton steps; ``ordered`` is ``presort(X)``."""
+    targets = (residual, residual * residual)
+    features = np.arange(X.shape[1])
+
+    def visit(rows, ordered, depth):
         h = hessian[rows].sum()
         value = 0.0 if h <= 1e-12 else float(residual[rows].sum() / h)
         target = residual[rows]
         if depth >= max_depth or rows.size < 2 * min_leaf or np.allclose(target, target[0]):
             return value, None
-        return value, best_split(X, rows, target, range(X.shape[1]), best_mse_split, min_leaf)
+        return value, best_split(X, rows, features, targets, mse_cost, min_leaf, ordered)
 
-    return grow_tree(X, visit)
+    return grow_tree(X, visit, ordered)
 
 
 class GradientBoostedTrees:
@@ -53,18 +62,21 @@ class GradientBoostedTrees:
         self.trees: list[FlatTree] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng=None):
-        X = np.asarray(X, dtype=float)
+        X = np.ascontiguousarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         self.n_features = X.shape[1]
         rate = min(max(y.mean(), 1e-6), 1 - 1e-6)
         self.base_score = float(np.log(rate / (1.0 - rate)))
         raw = np.full(y.size, self.base_score)
         self.trees = []
+        ordered = presort(X)
+        partitioned = np.empty_like(ordered)  # each round's tree partitions a copy in place
         for _ in range(self.n_trees):
             p = sigmoid(raw)
             residual = y - p
             hessian = p * (1.0 - p)
-            tree = _grow_regression_tree(X, residual, hessian, self.max_depth, self.min_leaf)
+            np.copyto(partitioned, ordered)
+            tree = _grow_regression_tree(X, partitioned, residual, hessian, self.max_depth, self.min_leaf)
             raw += self.learning_rate * traverse(tree, X, lambda leaves: tree.value[leaves[0]])
             self.trees.append(tree)
         self._flat = FlatTree.stack(self.trees)  # so one traversal predicts every tree

@@ -21,13 +21,15 @@ class MLP:
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         n, f = X.shape
-        w1 = rng.normal(0.0, np.sqrt(2.0 / max(f, 1)), size=(f, self.hidden))
-        b1 = np.zeros(self.hidden)
-        w2 = rng.normal(0.0, np.sqrt(2.0 / self.hidden), size=self.hidden)
-        b2 = 0.0
-        params = [w1, b1, w2, np.array([b2])]
-        m = [np.zeros_like(p) for p in params]
-        v = [np.zeros_like(p) for p in params]
+        # w1, b1, w2 and b2 (and their gradients) are views into one flat
+        # vector, so each step takes one Adam update over every parameter
+        size = f * self.hidden + 2 * self.hidden + 1
+        theta, grad = np.zeros(size), np.zeros(size)
+        w1, b1, w2, b2 = self._unflatten(theta, f)
+        grad_w1, grad_b1, grad_w2, grad_b2 = self._unflatten(grad, f)
+        w1[...] = rng.normal(0.0, np.sqrt(2.0 / max(f, 1)), size=(f, self.hidden))
+        w2[...] = rng.normal(0.0, np.sqrt(2.0 / self.hidden), size=self.hidden)
+        m, v = np.zeros_like(theta), np.zeros_like(theta)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         step = 0
         for _ in range(self.epochs):
@@ -35,27 +37,31 @@ class MLP:
             for start in range(0, n, self.batch_size):
                 rows = order[start : start + self.batch_size]
                 xb, yb = X[rows], y[rows]
-                hidden_raw = xb @ params[0] + params[1]
+                hidden_raw = xb @ w1 + b1
                 hidden = np.maximum(hidden_raw, 0.0)
-                p = sigmoid(hidden @ params[2] + params[3][0])
+                p = sigmoid(hidden @ w2 + b2[0])
                 # BCE gradient w.r.t. the raw output is (p - y) / batch
                 delta_out = (p - yb) / rows.size
-                grad_w2 = hidden.T @ delta_out
-                grad_b2 = np.array([delta_out.sum()])
-                delta_hidden = np.outer(delta_out, params[2]) * (hidden_raw > 0.0)
-                grad_w1 = xb.T @ delta_hidden
-                grad_b1 = delta_hidden.sum(axis=0)
-                grads = [grad_w1, grad_b1, grad_w2, grad_b2]
+                grad_w2[...] = hidden.T @ delta_out
+                grad_b2[0] = delta_out.sum()
+                delta_hidden = np.outer(delta_out, w2) * (hidden_raw > 0.0)
+                grad_w1[...] = xb.T @ delta_hidden
+                grad_b1[...] = delta_hidden.sum(axis=0)
                 step += 1
-                for k in range(4):
-                    m[k] = beta1 * m[k] + (1 - beta1) * grads[k]
-                    v[k] = beta2 * v[k] + (1 - beta2) * grads[k] ** 2
-                    m_hat = m[k] / (1 - beta1**step)
-                    v_hat = v[k] / (1 - beta2**step)
-                    params[k] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        self.w1, self.b1, self.w2 = params[0], params[1], params[2]
-        self.b2 = float(params[3][0])
+                m = beta1 * m + (1 - beta1) * grad
+                v = beta2 * v + (1 - beta2) * grad**2
+                m_hat = m / (1 - beta1**step)
+                v_hat = v / (1 - beta2**step)
+                theta -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        self.w1, self.b1, self.w2 = w1.copy(), b1.copy(), w2.copy()
+        self.b2 = float(b2[0])
         return self
+
+    def _unflatten(self, flat: np.ndarray, f: int) -> tuple[np.ndarray, ...]:
+        """``(w1, b1, w2, b2)`` as views into ``flat``, with b2 of shape (1,)."""
+        cut = np.cumsum([f * self.hidden, self.hidden, self.hidden])
+        w1, b1, w2, b2 = np.split(flat, cut)
+        return w1.reshape(f, self.hidden), b1, w2, b2
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)

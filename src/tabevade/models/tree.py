@@ -3,9 +3,13 @@ layout every tree model shares.
 
 Splits are searched over midpoints between consecutive distinct sorted
 values; ties break toward the lower feature index and lower threshold so
-training is fully deterministic.  The fitted tree also exposes
-impurity-decrease feature importances, which recursive feature elimination
-uses as its default estimator signal.
+training is fully deterministic.  One vectorized scan costs every boundary
+of every candidate feature of a node (:func:`best_split`).  A tree that
+scans all features sorts each column once per fit and partitions that
+order down the tree; a tree drawing a few features per node sorts those at
+the node.  The fitted tree also exposes impurity-decrease feature
+importances, which recursive feature elimination uses as its default
+estimator signal.
 """
 from __future__ import annotations
 
@@ -23,45 +27,95 @@ NODE_FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples")
 # traverse() works on at most this many (tree, row) pairs at a time, which
 # keeps each of its temporary arrays at 128 KB however many rows are predicted
 _TRAVERSE_BLOCK = 1 << 14
+# best_split() scans, and grow_tree() partitions, at most this many (feature,
+# row) pairs at a time, which keeps each temporary array at 32 KB however
+# large the node
+_SCAN_BLOCK = 1 << 12
 
 
-def _gini(counts: np.ndarray, total: float) -> float:
-    if total <= 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.sum(p * p))
+def scan_splits(values: np.ndarray, min_leaf: int, *targets: np.ndarray):
+    """Every boundary of each row of ``values`` that could split it, or None when none is valid.
 
-
-def scan_splits(col: np.ndarray, min_leaf: int, *targets: np.ndarray):
-    """The boundaries between consecutive distinct values of ``col`` that keep
-    at least ``min_leaf`` rows on each side, or None when there is none.
-
-    The column is sorted once (stably).  Returns ``(left_n, right_n, sums,
-    threshold)`` in ascending threshold order: the row counts below and at or
-    above each threshold, each target's ``(left, right)`` sums there (all as
-    floats), and ``threshold(k)``, the midpoint of the two distinct values
-    around boundary ``k``.
+    ``values`` is a (features x rows) block, each row sorted ascending, and
+    each target a block of the same shape in the same order.  Boundary ``b``
+    sits after sorted position ``p = first + b``; the positions run over
+    those that leave at least ``min_leaf`` rows on each side.  Returns
+    ``(left_n, right_n, sums, valid, threshold)``: the row counts below and at
+    or above each boundary (as floats, shared by every row), each target's
+    ``(left, right)`` sums there (as floats), the mask of boundaries between
+    two distinct values, and ``threshold(i, b)``, the midpoint of the two
+    values around boundary ``b`` of row ``i``.
     """
-    n = col.size
-    order = np.argsort(col, kind="stable")
-    values = col[order]
-    pos = np.flatnonzero(values[:-1] < values[1:])  # sorted position of the last row below
-    # ascending, so the boundaries with min_leaf <= pos + 1 <= n - min_leaf are a slice
-    lo, hi = np.searchsorted(pos, (min_leaf - 1, n - min_leaf))
-    pos = pos[lo:hi]
-    if pos.size == 0:
+    n = values.shape[1]
+    first, stop = max(min_leaf, 1) - 1, n - max(min_leaf, 1)  # stop excluded
+    if stop <= first:
+        return None
+    valid = values[:, first:stop] < values[:, first + 1:stop + 1]
+    if not valid.any():
         return None
     sums = []
     for target in targets:
-        running = np.cumsum(target[order])
-        left = running[pos].astype(float, copy=False)
-        sums.append((left, running[-1] - left))
+        running = np.cumsum(target, axis=1)
+        left = running[:, first:stop].astype(float, copy=False)
+        sums.append((left, running[:, -1:] - left))
 
-    def threshold(k: int) -> float:
-        return float(0.5 * (values[pos[k]] + values[pos[k] + 1]))
+    def threshold(i: int, b: int) -> float:
+        return float(0.5 * (values[i, first + b] + values[i, first + b + 1]))
 
-    left_n = pos + 1.0
-    return left_n, n - left_n, sums, threshold
+    left_n = np.arange(first, stop) + 1.0
+    return left_n, n - left_n, sums, valid, threshold
+
+
+def gini_cost(left_n, right_n, sums, n: int) -> np.ndarray:
+    """Weighted child Gini impurity at each boundary that :func:`scan_splits` gives."""
+    [(left_ones, right_ones)] = sums
+    left_gini = 1.0 - ((left_ones / left_n) ** 2 + ((left_n - left_ones) / left_n) ** 2)
+    right_gini = 1.0 - ((right_ones / right_n) ** 2 + ((right_n - right_ones) / right_n) ** 2)
+    return (left_n * left_gini + right_n * right_gini) / n
+
+
+def presort(X: np.ndarray) -> np.ndarray:
+    """Each column's row ids in ascending value order, ties in row order, as a (features x rows) int32 block."""
+    ordered = np.empty(X.shape[::-1], dtype=np.int32)
+    for j, column in enumerate(X.T):  # column by column, so the only int64 temporary is one column's
+        ordered[j] = np.argsort(column, kind="stable")
+    return ordered
+
+
+def best_split(X, rows, features, targets, cost, min_leaf: int, ordered=None):
+    """Cheapest ``(cost, feature, threshold)`` splitting ``rows`` on one of ``features``, or None.
+
+    ``X`` is the C-contiguous training matrix, ``targets`` are arrays over
+    all its rows, and ``cost`` maps a :func:`scan_splits` result and the row
+    count to a cost per boundary.  ``ordered[i]``, when given, holds ``rows``
+    sorted by ``features[i]``; otherwise the columns are sorted here.
+    Features are scanned in blocks of at most ``_SCAN_BLOCK`` (feature, row)
+    pairs.  Each feature's cheapest boundary is its first (lowest threshold)
+    minimum, and in feature order only a strict improvement replaces the
+    best, so ties keep the lowest feature index.
+    """
+    features = np.asarray(features)
+    flat, width = X.ravel(), np.intp(X.shape[1])
+    n = rows.size
+    best = (np.inf, -1, 0.0)
+    step = max(1, _SCAN_BLOCK // max(n, 1))
+    for start in range(0, features.size, step):
+        block = features[start:start + step, None]
+        if ordered is None:
+            ids = rows[np.argsort(flat[rows * width + block], axis=1, kind="stable")]
+        else:
+            ids = ordered[start:start + step]
+        values = flat[ids * width + block]
+        scan = scan_splits(values, min_leaf, *(target[ids] for target in targets))
+        if scan is None:
+            continue
+        left_n, right_n, sums, valid, threshold = scan
+        costs = np.where(valid, cost(left_n, right_n, sums, n), np.inf)
+        at = costs.argmin(axis=1)
+        for i, found in enumerate(costs[np.arange(at.size), at].tolist()):
+            if found < best[0] - 1e-15:
+                best = (found, int(block[i, 0]), threshold(i, int(at[i])))
+    return best if best[1] >= 0 else None
 
 
 def best_gini_split(col: np.ndarray, y: np.ndarray, min_leaf: int):
@@ -69,15 +123,8 @@ def best_gini_split(col: np.ndarray, y: np.ndarray, min_leaf: int):
 
     Returns None when no split keeps ``min_leaf`` rows on both sides.
     """
-    scan = scan_splits(col, min_leaf, y)
-    if scan is None:
-        return None
-    left_n, right_n, [(left_ones, right_ones)], threshold = scan
-    left_gini = 1.0 - ((left_ones / left_n) ** 2 + ((left_n - left_ones) / left_n) ** 2)
-    right_gini = 1.0 - ((right_ones / right_n) ** 2 + ((right_n - right_ones) / right_n) ** 2)
-    weighted = (left_n * left_gini + right_n * right_gini) / col.size
-    best = int(np.argmin(weighted))  # first occurrence -> lowest threshold
-    return float(weighted[best]), threshold(best)
+    found = best_split(np.asarray(col, dtype=float)[:, None], np.arange(col.size), [0], (y,), gini_cost, min_leaf)
+    return None if found is None else (found[0], found[2])
 
 
 @dataclass(eq=False)
@@ -153,39 +200,44 @@ class FlatTree:
         return cls(**joined, roots=roots)
 
 
-def best_split(X, rows, target, features, scan, min_leaf: int):
-    """Cheapest ``(cost, feature, threshold)`` that ``scan`` finds over ``features``, or None.
-
-    Only a strict improvement replaces the best, so ties keep the lowest feature index.
-    """
-    best = (np.inf, -1, 0.0)
-    for j in features:
-        found = scan(X[rows, j], target, min_leaf)
-        if found is not None and found[0] < best[0] - 1e-15:
-            best = (found[0], int(j), found[1])
-    return best if best[1] >= 0 else None
-
-
-def grow_tree(X: np.ndarray, visit) -> FlatTree:
+def grow_tree(X: np.ndarray, visit, ordered: np.ndarray | None = None) -> FlatTree:
     """Grow a tree depth first, left before right, numbering nodes in preorder.
 
-    ``visit(rows, depth)`` returns a node's value and its split as
-    ``best_split`` gives it, or None to make the node a leaf.
+    ``visit(rows, ordered, depth)`` returns a node's value and its split as
+    ``best_split`` gives it, or None to make the node a leaf.  ``rows`` are
+    the node's row ids in ascending order.  Given a :func:`presort` block,
+    the tree stable-partitions it in place at every split (as SLIQ does,
+    Mehta et al. 1996), so each node gets a view of it holding its rows
+    sorted by every column; otherwise every node gets None.
     """
     nodes: list[list] = []  # one list of NODE_FIELDS per node
-    pending = [(np.arange(X.shape[0]), 0, None)]  # rows, depth, (parent, slot) of the child id
+    goes_left = np.zeros(X.shape[0], dtype=bool)
+    pending = [(np.arange(X.shape[0]), ordered, 0, None)]  # rows, ordered, depth, (parent, slot) of the child id
     while pending:
-        rows, depth, link = pending.pop()
+        rows, ordered, depth, link = pending.pop()
         node = len(nodes)
-        value, split = visit(rows, depth)
+        value, split = visit(rows, ordered, depth)
         nodes.append([0, 0.0, node, node, value, rows.size])
         if link is not None:
             nodes[link[0]][link[1]] = node
-        if split is not None:
-            _, feature, threshold = split
-            nodes[node][:2] = [feature, threshold]
-            mask = X[rows, feature] < threshold
-            pending += [(rows[~mask], depth + 1, (node, 3)), (rows[mask], depth + 1, (node, 2))]
+        if split is None:
+            continue
+        _, feature, threshold = split
+        nodes[node][:2] = [feature, threshold]
+        mask = X[rows, feature] < threshold
+        left = right = None
+        if ordered is not None:
+            goes_left[rows] = mask
+            n_left = int(np.count_nonzero(mask))
+            step = max(1, _SCAN_BLOCK // rows.size)
+            for start in range(0, len(ordered), step):
+                part = ordered[start:start + step]
+                side = goes_left[part]
+                to_left, to_right = part[side], part[~side]
+                part[:, :n_left] = to_left.reshape(len(part), n_left)
+                part[:, n_left:] = to_right.reshape(len(part), -1)
+            left, right = ordered[:, :n_left], ordered[:, n_left:]
+        pending += [(rows[~mask], right, depth + 1, (node, 3)), (rows[mask], left, depth + 1, (node, 2))]
     return FlatTree(*(np.array(column) for column in zip(*nodes)))
 
 
@@ -224,17 +276,24 @@ class DecisionTree:
         self.importances: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator | None = None):
-        X = np.asarray(X, dtype=float)
+        X = np.ascontiguousarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
         self.n_features = X.shape[1]
         imp = np.zeros(self.n_features)
-        self.flat = grow_tree(X, lambda rows, depth: self._visit(X, y, rows, depth, rng, imp))
+        # a tree that scans every feature at every node sorts each column once;
+        # one drawing a few features per node sorts just those, at the node
+        ordered = presort(X) if self._scans_all_features(rng) else None
+        self.flat = grow_tree(X, lambda rows, ordered, depth: self._visit(X, y, rows, ordered, depth, rng, imp),
+                              ordered)
         total = imp.sum()
         self.importances = imp / total if total > 0 else imp
         return self
 
+    def _scans_all_features(self, rng: np.random.Generator | None) -> bool:
+        return self.max_features is None or rng is None
+
     def _candidate_features(self, rng: np.random.Generator | None) -> np.ndarray:
-        if self.max_features is None or rng is None:
+        if self._scans_all_features(rng):
             return np.arange(self.n_features)
         if self.max_features == "sqrt":
             k = max(1, int(np.sqrt(self.n_features)))
@@ -242,16 +301,19 @@ class DecisionTree:
             k = max(1, min(int(self.max_features), self.n_features))
         return np.sort(rng.choice(self.n_features, size=k, replace=False))
 
-    def _visit(self, X, y, rows, depth, rng, imp):
-        sub_y = y[rows]
-        value = float(sub_y.mean()) if rows.size else 0.0
-        parent_gini = _gini(np.bincount(sub_y, minlength=2).astype(float), rows.size)
-        if depth >= self.max_depth or rows.size < 2 * self.min_leaf or parent_gini == 0.0:
+    def _visit(self, X, y, rows, ordered, depth, rng, imp):
+        n = rows.size
+        if n == 0:
+            return 0.0, None
+        ones = int(y[rows].sum())
+        p0, p1 = (n - ones) / n, ones / n  # class shares from exact counts
+        value, parent_gini = p1, 1.0 - (p0 * p0 + p1 * p1)
+        if depth >= self.max_depth or n < 2 * self.min_leaf or parent_gini == 0.0:
             return value, None
-        found = best_split(X, rows, sub_y, self._candidate_features(rng), best_gini_split, self.min_leaf)
+        found = best_split(X, rows, self._candidate_features(rng), (y,), gini_cost, self.min_leaf, ordered)
         if found is not None:
             # zero-gain splits are allowed (XOR-style patterns need them to start)
-            imp[found[1]] += rows.size * max(parent_gini - found[0], 0.0)
+            imp[found[1]] += n * max(parent_gini - found[0], 0.0)
         return value, found
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:

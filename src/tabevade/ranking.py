@@ -71,9 +71,16 @@ def _entropy(y: np.ndarray) -> float:
 
 
 def _boundaries(train: Dataset, feature_index: int):
-    """Labels and the split scan of one feature over every distinct-value boundary."""
+    """Labels, and ``(left_n, right_n, left_ones, right_ones)`` at every
+    distinct-value boundary of one feature, or None when it has none."""
     X, y = _class_arrays(train)
-    return y, scan_splits(X[:, feature_index], 1, y)
+    order = np.argsort(X[:, feature_index], kind="stable")
+    scan = scan_splits(X[order, feature_index][None], 1, y[order][None])
+    if scan is None:
+        return y, None
+    left_n, right_n, [(left_ones, right_ones)], valid, _ = scan
+    valid = valid[0]
+    return y, (left_n[valid], right_n[valid], left_ones[0, valid], right_ones[0, valid])
 
 
 def _gini_vec(ones: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -101,7 +108,7 @@ def gini_gain(train: Dataset, feature_index: int) -> float:
     y, scan = _boundaries(train, feature_index)
     if scan is None:
         return 0.0
-    left_n, right_n, [(left_ones, right_ones)], _ = scan
+    left_n, right_n, left_ones, right_ones = scan
     weighted = (left_n * _gini_vec(left_ones, left_n) + right_n * _gini_vec(right_ones, right_n)) / y.size
     return max(_gini(y) - float(weighted.min()), 0.0)
 
@@ -111,7 +118,7 @@ def info_gain(train: Dataset, feature_index: int) -> float:
     y, scan = _boundaries(train, feature_index)
     if scan is None:
         return 0.0
-    left_n, right_n, [(left_ones, right_ones)], _ = scan
+    left_n, right_n, left_ones, right_ones = scan
     conditional = _conditional_entropy(left_n, right_n, left_ones, right_ones, y.size)
     return max(_entropy(y) - float(conditional.min()), 0.0)
 
@@ -127,7 +134,7 @@ def info_gain_ratio(train: Dataset, feature_index: int) -> float:
     y, scan = _boundaries(train, feature_index)
     if scan is None:
         return 0.0
-    left_n, right_n, [(left_ones, right_ones)], _ = scan
+    left_n, right_n, left_ones, right_ones = scan
     n = y.size
     gains = _entropy(y) - _conditional_entropy(left_n, right_n, left_ones, right_ones, n)
     best = int(np.argmax(gains))

@@ -189,3 +189,88 @@ def perturb_reference(x, plan, selected) -> list[float]:
             for i in members:
                 out[i] = maxs[i] if i == winner else mins[i]
     return out
+
+
+def node_split_reference(X, rows, targets, features, criterion: str, min_leaf: int):
+    """The node search one feature at a time, as ``(cost, feature, threshold)`` or None.
+
+    Each feature's rows are sorted stably by value.  Every boundary between
+    two distinct values that leaves ``min_leaf`` rows per side is costed
+    from running target sums taken in that order, with the same float
+    operations as the vectorized search, so the two agree bit for bit; a
+    feature keeps its first (lowest threshold) cheapest boundary.  In feature
+    order a feature replaces the best only when cheaper by more than 1e-15.
+    ``criterion`` is "gini" (one 0/1 target) or "mse" (the target and its
+    square).
+    """
+    import itertools
+
+    n = len(rows)
+    best = (math.inf, -1, 0.0)
+    for j in features:
+        ranked = sorted(rows, key=lambda r: X[r][j])  # stable: ties keep row order
+        values = [X[r][j] for r in ranked]
+        running = [list(itertools.accumulate(t[r] for r in ranked)) for t in targets]
+        cheapest = (math.inf, 0.0)
+        for p in range(n - 1):
+            left_n = p + 1.0
+            right_n = n - left_n
+            if values[p] == values[p + 1] or left_n < min_leaf or right_n < min_leaf:
+                continue
+            left = [float(r[p]) for r in running]
+            right = [r[-1] - side for r, side in zip(running, left)]
+            if criterion == "gini":
+                lo, ro = left[0], right[0]
+                a, b = lo / left_n, (left_n - lo) / left_n
+                c, d = ro / right_n, (right_n - ro) / right_n
+                cost = (left_n * (1.0 - (a * a + b * b)) + right_n * (1.0 - (c * c + d * d))) / n
+            else:
+                (ls, lq), (rs, rq) = left, right
+                cost = (lq - ls * ls / left_n) + (rq - rs * rs / right_n)
+            if cost < cheapest[0]:
+                cheapest = (cost, 0.5 * (values[p] + values[p + 1]))
+        if cheapest[0] < best[0] - 1e-15:
+            best = (cheapest[0], j, cheapest[1])
+    return best if best[1] >= 0 else None
+
+
+def mlp_adam_reference(X, y, hidden: int, epochs: int, learning_rate: float, batch_size: int, rng):
+    """``(w1, b1, w2, b2)`` of the MLP trained with one Adam update per parameter array.
+
+    The per-array loop the flat-vector update replaced: the same draws, the
+    same batches and the same elementwise operations in the same order, so
+    the weights must agree bit for bit.
+    """
+    import numpy as np
+
+    def sigmoid(z):
+        return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+    n, f = X.shape
+    w1 = rng.normal(0.0, np.sqrt(2.0 / max(f, 1)), size=(f, hidden))
+    w2 = rng.normal(0.0, np.sqrt(2.0 / hidden), size=hidden)
+    params = [w1, np.zeros(hidden), w2, np.zeros(1)]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            rows = order[start:start + batch_size]
+            xb, yb = X[rows], y[rows]
+            hidden_raw = xb @ params[0] + params[1]
+            activated = np.maximum(hidden_raw, 0.0)
+            p = sigmoid(activated @ params[2] + params[3][0])
+            delta_out = (p - yb) / rows.size
+            delta_hidden = np.outer(delta_out, params[2]) * (hidden_raw > 0.0)
+            grads = [xb.T @ delta_hidden, delta_hidden.sum(axis=0), activated.T @ delta_out,
+                     np.array([delta_out.sum()])]
+            step += 1
+            for k in range(4):
+                m[k] = beta1 * m[k] + (1 - beta1) * grads[k]
+                v[k] = beta2 * v[k] + (1 - beta2) * grads[k] ** 2
+                m_hat = m[k] / (1 - beta1**step)
+                v_hat = v[k] / (1 - beta2**step)
+                params[k] -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    return params[0], params[1], params[2], float(params[3][0])

@@ -218,3 +218,20 @@ def test_a_directory_at_the_old_temp_name_does_not_break_a_run(tmp_path, census_
     run_ok(["rank", "--data", str(data), "--schema", str(schema), "--method", "gini_impurity",
             "--out", str(tmp_path), "--run-name", "r"])
     assert json.loads((tmp_path / "r" / "manifest.json").read_text())["method"] == "gini_impurity"
+
+
+def test_gridsearch_resume_with_other_flags_exits_2(tmp_path, census_files, capsys):
+    data, schema = census_files
+    args = ["gridsearch", "--data", str(data), "--schema", str(schema),
+            "--models", "logistic_regression", "--methods", "gini_impurity",
+            "--n-values", "1", "--eps-min", "0.1", "--eps-max", "1.2", "--eps-steps", "3",
+            "--workers", "1", "--out", str(tmp_path)]
+    run_ok(args + ["--run-name", "first"])
+    sink = tmp_path / "first" / "grid.csv"
+    written = sink.read_bytes()
+    assert run(args + ["--run-name", "again", "--resume-from", str(sink), "--seed", "3"]) == 2
+    assert "(differing: seed" in capsys.readouterr().err
+    assert run(args + ["--run-name", "split", "--resume-from", str(sink), "--train-fraction", "0.6"]) == 2
+    assert sink.read_bytes() == written
+    run_ok(args + ["--run-name", "same", "--resume-from", str(sink)])
+    assert (tmp_path / "same" / "grid.csv").read_bytes() == written

@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from oracles import brute_force_auprc, confusion_recall
 from tabevade.attack import AttackConfig, build_plan
 from tabevade.data import Dataset, FeatureSchema, FeatureSpec, split
-from tabevade.errors import MetricError
+from tabevade.errors import MetricError, ResumeError
+from tabevade import evaluation
 from tabevade.evaluation import (
     GRID_COLUMNS,
     GridRecord,
@@ -12,6 +15,7 @@ from tabevade.evaluation import (
     GridSpec,
     epsilon_grid,
     evaluate_attack,
+    fingerprint_path,
     grid_search,
     max_success_curve,
 )
@@ -351,3 +355,87 @@ def test_grid_resume_leaves_a_file_that_is_not_a_grid_alone(tmp_path):
     with pytest.raises(MetricError, match="header"):
         grid_search(train, test, spec, seed=0, sink=sink)
     assert sink.read_bytes() == b"model,best\nlogistic_regression,0.9"
+
+
+def counting(monkeypatch, name, arg):
+    """Record positional argument ``arg`` of every call to evaluation.<name>, then pass it on."""
+    calls = []
+    real = getattr(evaluation, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[arg])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, name, wrapper)
+    return calls
+
+
+def test_grid_resume_fits_and_ranks_only_for_pending_cells(tmp_path, monkeypatch):
+    train, test = split(gaussian_blobs(80, seed=2, separation=1.5), 0.7, seed=0)
+    spec = GridSpec(
+        n_values=(1, 2), epsilon_values=(0.3, 0.9), methods=("gini_impurity", "info_gain_ratio"),
+        model_kinds=("logistic_regression", "decision_tree"),
+    )
+    full = grid_search(train, test, spec, seed=0)
+    fits, ranks = counting(monkeypatch, "fit", 0), counting(monkeypatch, "rank_features", 1)
+    # every logistic cell, and the decision tree's gini_impurity cells, are done
+    sink = tmp_path / "grid.csv"
+    GridResult(records=tuple(r for r in full.records
+                             if r.model == "logistic_regression" or r.method == "gini_impurity")).to_csv(sink)
+    assert grid_search(train, test, spec, seed=0, sink=sink).records == full.records
+    assert fits == ["decision_tree"]
+    assert ranks == ["info_gain_ratio"]
+    fits.clear(), ranks.clear()
+    assert grid_search(train, test, spec, seed=0, sink=sink).records == full.records
+    assert fits == [] and ranks == []
+    assert GridResult.from_csv(sink).records == full.records
+
+
+def test_grid_resume_refuses_a_sink_written_for_other_inputs(tmp_path):
+    data = gaussian_blobs(80, seed=1)
+    spec = GridSpec(n_values=(1,), epsilon_values=(0.5,), methods=("gini_impurity",),
+                    model_kinds=("logistic_regression",))
+    sink = tmp_path / "grid.csv"
+    train, test = split(data, 0.7, seed=0)
+    grid_search(train, test, spec, seed=0, sink=sink)
+    assert fingerprint_path(sink).exists()
+    written = sink.read_bytes()
+    other_train, other_test = split(data, 0.7, seed=5)
+    with pytest.raises(ResumeError, match=r"\(differing: seed, test_X, test_y, train_X, train_y\)"):
+        grid_search(other_train, other_test, spec, seed=3, sink=sink)
+    with pytest.raises(ResumeError, match=r"\(differing: seed\)"):
+        grid_search(train, test, spec, seed=3, sink=sink)
+    wider = GridSpec(n_values=(1, 2), epsilon_values=(0.5,), methods=("gini_impurity",),
+                     model_kinds=("logistic_regression",))
+    with pytest.raises(ResumeError, match=r"\(differing: spec\)"):
+        grid_search(train, test, wider, seed=0, sink=sink)
+    assert sink.read_bytes() == written
+    # the inputs that started it still resume it
+    assert grid_search(train, test, spec, seed=0, sink=sink).records == GridResult.from_csv(sink).records
+    fresh = grid_search(other_train, other_test, spec, seed=3)
+    assert fresh.records != GridResult.from_csv(sink).records
+
+
+def test_grid_resume_of_a_sink_without_fingerprint_writes_one(tmp_path):
+    train, test = split(gaussian_blobs(60, seed=6, separation=1.0), 0.7, seed=0)
+    spec = GridSpec(n_values=(1, 2), epsilon_values=(0.5,), methods=("gini_impurity",),
+                    model_kinds=("decision_tree",))
+    full = grid_search(train, test, spec, seed=0)
+    sink = tmp_path / "grid.csv"
+    GridResult(records=full.records[:1]).to_csv(sink)
+    assert grid_search(train, test, spec, seed=0, sink=sink).records == full.records
+    stored = json.loads(fingerprint_path(sink).read_text(encoding="utf-8"))
+    assert stored["seed"] == 0 and stored["spec"]["model_kinds"] == ["decision_tree"]
+    with pytest.raises(ResumeError, match="seed"):
+        grid_search(train, test, spec, seed=1, sink=sink)
+
+
+def test_grid_resume_refuses_an_unreadable_fingerprint(tmp_path):
+    train, test = split(gaussian_blobs(60, seed=6, separation=1.0), 0.7, seed=0)
+    spec = GridSpec(n_values=(1,), epsilon_values=(0.5,), methods=("gini_impurity",),
+                    model_kinds=("decision_tree",))
+    sink = tmp_path / "grid.csv"
+    grid_search(train, test, spec, seed=0, sink=sink)
+    fingerprint_path(sink).write_text('{"seed": 0', encoding="utf-8")
+    with pytest.raises(ResumeError, match="not valid JSON"):
+        grid_search(train, test, spec, seed=0, sink=sink)

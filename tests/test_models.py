@@ -2,7 +2,14 @@ import json
 
 import numpy as np
 import pytest
-from oracles import split_costs, squared_deviations, walk_flat_tree, weighted_gini
+from oracles import (
+    mlp_adam_reference,
+    node_split_reference,
+    split_costs,
+    squared_deviations,
+    walk_flat_tree,
+    weighted_gini,
+)
 
 from tabevade.data import Dataset, FeatureSchema, FeatureSpec, split
 from tabevade.errors import FitError, ShapeError
@@ -17,10 +24,11 @@ from tabevade.models import (
     save_model,
 )
 from tabevade.models import tree as tree_module
-from tabevade.models.boosting import GradientBoostedTrees, best_mse_split
+from tabevade.models.boosting import GradientBoostedTrees, best_mse_split, mse_cost
 from tabevade.models.forest import RandomForest
 from tabevade.models.logistic import LogisticRegression, sigmoid
-from tabevade.models.tree import DecisionTree, best_gini_split
+from tabevade.models.mlp import MLP
+from tabevade.models.tree import DecisionTree, best_gini_split, best_split, gini_cost, presort
 
 
 def schema_of(n):
@@ -397,3 +405,88 @@ def test_best_split_matches_brute_force(criterion, min_leaf):
         assert found[0] == pytest.approx(best, abs=1e-9), trial
         # ties go to the lowest threshold
         assert found[1] == min(t for t, c in candidates if c <= best + 1e-9), trial
+
+
+# ---------------------------------------------------------------------------
+# node search over every feature at once against the per-feature loop
+
+def node_case(rng, criterion):
+    """A node of 1 to 40 rows of a table with ties, constant and duplicated rows."""
+    n_features = int(rng.integers(1, 12))
+    base = rng.integers(0, rng.integers(1, 6, size=n_features), size=(30, n_features)).astype(float)
+    base[:, rng.random(n_features) < 0.2] = 1.5  # some constant columns
+    X = base[rng.integers(0, 30, size=60)]  # drawn with replacement, as a bootstrap sample is
+    if criterion == "gini":
+        targets = (rng.integers(0, 2, size=60),)
+    else:
+        t = rng.choice([-1.0, 0.0, 0.25, 0.5, 2.0], size=60) + rng.normal(0, 1e-3, size=60) * (rng.random() < 0.5)
+        targets = (t, t * t)
+    rows = np.sort(rng.choice(60, size=int(rng.choice([1, 2, rng.integers(3, 41)])), replace=False))
+    features = np.sort(rng.choice(n_features, size=int(rng.integers(1, n_features + 1)), replace=False))
+    return X, rows, targets, features
+
+
+def node_ordered(X, rows, features):
+    """The presorted order of ``features`` cut down to ``rows``, as partitioning leaves it."""
+    full = presort(X)[features]
+    return full[np.isin(full, rows)].reshape(len(features), rows.size)
+
+
+@pytest.mark.parametrize("scan_block", [1, 7, 1 << 12])
+@pytest.mark.parametrize("min_leaf", [1, 2, 5])
+@pytest.mark.parametrize("criterion", ["gini", "mse"])
+def test_node_search_matches_per_feature_loop(monkeypatch, criterion, min_leaf, scan_block):
+    monkeypatch.setattr(tree_module, "_SCAN_BLOCK", scan_block)  # 1 and 7 split nodes into many blocks
+    cost = gini_cost if criterion == "gini" else mse_cost
+    rng = np.random.default_rng([min_leaf, scan_block])
+    for trial in range(80):
+        X, rows, targets, features = node_case(rng, criterion)
+        expected = node_split_reference(X.tolist(), rows.tolist(), [t.tolist() for t in targets],
+                                         features.tolist(), criterion, min_leaf)
+        at_node = best_split(X, rows, features, targets, cost, min_leaf)
+        presorted = best_split(X, rows, features, targets, cost, min_leaf, node_ordered(X, rows, features))
+        assert presorted == at_node, trial
+        if expected is None:
+            assert at_node is None, trial
+            continue
+        assert [float(v).hex() for v in at_node] == [float(v).hex() for v in expected], trial
+
+
+def test_node_search_spans_blocks_on_a_large_node():
+    # 300 rows x 40 features is three times the scan block, at its real size
+    rng = np.random.default_rng(9)
+    X = rng.integers(0, 50, size=(300, 40)).astype(float)
+    y = (X[:, 7] + rng.normal(0, 10, size=300) > 25).astype(int)
+    rows, features = np.arange(300), np.arange(40)
+    assert rows.size * features.size > 2 * tree_module._SCAN_BLOCK
+    found = best_split(X, rows, features, (y,), gini_cost, 2, presort(X))
+    assert found == node_split_reference(X.tolist(), rows.tolist(), [y.tolist()], features.tolist(), "gini", 2)
+    assert found[1] == 7
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_presorted_and_node_sorted_trees_are_identical(seed):
+    # max_features equal to the feature count draws every feature at every
+    # node, so that tree sorts at the node where the default one presorts
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 4, size=(50, 6)).astype(float)
+    X = base[rng.integers(0, 50, size=120)]
+    y = ((X[:, 0] + X[:, 3] + rng.normal(0, 1, size=120)) > 3).astype(int)
+    presorted = DecisionTree(min_leaf=int(seed % 3) + 1).fit(X, y)
+    at_node = DecisionTree(min_leaf=int(seed % 3) + 1, max_features=6).fit(X, y, rng=np.random.default_rng(0))
+    assert presorted.flat.left.size > 5
+    assert presorted.flat.to_dict() == at_node.flat.to_dict()
+    assert presorted.importances.tolist() == at_node.importances.tolist()
+
+
+def test_mlp_flat_adam_step_matches_per_array_loop():
+    rng = np.random.default_rng(8)
+    X = rng.random((120, 7))  # 120 rows: three full batches of 32 and one of 24
+    y = (X[:, 0] + X[:, 3] > 1.0).astype(float)
+    model = MLP(hidden=16, epochs=6, learning_rate=0.01, batch_size=32).fit(X, y, np.random.default_rng(4))
+    w1, b1, w2, b2 = mlp_adam_reference(X, y, 16, 6, 0.01, 32, np.random.default_rng(4))
+    assert model.w1.tobytes() == w1.tobytes()
+    assert model.b1.tobytes() == b1.tobytes()
+    assert model.w2.tobytes() == w2.tobytes()
+    assert float(model.b2).hex() == b2.hex()
+    assert np.any(model.b1 != 0.0)
