@@ -249,11 +249,16 @@ def _cmd_gridsearch(args) -> int:
         model_kinds=tuple(args.models.split(",")),
     )
     run = _run_dir(args, "gridsearch")
-    _write_manifest(run, args)
     sink = run / "grid.csv"
     if args.resume_from:
         # continue an earlier sink in place
         sink = Path(args.resume_from)
+    elif sink.exists():
+        raise ResumeError(
+            f"{sink} already exists; continue it with --resume-from {sink}, "
+            "or pick a new --run-name"
+        )
+    _write_manifest(run, args)
     total = spec.n_cells
 
     def progress(done: int, _total: int) -> None:

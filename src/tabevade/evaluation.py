@@ -84,8 +84,13 @@ class GridSpec:
             raise ValueError("n values must be positive")
         if any(e < 0 for e in self.epsilon_values):
             raise ValueError("epsilon values must be non-negative")
-        if list(self.epsilon_values) != sorted(self.epsilon_values):
-            raise ValueError("epsilon values must be sorted ascending")
+        eps = self.epsilon_values
+        if any(b <= a for a, b in zip(eps, eps[1:])):
+            raise ValueError(f"epsilon values must be sorted strictly ascending, without repeats: {list(eps)}")
+        for axis in ("n_values", "methods", "model_kinds"):
+            values = getattr(self, axis)
+            if len(set(values)) < len(values):
+                raise ValueError(f"grid spec {axis} repeats a value: {list(values)}")
         bad = [m for m in self.methods if m not in RANKING_METHODS]
         if bad:
             raise ValueError(f"unknown ranking methods: {bad}")

@@ -49,12 +49,6 @@ class Model:
         return self.scaler.n_features
 
 
-def default_hyperparameters(kind: str) -> dict:
-    if kind not in _IMPLS:
-        raise FitError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}")
-    return dict(_IMPLS[kind][1])
-
-
 def fit(kind: str, train: Dataset, hyperparameters: Mapping | None = None, seed: int = 0) -> Model:
     if kind not in _IMPLS:
         raise FitError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}")

@@ -48,7 +48,7 @@ def _grow_regression_tree(X, ordered, residual, hessian, max_depth: int, min_lea
             return value, None
         return value, best_split(X, rows, features, targets, mse_cost, min_leaf, ordered)
 
-    return grow_tree(X, visit, ordered)
+    return grow_tree(X, visit, ordered, max_depth)
 
 
 class GradientBoostedTrees:

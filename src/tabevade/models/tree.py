@@ -200,7 +200,7 @@ class FlatTree:
         return cls(**joined, roots=roots)
 
 
-def grow_tree(X: np.ndarray, visit, ordered: np.ndarray | None = None) -> FlatTree:
+def grow_tree(X: np.ndarray, visit, ordered: np.ndarray | None, max_depth: int) -> FlatTree:
     """Grow a tree depth first, left before right, numbering nodes in preorder.
 
     ``visit(rows, ordered, depth)`` returns a node's value and its split as
@@ -208,7 +208,9 @@ def grow_tree(X: np.ndarray, visit, ordered: np.ndarray | None = None) -> FlatTr
     the node's row ids in ascending order.  Given a :func:`presort` block,
     the tree stable-partitions it in place at every split (as SLIQ does,
     Mehta et al. 1996), so each node gets a view of it holding its rows
-    sorted by every column; otherwise every node gets None.
+    sorted by every column; otherwise every node gets None.  Nodes at
+    ``max_depth`` get None too, so ``visit`` must make them leaves without
+    reading ``ordered``.
     """
     nodes: list[list] = []  # one list of NODE_FIELDS per node
     goes_left = np.zeros(X.shape[0], dtype=bool)
@@ -226,7 +228,7 @@ def grow_tree(X: np.ndarray, visit, ordered: np.ndarray | None = None) -> FlatTr
         nodes[node][:2] = [feature, threshold]
         mask = X[rows, feature] < threshold
         left = right = None
-        if ordered is not None:
+        if ordered is not None and depth + 1 < max_depth:
             goes_left[rows] = mask
             n_left = int(np.count_nonzero(mask))
             step = max(1, _SCAN_BLOCK // rows.size)
@@ -284,7 +286,7 @@ class DecisionTree:
         # one drawing a few features per node sorts just those, at the node
         ordered = presort(X) if self._scans_all_features(rng) else None
         self.flat = grow_tree(X, lambda rows, ordered, depth: self._visit(X, y, rows, ordered, depth, rng, imp),
-                              ordered)
+                              ordered, self.max_depth)
         total = imp.sum()
         self.importances = imp / total if total > 0 else imp
         return self

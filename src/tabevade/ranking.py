@@ -44,10 +44,6 @@ class FeatureRanking:
         return len(self.scores)
 
 
-def _order_by_score(scores: np.ndarray) -> tuple[int, ...]:
-    return tuple(sorted(range(scores.size), key=lambda j: (-scores[j], j)))
-
-
 def _class_arrays(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
     y = train.y
     if np.unique(y).size < 2:
@@ -171,75 +167,67 @@ def permutation_importance(
     return scores
 
 
-_RFE_ESTIMATORS = ("decision_tree", "random_forest", "logistic_regression")
-
-
-def _estimator_importances(kind: str, Xs: np.ndarray, y: np.ndarray, seed: int) -> np.ndarray:
-    if kind not in _RFE_ESTIMATORS:
-        raise RankingError(f"unsupported RFE estimator {kind!r}; choose from {_RFE_ESTIMATORS}")
+def _fit_scaled(kind: str, Xs: np.ndarray, y: np.ndarray, seed: int):
+    """The bare model of ``kind`` fitted on scaled columns: rfe and ffs fit on column
+    subsets, and part of a one-hot group is no valid :class:`Dataset` for ``models.fit``."""
     cls, defaults = models_mod._IMPLS[kind]
-    impl = cls(**defaults).fit(Xs, y, rng=np.random.default_rng(seed))
-    if kind == "logistic_regression":
-        return np.abs(impl.weights)
-    return np.asarray(impl.importances, dtype=float)
+    return cls(**defaults).fit(Xs, y, rng=np.random.default_rng(seed))
 
 
-def rfe_rank(train: Dataset, estimator_kind: str = "decision_tree", seed: int = 0) -> FeatureRanking:
+def _by_score(scores, method: str) -> FeatureRanking:
+    """Features ordered by descending score, ties toward the lower index."""
+    scores = np.asarray(scores, dtype=float)
+    order = tuple(sorted(range(scores.size), key=lambda j: (-scores[j], j)))
+    return FeatureRanking(order=order, scores=tuple(scores), method=method)
+
+
+def _by_position(order: list[int], method: str) -> FeatureRanking:
+    """An ordinal ranking: each feature scores feature count minus position."""
+    scores = np.zeros(len(order))
+    scores[order] = len(order) - np.arange(len(order))
+    return FeatureRanking(order=tuple(order), scores=tuple(scores), method=method)
+
+
+def rfe_rank(train: Dataset, seed: int = 0) -> FeatureRanking:
     """Recursive elimination: repeatedly drop the least important feature.
 
-    The last survivor ranks first.  Among equally unimportant features the
+    Importances come from a decision tree refitted on the survivors.  The
+    last survivor ranks first.  Among equally unimportant features the
     highest index is eliminated first, so the lower index wins the rank.
-    Scores are ordinal (feature_count - position).
     """
     X, y = _class_arrays(train)
-    n_features = X.shape[1]
-    if n_features < 2:
+    if X.shape[1] < 2:
         raise RankingError("RFE needs at least 2 features")
-    scaler = fit_scaler(train)
-    Xs = transform(X, scaler)
-    remaining = list(range(n_features))
+    Xs = transform(X, fit_scaler(train))
+    remaining = list(range(X.shape[1]))
     eliminated: list[int] = []
     while len(remaining) > 1:
-        imps = _estimator_importances(estimator_kind, Xs[:, remaining], y, seed)
+        imps = _fit_scaled("decision_tree", Xs[:, remaining], y, seed).importances
         worst = max(range(len(remaining)), key=lambda k: (-imps[k], remaining[k]))
         eliminated.append(remaining.pop(worst))
-    order = tuple(remaining + eliminated[::-1])
-    scores = np.zeros(n_features)
-    for pos, j in enumerate(order):
-        scores[j] = float(n_features - pos)
-    return FeatureRanking(order=order, scores=tuple(scores), method="rfe")
+    return _by_position(remaining + eliminated[::-1], "rfe")
 
 
-def ffs_rank(
-    train: Dataset,
-    holdout: Dataset | None = None,
-    estimator_kind: str = "logistic_regression",
-    seed: int = 0,
-) -> FeatureRanking:
-    """Greedy forward selection by holdout recall.
+def ffs_rank(train: Dataset, seed: int = 0) -> FeatureRanking:
+    """Greedy forward selection by holdout recall of logistic regression.
 
-    Starts from the empty model (recall 0); stops once the best candidate no
-    longer improves recall, then appends the remaining features ordered by
-    their last evaluated recall.  Scores are ordinal.
+    The holdout is a 75/25 stratified split of ``train``.  Starts from the
+    empty model (recall 0); stops once the best candidate no longer improves
+    recall, then appends the remaining features ordered by their last
+    evaluated recall.
     """
-    X, y = _class_arrays(train)
-    n_features = X.shape[1]
+    _class_arrays(train)
+    n_features = train.n_features
     if n_features < 2:
         raise RankingError("forward selection needs at least 2 features")
-    if holdout is None:
-        train, holdout = split(train, 0.75, seed)
-        X, y = _class_arrays(train)
-    if int((holdout.y == 1).sum()) == 0:
-        raise RankingError("holdout has no positive rows; recall is undefined")
+    train, holdout = split(train, 0.75, seed)
     scaler = fit_scaler(train)
-    Xs = transform(X, scaler)
+    Xs = transform(train.X, scaler)
     Hs = transform(holdout.X, scaler)
     positives = int((holdout.y == 1).sum())
 
     def holdout_recall(cols: list[int]) -> float:
-        rng = np.random.default_rng(seed)
-        cls, defaults = models_mod._IMPLS[estimator_kind]
-        impl = cls(**defaults).fit(Xs[:, cols], y, rng=rng)
+        impl = _fit_scaled("logistic_regression", Xs[:, cols], train.y, seed)
         preds = impl.predict_scores(Hs[:, cols]) >= 0.5
         return float((preds & (holdout.y == 1)).sum() / positives)
 
@@ -248,57 +236,38 @@ def ffs_rank(
     last_eval = np.zeros(n_features)
     while len(selected) < n_features:
         candidates = [j for j in range(n_features) if j not in selected]
-        best_j, best_r = -1, -np.inf
         for j in candidates:
-            r = holdout_recall(selected + [j])
-            last_eval[j] = r
-            if r > best_r:
-                best_j, best_r = j, r
-        if best_r - current <= 0.0:
+            last_eval[j] = holdout_recall(selected + [j])
+        best_j = max(candidates, key=lambda j: last_eval[j])  # the lowest index among equal recalls
+        if last_eval[best_j] - current <= 0.0:
             break
         selected.append(best_j)
-        current = best_r
+        current = last_eval[best_j]
     rest = [j for j in range(n_features) if j not in selected]
     rest.sort(key=lambda j: (-last_eval[j], j))
-    order = tuple(selected + rest)
-    scores = np.zeros(n_features)
-    for pos, j in enumerate(order):
-        scores[j] = float(n_features - pos)
-    return FeatureRanking(order=order, scores=tuple(scores), method="ffs")
+    return _by_position(selected + rest, "ffs")
 
 
-def rank_features(
-    train: Dataset,
-    method: str,
-    seed: int = 0,
-    holdout: Dataset | None = None,
-    repeats: int = 5,
-) -> FeatureRanking:
+_SPLIT_SCORES = {"gini_impurity": gini_gain, "info_gain_ratio": info_gain_ratio}
+
+
+def rank_features(train: Dataset, method: str, seed: int = 0) -> FeatureRanking:
     """Rank all features with the named method, deterministically per seed.
 
-    permutation and ffs need holdout data; when none is supplied a 75/25
-    stratified split of ``train`` is carved internally.
+    permutation shuffles each feature 5 times on a 75/25 stratified holdout
+    of ``train`` and scores a random forest fitted on the rest.
     """
     if method not in RANKING_METHODS:
         raise RankingError(f"unknown ranking method {method!r}; choose from {RANKING_METHODS}")
     _class_arrays(train)
     if train.n_features < 2:
         raise RankingError("ranking needs at least 2 features")
-
-    if method == "gini_impurity":
-        scores = np.array([gini_gain(train, j) for j in range(train.n_features)])
-        return FeatureRanking(order=_order_by_score(scores), scores=tuple(scores), method=method)
-    if method == "info_gain_ratio":
-        scores = np.array([info_gain_ratio(train, j) for j in range(train.n_features)])
-        return FeatureRanking(order=_order_by_score(scores), scores=tuple(scores), method=method)
+    if method in _SPLIT_SCORES:
+        return _by_score([_SPLIT_SCORES[method](train, j) for j in range(train.n_features)], method)
     if method == "permutation":
-        if holdout is None:
-            fit_part, holdout = split(train, 0.75, seed)
-        else:
-            fit_part = train
+        fit_part, holdout = split(train, 0.75, seed)
         probe = models_mod.fit("random_forest", fit_part, seed=seed)
-        scores = permutation_importance(fit_part, holdout, probe, repeats=repeats, seed=seed)
-        return FeatureRanking(order=_order_by_score(scores), scores=tuple(scores), method=method)
+        return _by_score(permutation_importance(fit_part, holdout, probe, seed=seed), method)
     if method == "rfe":
         return rfe_rank(train, seed=seed)
-    return ffs_rank(train, holdout=holdout, seed=seed)
+    return ffs_rank(train, seed=seed)

@@ -60,8 +60,8 @@ _CENSUS_WEIGHTS = {
 }
 
 
-def census_like_rows(n_rows: int = 3000, seed: int = 0, positive_rate: float = 0.3):
-    """Raw CSV rows (header included) for the census-style dataset."""
+def census_like_rows(n_rows: int = 3000, seed: int = 0):
+    """Raw CSV rows (header included) for the census-style dataset, 30% of them "high"."""
     rng = np.random.default_rng(seed)
     header = [
         "age",
@@ -82,7 +82,7 @@ def census_like_rows(n_rows: int = 3000, seed: int = 0, positive_rate: float = 0
     ]
     rows = [header]
     for _ in range(n_rows):
-        high = rng.random() < positive_rate
+        high = rng.random() < 0.3
         label = "high" if high else "low"
         age = int(np.clip(round(rng.normal(45 if high else 35, 9 if high else 11)), 18, 90))
         education_years = int(np.clip(round(rng.normal(13.5 if high else 9.5, 2.0 if high else 2.4)), 1, 18))

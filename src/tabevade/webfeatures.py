@@ -154,9 +154,6 @@ class WebFeatureVector:
     def __getitem__(self, name: str) -> float:
         return float(self.values[WEB_FEATURE_NAMES.index(name)])
 
-    def as_dict(self) -> dict[str, float]:
-        return {name: float(v) for name, v in zip(WEB_FEATURE_NAMES, self.values)}
-
 
 # ---------------------------------------------------------------------------
 # lenient HTML event collection
@@ -184,15 +181,6 @@ class _Collector(HTMLParser):
             self._head_depth += 1
         elif tag in ("script", "style", "title"):
             self._skip_text_depth += 1
-
-    def handle_startendtag(self, tag, attrs):
-        tag = tag.lower()
-        attr_map: dict[str, str] = {}
-        for key, value in attrs:
-            key = key.lower()
-            if key not in attr_map:
-                attr_map[key] = value if value is not None else ""
-        self.elements.append((tag, attr_map, self._head_depth > 0 or tag == "head"))
 
     def handle_endtag(self, tag):
         tag = tag.lower()

@@ -235,3 +235,33 @@ def test_gridsearch_resume_with_other_flags_exits_2(tmp_path, census_files, caps
     assert sink.read_bytes() == written
     run_ok(args + ["--run-name", "same", "--resume-from", str(sink)])
     assert (tmp_path / "same" / "grid.csv").read_bytes() == written
+
+
+def test_gridsearch_refuses_a_run_dir_that_holds_a_grid(tmp_path, census_files, capsys):
+    data, schema = census_files
+    args = ["gridsearch", "--data", str(data), "--schema", str(schema),
+            "--models", "logistic_regression", "--methods", "gini_impurity",
+            "--n-values", "1", "--eps-min", "0.1", "--eps-max", "1.2", "--eps-steps", "3",
+            "--workers", "1", "--out", str(tmp_path), "--run-name", "g"]
+    run_ok(args)
+    run_dir = tmp_path / "g"
+    before = {name: (run_dir / name).read_bytes() for name in ("grid.csv", "manifest.json")}
+    for extra in ([], ["--seed", "3"], ["--n-values", "2"]):
+        capsys.readouterr()
+        assert run(args + extra) == 2, extra
+        err = capsys.readouterr().err
+        assert "--resume-from" in err and "--run-name" in err
+        assert {name: (run_dir / name).read_bytes() for name in before} == before
+    run_ok(args + ["--resume-from", str(run_dir / "grid.csv")])
+    assert (run_dir / "grid.csv").read_bytes() == before["grid.csv"]
+
+
+def test_gridsearch_with_a_repeated_value_exits_1(tmp_path, census_files, capsys):
+    data, schema = census_files
+    code = run(["gridsearch", "--data", str(data), "--schema", str(schema),
+                "--models", "logistic_regression", "--methods", "gini_impurity",
+                "--n-values", "1,1", "--eps-min", "0.1", "--eps-max", "1.2", "--eps-steps", "3",
+                "--workers", "1", "--out", str(tmp_path), "--run-name", "rep"])
+    assert code == 1
+    assert "n_values repeats a value" in capsys.readouterr().err
+    assert not (tmp_path / "rep" / "grid.csv").exists()

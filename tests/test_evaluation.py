@@ -271,6 +271,19 @@ def test_grid_spec_validation():
         GridSpec(n_values=(1,), epsilon_values=(0.5,), methods=("nope",), model_kinds=("mlp",))
 
 
+@pytest.mark.parametrize("axis, values", [
+    ("n_values", (1, 1)),
+    ("epsilon_values", (0.5, 0.5)),
+    ("methods", ("gini_impurity", "rfe", "gini_impurity")),
+    ("model_kinds", ("mlp", "mlp")),
+])
+def test_grid_spec_rejects_repeated_values(axis, values):
+    spec = {"n_values": (1,), "epsilon_values": (0.5,), "methods": ("gini_impurity",), "model_kinds": ("mlp",)}
+    spec[axis] = values
+    with pytest.raises(ValueError, match="epsilon values" if axis == "epsilon_values" else axis):
+        GridSpec(**spec)
+
+
 # ---------------------------------------------------------------------------
 # curves
 

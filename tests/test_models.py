@@ -479,6 +479,24 @@ def test_presorted_and_node_sorted_trees_are_identical(seed):
     assert presorted.importances.tolist() == at_node.importances.tolist()
 
 
+def test_grow_tree_partitions_no_order_for_children_at_max_depth():
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 6, size=(80, 4)).astype(float)
+    y = (X[:, 0] + X[:, 2] + rng.normal(0, 1, size=80) > 5).astype(int)
+    seen = []
+
+    def visit(rows, ordered, depth):
+        seen.append((depth, ordered is None))
+        if depth >= 2:
+            return 0.0, None
+        if ordered is not None:  # the partitioned view still holds the node's rows sorted by each column
+            assert np.array_equal(ordered, node_ordered(X, rows, np.arange(4)))
+        return 0.0, best_split(X, rows, np.arange(4), (y,), gini_cost, 1, ordered)
+
+    tree_module.grow_tree(X, visit, presort(X), 2)
+    assert sorted(set(seen)) == [(0, False), (1, False), (2, True)]
+
+
 def test_mlp_flat_adam_step_matches_per_array_loop():
     rng = np.random.default_rng(8)
     X = rng.random((120, 7))  # 120 rows: three full batches of 32 and one of 24

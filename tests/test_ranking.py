@@ -257,3 +257,11 @@ def test_ffs_deterministic():
     rng = np.random.default_rng(12)
     ds = dataset(rng.normal(size=(100, 4)), (rng.normal(size=100) > 0).astype(int))
     assert ffs_rank(ds, seed=5).order == ffs_rank(ds, seed=5).order
+
+
+def test_ffs_identical_copies_tie_break_by_index():
+    # every copy scores the same recall at every step, so the lowest index wins each tie
+    rng = np.random.default_rng(14)
+    column = (rng.random(60) < 0.4).astype(float)
+    ds = dataset(np.tile(column[:, None], (1, 4)), column.astype(int))
+    assert ffs_rank(ds, seed=0).order == (0, 1, 2, 3)

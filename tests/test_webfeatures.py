@@ -8,6 +8,7 @@ from tabevade.webfeatures import (
     WEB_FEATURE_NAMES,
     WebFeatureVector,
     WebPage,
+    collect_events,
     default_web_schema,
     element_sequence,
     extract_features,
@@ -164,3 +165,15 @@ def test_vector_validation_rejects_negative_counts():
 def test_element_sequence_orders_tags():
     seq = element_sequence("<html><body><a href='x'>t</a><img src='y'></body></html>")
     assert [tag for tag, _ in seq] == ["html", "body", "a", "img"]
+
+
+def test_self_closing_tags_leave_head_and_text_tracking_unchanged():
+    events = collect_events("<html><head/><title/><script/><p>body words</p>"
+                            "<head><meta charset='x'/></head><style/>tail</html>")
+    assert [(tag, in_head) for tag, _, in_head in events.elements] == [
+        ("html", False), ("head", True), ("title", False), ("script", False), ("p", False),
+        ("head", True), ("meta", True), ("style", False),
+    ]
+    assert events.elements[6][1] == {"charset": "x"}
+    assert "".join(events.body_text) == "body wordstail"
+    assert events.script_text == []
