@@ -480,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-max", type=float, default=4.0)
     p.add_argument("--eps-steps", type=int, default=50)
     p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                   help="processes that fit the models and run the rankings; cells are evaluated in-process")
     p.add_argument("--resume-from", default=None,
                    help="existing grid.csv sink to continue; refused (exit 2) if started with other data or flags")
     p.add_argument("--verbose", action="store_true")

@@ -1,10 +1,11 @@
 """Attack evaluation: reports, the (n, epsilon, method) grid search and
 max-success curves.
 
-Grid cells are evaluated against models fitted once per kind; rankings and
-directions are computed once per method and reused.  Records can persist
-incrementally to a CSV sink so an interrupted search resumes, and a worker
-pool may shard cells because every record is merged back in cell order.
+Grid cells are evaluated against models fitted once per kind and rankings
+computed once per method.  Records can persist incrementally to a CSV sink
+so an interrupted search resumes.  A worker pool runs the fits and rankings
+in parallel, with no more processes than there are fits plus rankings;
+every cell is evaluated in the calling process.
 """
 from __future__ import annotations
 
@@ -12,8 +13,10 @@ import csv
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Union
 
@@ -21,10 +24,10 @@ import numpy as np
 
 from .attack import AttackConfig, AttackPlan, compute_direction, perturb_batch
 from .data import Dataset, atomic_write_text, fit_scaler, format_number, schema_to_dict
-from .errors import MetricError, ResumeError
+from .errors import MetricError, ResumeError, TabevadeError
 from .metrics import auprc, recall, success_rate
 from .models import MODEL_KINDS, Model, fit, predict, predict_score
-from .ranking import RANKING_METHODS, rank_features
+from .ranking import RANKING_METHODS, FeatureRanking, rank_features
 
 
 @dataclass(frozen=True)
@@ -176,37 +179,11 @@ def _cell_key(model: str, method: str, n: int, epsilon: float) -> tuple:
     return (model, method, int(n), float(epsilon))
 
 
-_CTX: dict = {}
-
-
-def _init_worker(ctx: dict) -> None:
-    _CTX.clear()
-    _CTX.update(ctx)
-
-
-def _eval_cell(task: tuple) -> GridRecord:
-    model_kind, method, n, epsilon = task
-    ctx = _CTX
-    plan = AttackPlan(
-        schema=ctx["schema"],
-        ranking=ctx["rankings"][method],
-        direction=ctx["direction"],
-        config=AttackConfig(n=n, epsilon=epsilon, method=method),
-        scaler=ctx["scaler"],
-    )
-    perturbed = perturb_batch(ctx["positives"], plan)
-    preds = predict(ctx["models"][model_kind], perturbed)
-    attack_recall = float(preds.mean()) if preds.size else 0.0
-    base = ctx["baselines"][model_kind]
-    return GridRecord(
-        model=model_kind,
-        method=method,
-        n=n,
-        epsilon=epsilon,
-        baseline_recall=base,
-        attack_recall=attack_recall,
-        success_rate=success_rate(base, attack_recall),
-    )
+def _prepare(task: tuple[str, str], train: Dataset, seed: int) -> Union[Model, FeatureRanking]:
+    """Fit one model kind (``("fit", kind)``) or rank by one method
+    (``("rank_features", method)``): the units of work a grid shares out."""
+    what, name = task
+    return fit(name, train, seed=seed) if what == "fit" else rank_features(train, name, seed=seed)
 
 
 def _trim_torn_tail(sink: Union[str, Path]) -> None:
@@ -292,8 +269,10 @@ def grid_search(
     ranking methods of the pending cells are fitted and ranked.  A fingerprint
     of the inputs is kept beside the sink (see :func:`fingerprint_path`), and
     resuming a sink whose fingerprint differs raises :class:`ResumeError`; a
-    sink without one resumes and gets one.  Results are identical for any
-    worker count because cells are merged in task order.
+    sink without one resumes and gets one.  The fits and rankings run in up
+    to ``workers`` processes, never more than there are of them; the cells
+    are then evaluated here, in order, so results are identical for any
+    worker count.  A worker that dies raises :class:`TabevadeError`.
     """
     done: dict[tuple, GridRecord] = {}
     fingerprinted = False
@@ -319,6 +298,7 @@ def grid_search(
     kinds = [kind for kind in spec.model_kinds if any(c[0] == kind for c in pending)]
     methods = [method for method in spec.methods if any(c[1] == method for c in pending)]
 
+    tasks = [("fit", kind) for kind in kinds] + [("rank_features", method) for method in methods]
     with ExitStack() as stack:
         if sink is not None:
             handle = stack.enter_context(open(sink, "a", encoding="utf-8", newline=""))
@@ -326,26 +306,29 @@ def grid_search(
             if handle.tell() == 0:
                 sink_writer.writerow(GRID_COLUMNS)
                 handle.flush()
-        models = {kind: fit(kind, train, seed=seed) for kind in kinds}
-        ctx = {
-            "schema": train.schema,
-            "scaler": fit_scaler(train),
-            "direction": compute_direction(train),
-            "rankings": {m: rank_features(train, m, seed=seed) for m in methods},
-            "models": models,
-            "baselines": {kind: recall(models[kind], test.X, test.y) for kind in kinds},
-            "positives": test.take(test.rows_of_class(1)),
-        }
-        if workers <= 1 or len(pending) <= 1:
-            _init_worker(ctx)
-            records = map(_eval_cell, pending)
+        if workers > 1 and tasks:
+            try:
+                with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+                    results = list(pool.map(_prepare, tasks, repeat(train), repeat(seed)))
+            except BrokenProcessPool as exc:
+                raise TabevadeError(
+                    f"a worker process died before the fits and rankings finished ({exc}); "
+                    "if it ran out of memory, resume the grid with fewer --workers"
+                ) from None
         else:
-            pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(ctx,))
-            )
-            records = pool.map(_eval_cell, pending, chunksize=max(1, len(pending) // (workers * 4)))
-        for finished, record in enumerate(records, start=len(done) + 1):
-            done[_cell_key(record.model, record.method, record.n, record.epsilon)] = record
+            results = [_prepare(task, train, seed) for task in tasks]
+        prepared = dict(zip(tasks, results))
+        baselines = {kind: recall(prepared["fit", kind], test.X, test.y) for kind in kinds}
+        scaler, direction = fit_scaler(train), compute_direction(train)
+        positives = test.take(test.rows_of_class(1))
+        for finished, (kind, method, n, epsilon) in enumerate(pending, start=len(done) + 1):
+            config = AttackConfig(n=n, epsilon=epsilon, method=method)
+            plan = AttackPlan(train.schema, prepared["rank_features", method], direction, config, scaler)
+            preds = predict(prepared["fit", kind], perturb_batch(positives, plan))
+            attack_recall = float(preds.mean()) if preds.size else 0.0
+            record = GridRecord(kind, method, n, epsilon, baselines[kind], attack_recall,
+                                success_rate(baselines[kind], attack_recall))
+            done[_cell_key(kind, method, n, epsilon)] = record
             if sink is not None:
                 sink_writer.writerow(_record_row(record))
                 handle.flush()

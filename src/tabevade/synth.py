@@ -7,11 +7,12 @@ demos, tests and the acceptance suite are reproducible offline.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, FeatureSchema, FeatureSpec, format_number, load_dataset
+from .data import Dataset, FeatureSchema, FeatureSpec, atomic_write_text, format_number, load_dataset
 from .webfeatures import WebPage, default_web_schema, extract_features
 
 
@@ -241,13 +242,18 @@ def web_demo_dataset(corpus) -> Dataset:
 
 
 def write_page_corpus(corpus, out_dir) -> None:
-    """Write pages as <name>.html plus a <name>.html.url sidecar and labels.csv."""
+    """Write pages as <name>.html plus a <name>.html.url sidecar and labels.csv.
+
+    Every file is written atomically.  Pages and sidecars skip the fsync;
+    labels.csv, written last and synced, vouches for them.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "labels.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["page", "label"])
-        for name, page, label in corpus:
-            (out / f"{name}.html").write_text(page.html, encoding="utf-8")
-            (out / f"{name}.html.url").write_text(page.url + "\n", encoding="utf-8")
-            writer.writerow([f"{name}.html", "phishing" if label == 1 else "legitimate"])
+    labels = io.StringIO()
+    writer = csv.writer(labels)
+    writer.writerow(["page", "label"])
+    for name, page, label in corpus:
+        atomic_write_text(out / f"{name}.html", page.html, fsync=False)
+        atomic_write_text(out / f"{name}.html.url", page.url + "\n", fsync=False)
+        writer.writerow([f"{name}.html", "phishing" if label == 1 else "legitimate"])
+    atomic_write_text(out / "labels.csv", labels.getvalue())

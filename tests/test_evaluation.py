@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from oracles import brute_force_auprc, confusion_recall
 from tabevade.attack import AttackConfig, build_plan
 from tabevade.data import Dataset, FeatureSchema, FeatureSpec, split
-from tabevade.errors import MetricError, ResumeError
+from tabevade.errors import FitError, MetricError, ResumeError, TabevadeError
 from tabevade import evaluation
 from tabevade.evaluation import (
     GRID_COLUMNS,
@@ -452,3 +454,94 @@ def test_grid_resume_refuses_an_unreadable_fingerprint(tmp_path):
     fingerprint_path(sink).write_text('{"seed": 0', encoding="utf-8")
     with pytest.raises(ResumeError, match="not valid JSON"):
         grid_search(train, test, spec, seed=0, sink=sink)
+
+
+def fake_pool(monkeypatch):
+    """Swap evaluation's ProcessPoolExecutor for one that starts no process:
+    it runs its tasks here and records its max_workers and task list."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.max_workers, self.tasks = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, *iterables):
+            self.tasks = list(tasks)
+            return map(fn, self.tasks, *iterables)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
+    return pools
+
+
+def test_grid_pool_has_no_more_processes_than_pending_fits_and_rankings(tmp_path, monkeypatch):
+    train, test = split(gaussian_blobs(80, seed=2, separation=1.5), 0.7, seed=0)
+    narrow = GridSpec(n_values=(1, 2), epsilon_values=(0.3, 0.9), methods=("gini_impurity",),
+                      model_kinds=("logistic_regression", "decision_tree"))
+    wide = GridSpec(n_values=narrow.n_values, epsilon_values=narrow.epsilon_values,
+                    methods=("gini_impurity", "info_gain_ratio"), model_kinds=narrow.model_kinds)
+    expected = {spec: grid_search(train, test, spec, seed=0) for spec in (narrow, wide)}
+    pools = fake_pool(monkeypatch)
+    assert grid_search(train, test, narrow, seed=0, workers=8).records == expected[narrow].records
+    assert [(p.max_workers, p.tasks) for p in pools] == [
+        (3, [("fit", "logistic_regression"), ("fit", "decision_tree"), ("rank_features", "gini_impurity")]),
+    ]
+    # every logistic cell, and the decision tree's gini_impurity cells, are done
+    sink = tmp_path / "grid.csv"
+    GridResult(records=tuple(r for r in expected[wide].records
+                             if r.model == "logistic_regression" or r.method == "gini_impurity")).to_csv(sink)
+    pools.clear()
+    assert grid_search(train, test, wide, seed=0, sink=sink, workers=8).records == expected[wide].records
+    assert [(p.max_workers, p.tasks) for p in pools] == [
+        (2, [("fit", "decision_tree"), ("rank_features", "info_gain_ratio")]),
+    ]
+    pools.clear()
+    assert grid_search(train, test, wide, seed=0, sink=sink, workers=8).records == expected[wide].records
+    assert pools == []
+
+
+fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                               reason="workers see the test's patch of evaluation.fit only when forked")
+
+
+def patch_fit_in_workers(monkeypatch, effect):
+    """Make evaluation.fit call ``effect`` in a worker; in this process it fails the test."""
+    parent = os.getpid()
+
+    def fit_in_worker(*args, **kwargs):
+        if os.getpid() == parent:
+            raise AssertionError("fit ran in the calling process, not in a worker")
+        effect()
+
+    monkeypatch.setattr(evaluation, "fit", fit_in_worker)
+
+
+@fork_only
+def test_grid_worker_that_dies_raises_tabevade_error(monkeypatch):
+    train, test = small_grid_inputs(seed=4)
+    spec = GridSpec(n_values=(1,), epsilon_values=(0.5,), methods=("gini_impurity",),
+                    model_kinds=("logistic_regression", "decision_tree"))
+    patch_fit_in_workers(monkeypatch, lambda: os._exit(1))
+    with pytest.raises(TabevadeError, match="--workers") as caught:
+        grid_search(train, test, spec, seed=0, workers=2)
+    assert type(caught.value) is TabevadeError
+
+
+@fork_only
+def test_grid_worker_raised_tabevade_error_passes_through(monkeypatch):
+    train, test = small_grid_inputs(seed=4)
+    spec = GridSpec(n_values=(1,), epsilon_values=(0.5,), methods=("gini_impurity",),
+                    model_kinds=("logistic_regression",))
+
+    def refuse():
+        raise FitError("the training rows hold one class")
+
+    patch_fit_in_workers(monkeypatch, refuse)
+    with pytest.raises(FitError, match="the training rows hold one class"):
+        grid_search(train, test, spec, seed=0, workers=2)

@@ -1,10 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from tabevade import synth
 from tabevade.attack import AttackConfig, build_plan
 from tabevade.errors import InfeasibleInjectionError, UnsupportedFeatureError
 from tabevade.models import fit, predict
-from tabevade.synth import demo_pages, web_demo_dataset
+from tabevade.synth import demo_pages, web_demo_dataset, write_page_corpus
 from tabevade.webfeatures import (
     ADDABLE_WEB_FEATURES,
     WEB_FEATURE_NAMES,
@@ -245,3 +248,23 @@ def test_problem_space_flips_some_demo_pages():
         _, record = problem_space_attack(page, plan, model)
         flips += record.evaded
     assert flips >= 1
+
+
+def test_page_corpus_writes_each_file_atomically_and_labels_last_synced(tmp_path, monkeypatch):
+    writes = []
+    real = synth.atomic_write_text
+
+    def recording(path, text, *, fsync=True):
+        writes.append((Path(path).name, fsync))
+        real(path, text, fsync=fsync)
+
+    monkeypatch.setattr(synth, "atomic_write_text", recording)
+    corpus = demo_pages(2, 1, seed=3)
+    write_page_corpus(corpus, tmp_path)
+    pages = [f"{name}.html" for name, _, _ in corpus]
+    assert writes == [(f, False) for page in pages for f in (page, page + ".url")] + [("labels.csv", True)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(name for name, _ in writes)
+    assert (tmp_path / "labels.csv").read_bytes() == (
+        b"page,label\r\n" + b"".join(f"{page},{'phishing' if label == 1 else 'legitimate'}\r\n".encode()
+                                     for page, (_, _, label) in zip(pages, corpus))
+    )
