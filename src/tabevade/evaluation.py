@@ -269,7 +269,9 @@ def grid_search(
     ranking methods of the pending cells are fitted and ranked.  A fingerprint
     of the inputs is kept beside the sink (see :func:`fingerprint_path`), and
     resuming a sink whose fingerprint differs raises :class:`ResumeError`; a
-    sink without one resumes and gets one.  The fits and rankings run in up
+    sink without one resumes and gets one.  A new sink and its fingerprint are
+    written only once the fits and rankings have returned, so a run that fails
+    there leaves nothing behind to resume.  The fits and rankings run in up
     to ``workers`` processes, never more than there are of them; the cells
     are then evaluated here, in order, so results are identical for any
     worker count.  A worker that dies raises :class:`TabevadeError`.
@@ -284,8 +286,6 @@ def grid_search(
             if Path(sink).stat().st_size > 0:
                 for r in GridResult.from_csv(sink).records:
                     done[_cell_key(r.model, r.method, r.n, r.epsilon)] = r
-        if not fingerprinted:
-            atomic_write_text(fingerprint_path(sink), json.dumps(fingerprint, indent=2) + "\n")
 
     cells = [
         (kind, method, n, epsilon)
@@ -299,25 +299,27 @@ def grid_search(
     methods = [method for method in spec.methods if any(c[1] == method for c in pending)]
 
     tasks = [("fit", kind) for kind in kinds] + [("rank_features", method) for method in methods]
+    if workers > 1 and tasks:
+        try:
+            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+                results = list(pool.map(_prepare, tasks, repeat(train), repeat(seed)))
+        except BrokenProcessPool as exc:
+            raise TabevadeError(
+                f"a worker process died before the fits and rankings finished ({exc}); "
+                "if it ran out of memory, resume the grid with fewer --workers"
+            ) from None
+    else:
+        results = [_prepare(task, train, seed) for task in tasks]
+    prepared = dict(zip(tasks, results))
     with ExitStack() as stack:
-        if sink is not None:
+        if sink is not None:  # created only now, so a failed fit or ranking leaves no sink behind
+            if not fingerprinted:
+                atomic_write_text(fingerprint_path(sink), json.dumps(fingerprint, indent=2) + "\n")
             handle = stack.enter_context(open(sink, "a", encoding="utf-8", newline=""))
             sink_writer = csv.writer(handle)
             if handle.tell() == 0:
                 sink_writer.writerow(GRID_COLUMNS)
                 handle.flush()
-        if workers > 1 and tasks:
-            try:
-                with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-                    results = list(pool.map(_prepare, tasks, repeat(train), repeat(seed)))
-            except BrokenProcessPool as exc:
-                raise TabevadeError(
-                    f"a worker process died before the fits and rankings finished ({exc}); "
-                    "if it ran out of memory, resume the grid with fewer --workers"
-                ) from None
-        else:
-            results = [_prepare(task, train, seed) for task in tasks]
-        prepared = dict(zip(tasks, results))
         baselines = {kind: recall(prepared["fit", kind], test.X, test.y) for kind in kinds}
         scaler, direction = fit_scaler(train), compute_direction(train)
         positives = test.take(test.rows_of_class(1))

@@ -10,6 +10,28 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))  # numerically stable form
 
 
+def descend(X: np.ndarray, y: np.ndarray, epochs: int, l2: float, learning_rate: float):
+    """Fit one logistic regression per design matrix of a (C, n, k) stack.
+
+    All C fits share the labels ``y`` and run the same full-batch steps
+    together; returns weights (C, k) and biases (C,).  Slice c gets the
+    bits a fit on ``X[c]`` alone gets, provided every slice has the memory
+    layout that lone matrix would have: the stacked products run the same
+    BLAS kernel per slice.
+    """
+    C, n, k = X.shape
+    Xt = X.transpose(0, 2, 1)
+    # labels copied to every slice: the per-epoch error is then a same-shape subtraction
+    Y = np.ascontiguousarray(np.broadcast_to(y[:, None], (C, n, 1)))
+    w = np.zeros((C, k, 1))
+    b = np.zeros((C, 1, 1))
+    for _ in range(epochs):
+        err = sigmoid(X @ w + b) - Y
+        w -= learning_rate * (Xt @ err / n + l2 * w)
+        b -= learning_rate * (err.sum(axis=1, keepdims=True) / n)
+    return w[:, :, 0], b[:, 0, 0]
+
+
 class LogisticRegression:
     def __init__(self, epochs=500, l2=1e-4, learning_rate=0.5):
         self.epochs = int(epochs)
@@ -20,19 +42,9 @@ class LogisticRegression:
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng=None):
         X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        n, f = X.shape
-        w = np.zeros(f)
-        b = 0.0
-        for _ in range(self.epochs):
-            p = sigmoid(X @ w + b)
-            err = p - y
-            grad_w = X.T @ err / n + self.l2 * w
-            grad_b = float(err.mean())
-            w -= self.learning_rate * grad_w
-            b -= self.learning_rate * grad_b
-        self.weights = w
-        self.bias = b
+        w, b = descend(X[None], np.asarray(y, dtype=float), self.epochs, self.l2, self.learning_rate)
+        self.weights = w[0]
+        self.bias = float(b[0])
         return self
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:

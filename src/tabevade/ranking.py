@@ -17,10 +17,13 @@ from . import models as models_mod
 from .data import Dataset, fit_scaler, split, transform
 from .errors import RankingError
 from .metrics import recall
-from .models import Model
+from .models import Model, logistic, tree
 from .models.tree import scan_splits
 
 RANKING_METHODS = ("info_gain_ratio", "gini_impurity", "permutation", "rfe", "ffs")
+
+# ffs fits a step's candidates in stacks of at most this many (candidate, row, column) elements
+_FFS_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -147,31 +150,32 @@ def permutation_importance(
     repeats: int = 5,
     seed: int = 0,
 ) -> np.ndarray:
-    """Per-feature mean drop in holdout recall over independent shuffles."""
+    """Per-feature mean drop in holdout recall over independent shuffles.
+
+    Each shuffle permutes one column over all holdout rows, but only the
+    holdout positives are predicted: recall reads no other row, and every
+    model kind scores each row on its own, so the drops are those of
+    predicting the whole shuffled holdout.
+    """
     if not isinstance(probe_model, Model):
         raise RankingError("permutation importance needs a fitted probe model")
     if repeats < 1:
         raise RankingError("repeats must be positive")
     rng = np.random.default_rng(seed)
-    base = recall(probe_model, holdout.X, holdout.y)
+    pos = np.flatnonzero(holdout.y == 1)
+    y_pos = holdout.y[pos]
+    base = recall(probe_model, holdout.X[pos], y_pos)
     n = holdout.n_rows
     scores = np.zeros(holdout.n_features)
     for j in range(holdout.n_features):
         drops = 0.0
         for _ in range(repeats):
             perm = rng.permutation(n)
-            shuffled = holdout.X.copy()
-            shuffled[:, j] = shuffled[perm, j]
-            drops += base - recall(probe_model, shuffled, holdout.y)
+            shuffled = holdout.X[pos]
+            shuffled[:, j] = holdout.X[perm[pos], j]
+            drops += base - recall(probe_model, shuffled, y_pos)
         scores[j] = drops / repeats
     return scores
-
-
-def _fit_scaled(kind: str, Xs: np.ndarray, y: np.ndarray, seed: int):
-    """The bare model of ``kind`` fitted on scaled columns: rfe and ffs fit on column
-    subsets, and part of a one-hot group is no valid :class:`Dataset` for ``models.fit``."""
-    cls, defaults = models_mod._IMPLS[kind]
-    return cls(**defaults).fit(Xs, y, rng=np.random.default_rng(seed))
 
 
 def _by_score(scores, method: str) -> FeatureRanking:
@@ -202,7 +206,9 @@ def rfe_rank(train: Dataset, seed: int = 0) -> FeatureRanking:
     remaining = list(range(X.shape[1]))
     eliminated: list[int] = []
     while len(remaining) > 1:
-        imps = _fit_scaled("decision_tree", Xs[:, remaining], y, seed).importances
+        # a bare tree on scaled columns: part of a one-hot group is no valid Dataset for models.fit
+        impl = tree.DecisionTree(**tree.DEFAULTS).fit(Xs[:, remaining], y, rng=np.random.default_rng(seed))
+        imps = impl.importances
         worst = max(range(len(remaining)), key=lambda k: (-imps[k], remaining[k]))
         eliminated.append(remaining.pop(worst))
     return _by_position(remaining + eliminated[::-1], "rfe")
@@ -214,7 +220,9 @@ def ffs_rank(train: Dataset, seed: int = 0) -> FeatureRanking:
     The holdout is a 75/25 stratified split of ``train``.  Starts from the
     empty model (recall 0); stops once the best candidate no longer improves
     recall, then appends the remaining features ordered by their last
-    evaluated recall.
+    evaluated recall.  Each step fits all its candidates together, in
+    stacks of at most ``_FFS_BLOCK`` elements, with the bits of fitting
+    ``LogisticRegression`` on each candidate's columns alone.
     """
     _class_arrays(train)
     n_features = train.n_features
@@ -222,22 +230,29 @@ def ffs_rank(train: Dataset, seed: int = 0) -> FeatureRanking:
         raise RankingError("forward selection needs at least 2 features")
     train, holdout = split(train, 0.75, seed)
     scaler = fit_scaler(train)
-    Xs = transform(train.X, scaler)
-    Hs = transform(holdout.X, scaler)
-    positives = int((holdout.y == 1).sum())
+    # feature-major copies: XsT[cols] viewed as (C, n, k) lays each slice out
+    # like Xs[:, cols] (F order), so the stacked products take a lone fit's bits
+    XsT = np.ascontiguousarray(transform(train.X, scaler).T)
+    HsT = np.ascontiguousarray(transform(holdout.X, scaler).T)
+    y = train.y.astype(float)
+    positive = holdout.y == 1
+    positives = int(positive.sum())
 
-    def holdout_recall(cols: list[int]) -> float:
-        impl = _fit_scaled("logistic_regression", Xs[:, cols], train.y, seed)
-        preds = impl.predict_scores(Hs[:, cols]) >= 0.5
-        return float((preds & (holdout.y == 1)).sum() / positives)
+    def holdout_recalls(cols: np.ndarray) -> np.ndarray:
+        """Holdout recall of a logistic regression fitted on each row of ``cols``."""
+        w, b = logistic.descend(XsT[cols].transpose(0, 2, 1), y, **logistic.DEFAULTS)
+        scores = logistic.sigmoid((HsT[cols].transpose(0, 2, 1) @ w[:, :, None])[:, :, 0] + b[:, None])
+        return ((scores >= 0.5) & positive).sum(axis=1) / positives
 
     selected: list[int] = []
     current = 0.0
     last_eval = np.zeros(n_features)
     while len(selected) < n_features:
         candidates = [j for j in range(n_features) if j not in selected]
-        for j in candidates:
-            last_eval[j] = holdout_recall(selected + [j])
+        cols = np.array([selected + [j] for j in candidates])
+        step = max(1, _FFS_BLOCK // (cols.shape[1] * XsT.shape[1]))
+        for start in range(0, len(candidates), step):
+            last_eval[candidates[start:start + step]] = holdout_recalls(cols[start:start + step])
         best_j = max(candidates, key=lambda j: last_eval[j])  # the lowest index among equal recalls
         if last_eval[best_j] - current <= 0.0:
             break

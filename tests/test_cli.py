@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+import tabevade.evaluation as evaluation
 from tabevade.cli import run
 from tabevade.data import load_dataset, load_schema, save_dataset_csv, save_schema
+from tabevade.errors import FitError
 from tabevade.synth import census_like_rows, census_like_schema
 
 
@@ -265,3 +267,27 @@ def test_gridsearch_with_a_repeated_value_exits_1(tmp_path, census_files, capsys
     assert code == 1
     assert "n_values repeats a value" in capsys.readouterr().err
     assert not (tmp_path / "rep" / "grid.csv").exists()
+
+
+def test_gridsearch_that_fails_in_a_fit_leaves_no_sink_and_reruns(tmp_path, census_files, monkeypatch, capsys):
+    def broken_fit(kind, train, seed=0):
+        raise FitError(f"{kind} failed")
+
+    data, schema = census_files
+    args = ["gridsearch", "--data", str(data), "--schema", str(schema),
+            "--models", "logistic_regression,decision_tree", "--methods", "gini_impurity",
+            "--n-values", "1,2", "--eps-min", "0.1", "--eps-max", "1.2", "--eps-steps", "3",
+            "--workers", "1", "--out", str(tmp_path)]
+    run_ok(args + ["--run-name", "done"])
+    done = tmp_path / "done" / "grid.csv"
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluation, "fit", broken_fit)
+        assert run(args + ["--run-name", "g"]) == 1
+        assert "logistic_regression failed" in capsys.readouterr().err
+        assert not (tmp_path / "g" / "grid.csv").exists()
+        assert not evaluation.fingerprint_path(tmp_path / "g" / "grid.csv").exists()
+        # a stale resume is still refused before anything is fitted
+        assert run(args + ["--run-name", "stale", "--resume-from", str(done), "--seed", "3"]) == 2
+    run_ok(args + ["--run-name", "g"])
+    assert (tmp_path / "g" / "grid.csv").read_bytes() == done.read_bytes()
+    assert len(read_csv(tmp_path / "g" / "grid.csv")) == 1 + 2 * 2 * 3

@@ -26,7 +26,7 @@ from tabevade.models import (
 from tabevade.models import tree as tree_module
 from tabevade.models.boosting import GradientBoostedTrees, best_mse_split, mse_cost
 from tabevade.models.forest import RandomForest
-from tabevade.models.logistic import LogisticRegression, sigmoid
+from tabevade.models.logistic import DEFAULTS as LOGISTIC_DEFAULTS, LogisticRegression, descend, sigmoid
 from tabevade.models.mlp import MLP
 from tabevade.models.tree import DecisionTree, best_gini_split, best_split, gini_cost, presort
 
@@ -508,3 +508,26 @@ def test_mlp_flat_adam_step_matches_per_array_loop():
     assert model.w2.tobytes() == w2.tobytes()
     assert float(model.b2).hex() == b2.hex()
     assert np.any(model.b1 != 0.0)
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("n_stacked", [1, 7])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_stacked_descent_matches_one_fit_per_slice(k, n_stacked):
+    # forward selection's layout: rows of a feature-major copy, viewed as (C, n, k),
+    # lay each slice out like Xs[:, cols]
+    rng = np.random.default_rng(20 + k)
+    Xs, Hs = rng.random((300, 9)), rng.random((90, 9))
+    y = (Xs[:, 0] + 0.3 * rng.normal(size=300) > 0.5).astype(int)
+    cols = np.array([rng.choice(9, size=k, replace=False) for _ in range(n_stacked)])
+    w, b = descend(np.ascontiguousarray(Xs.T)[cols].transpose(0, 2, 1), y.astype(float), **LOGISTIC_DEFAULTS)
+    scores = sigmoid((np.ascontiguousarray(Hs.T)[cols].transpose(0, 2, 1) @ w[:, :, None])[:, :, 0] + b[:, None])
+    assert w.shape == (n_stacked, k) and b.shape == (n_stacked,)
+    for c in range(n_stacked):
+        lone = LogisticRegression(**LOGISTIC_DEFAULTS).fit(Xs[:, cols[c]], y)
+        assert hexes(w[c]) == hexes(lone.weights)
+        assert b[c].hex() == lone.bias.hex()
+        assert hexes(scores[c]) == hexes(lone.predict_scores(Hs[:, cols[c]]))

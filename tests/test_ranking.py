@@ -6,8 +6,11 @@ from oracles import (
     brute_force_info_gain,
     brute_force_info_gain_ratio,
 )
-from tabevade.data import Dataset, FeatureSchema, FeatureSpec
+import tabevade.models as models_module
+import tabevade.ranking as ranking_module
+from tabevade.data import Dataset, FeatureSchema, FeatureSpec, split
 from tabevade.errors import RankingError
+from tabevade.metrics import recall
 from tabevade.models import fit
 from tabevade.ranking import (
     RANKING_METHODS,
@@ -20,6 +23,7 @@ from tabevade.ranking import (
     rank_features,
     rfe_rank,
 )
+from tabevade.synth import census_like
 
 
 def dataset(X, y, kinds=None):
@@ -265,3 +269,66 @@ def test_ffs_identical_copies_tie_break_by_index():
     column = (rng.random(60) < 0.4).astype(float)
     ds = dataset(np.tile(column[:, None], (1, 4)), column.astype(int))
     assert ffs_rank(ds, seed=0).order == (0, 1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the rankers' shortcuts give the bits of the plain loops
+
+def permutation_all_rows_reference(holdout, probe, repeats, seed):
+    """Every shuffle predicts the whole holdout, positives and negatives."""
+    rng = np.random.default_rng(seed)
+    base = recall(probe, holdout.X, holdout.y)
+    scores = np.zeros(holdout.n_features)
+    for j in range(holdout.n_features):
+        drops = 0.0
+        for _ in range(repeats):
+            perm = rng.permutation(holdout.n_rows)
+            shuffled = holdout.X.copy()
+            shuffled[:, j] = shuffled[perm, j]
+            drops += base - recall(probe, shuffled, holdout.y)
+        scores[j] = drops / repeats
+    return scores
+
+
+def census_holdout(seed):
+    train, _ = split(census_like(n_rows=400, seed=seed), 0.8, seed)
+    return split(train, 0.75, seed)
+
+
+@pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+def test_permutation_matches_all_rows_reference(kind):
+    fit_part, holdout = census_holdout(31)
+    probe = fit(kind, fit_part, hyperparameters={"n_trees": 10} if kind == "random_forest" else None, seed=3)
+    scores = permutation_importance(fit_part, holdout, probe, repeats=3, seed=4)
+    expected = permutation_all_rows_reference(holdout, probe, 3, 4)
+    assert [s.hex() for s in scores] == [s.hex() for s in expected]
+    assert np.any(scores != 0.0)
+
+
+def test_permutation_predicts_only_holdout_positives(monkeypatch):
+    train, holdout = permutation_fixture()
+    probe = fit("decision_tree", train, seed=0)
+    seen = []
+    original = models_module.predict_score
+
+    def spy(model, X):
+        seen.append(np.array(X, dtype=float))
+        return original(model, X)
+
+    monkeypatch.setattr(models_module, "predict_score", spy)
+    permutation_importance(train, holdout, probe, repeats=2, seed=0)
+    positives = holdout.X[holdout.y == 1]
+    assert len(seen) == 1 + 2 * holdout.n_features
+    for X in seen:
+        assert X.shape == positives.shape
+        assert np.sum(np.any(X != positives, axis=0)) <= 1  # at most the shuffled column differs
+
+
+@pytest.mark.parametrize("block", [1, 1 << 40])
+def test_ffs_same_ranking_one_candidate_or_all_per_stack(block, monkeypatch):
+    train, _ = census_holdout(37)
+    expected = ffs_rank(train, seed=6)
+    monkeypatch.setattr(ranking_module, "_FFS_BLOCK", block)
+    ranking = ffs_rank(train, seed=6)
+    assert ranking.order == expected.order
+    assert [float(s).hex() for s in ranking.scores] == [float(s).hex() for s in expected.scores]
