@@ -74,6 +74,15 @@ def gini_cost(left_n, right_n, sums, n: int) -> np.ndarray:
     return (left_n * left_gini + right_n * right_gini) / n
 
 
+def feature_count(max_features, n_features: int) -> int:
+    """How many features a node draws: all for None, floor(sqrt(d)) for "sqrt", else the number given, in [1, d]."""
+    if max_features is None:
+        return n_features
+    if max_features == "sqrt":
+        return max(1, int(np.sqrt(n_features)))
+    return max(1, min(int(max_features), n_features))
+
+
 def presort(X: np.ndarray) -> np.ndarray:
     """Each column's row ids in ascending value order, ties in row order, as a (features x rows) int32 block."""
     ordered = np.empty(X.shape[::-1], dtype=np.int32)
@@ -297,10 +306,7 @@ class DecisionTree:
     def _candidate_features(self, rng: np.random.Generator | None) -> np.ndarray:
         if self._scans_all_features(rng):
             return np.arange(self.n_features)
-        if self.max_features == "sqrt":
-            k = max(1, int(np.sqrt(self.n_features)))
-        else:
-            k = max(1, min(int(self.max_features), self.n_features))
+        k = feature_count(self.max_features, self.n_features)
         return np.sort(rng.choice(self.n_features, size=k, replace=False))
 
     def _visit(self, X, y, rows, ordered, depth, rng, imp):

@@ -4,7 +4,7 @@ Charts embed their data points in a <desc> block so output diffs cleanly.
 """
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 WIDTH, HEIGHT = 640, 400
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 20, 40, 55
@@ -28,10 +28,10 @@ def _header(title: str, data_lines: list[str]) -> list[str]:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f"<desc>{escape(chr(10).join(data_lines))}</desc>",
+        f"<desc>{escape(chr(10).join(data_lines), quote=False)}</desc>",
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" font-size="16" '
-        f'font-family="sans-serif">{escape(title)}</text>',
+        f'font-family="sans-serif">{escape(title, quote=False)}</text>',
     ]
 
 
@@ -41,10 +41,10 @@ def _axes(xlabel: str, ylabel: str) -> list[str]:
         f'<line x1="{x0}" y1="{MARGIN_TOP}" x2="{x0}" y2="{y0}" stroke="black"/>',
         f'<line x1="{x0}" y1="{y0}" x2="{x0 + PLOT_W}" y2="{y0}" stroke="black"/>',
         f'<text x="{x0 + PLOT_W / 2}" y="{HEIGHT - 10}" text-anchor="middle" font-size="13" '
-        f'font-family="sans-serif">{escape(xlabel)}</text>',
+        f'font-family="sans-serif">{escape(xlabel, quote=False)}</text>',
         f'<text x="18" y="{MARGIN_TOP + PLOT_H / 2}" text-anchor="middle" font-size="13" '
         f'font-family="sans-serif" transform="rotate(-90 18 {MARGIN_TOP + PLOT_H / 2})">'
-        f"{escape(ylabel)}</text>",
+        f"{escape(ylabel, quote=False)}</text>",
     ]
 
 
@@ -114,7 +114,7 @@ def bar_chart(bars: list[tuple[str, float]], title: str, xlabel: str, ylabel: st
         )
         parts.append(
             f'<text x="{x + width / 2:.1f}" y="{MARGIN_TOP + PLOT_H + 18}" text-anchor="middle" '
-            f'font-size="11" font-family="sans-serif">{escape(label)}</text>'
+            f'font-size="11" font-family="sans-serif">{escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

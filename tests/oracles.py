@@ -274,3 +274,45 @@ def mlp_adam_reference(X, y, hidden: int, epochs: int, learning_rate: float, bat
                 v_hat = v[k] / (1 - beta2**step)
                 params[k] -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
     return params[0], params[1], params[2], float(params[3][0])
+
+
+def forest_node_draws(trees, X, y, rng, k: int, bootstrap: bool, max_depth: int, min_leaf: int):
+    """``(tree, node, rows, features)`` for every node of a fitted forest, rebuilt from its streams.
+
+    ``trees`` are the forest's trees as ``to_dict`` lists and ``rng`` a
+    generator in the state the forest's fit got it.  The draws follow the
+    documented derivation: one ``SeedSequence`` seeded from
+    ``rng.integers(2**63)`` spawns a generator per tree, which draws the
+    bootstrap sample and then, level by level, one uniform key per
+    (searched node, feature), nodes in level order.  ``rows`` are the node's
+    bootstrap samples (duplicates included), routed down the stored tree by
+    ``X[row][feature] < threshold``.  ``features`` are the k lowest-keyed
+    features in ascending order, or None for a node that is not searched:
+    one at ``max_depth``, with fewer than ``2 * min_leaf`` samples or pure.
+    """
+    import numpy as np
+
+    n, d = len(X), len(X[0])
+    seeds = np.random.SeedSequence(int(rng.integers(2**63))).spawn(len(trees))
+    out = []
+    for t, (tree, seed) in enumerate(zip(trees, seeds)):
+        stream = np.random.default_rng(seed)
+        sample = stream.integers(0, n, size=n).tolist() if bootstrap else list(range(n))
+        level, depth = [(0, sample)], 0
+        while level:
+            searched = [depth < max_depth and len(rows) >= 2 * min_leaf and 0 < sum(y[r] for r in rows) < len(rows)
+                        for _, rows in level]
+            keys = iter(stream.random((sum(searched), d)).tolist())
+            children = []
+            for (node, rows), is_searched in zip(level, searched):
+                features = None
+                if is_searched:
+                    row = next(keys)
+                    features = sorted(sorted(range(d), key=lambda j: (row[j], j))[:k])
+                out.append((t, node, rows, features))
+                if tree["left"][node] != node:
+                    f, cut = tree["feature"][node], tree["threshold"][node]
+                    children.append((tree["left"][node], [r for r in rows if X[r][f] < cut]))
+                    children.append((tree["right"][node], [r for r in rows if not X[r][f] < cut]))
+            level, depth = children, depth + 1
+    return out

@@ -1,14 +1,19 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import tabevade
 import tabevade.evaluation as evaluation
 from tabevade.cli import run
 from tabevade.data import load_dataset, load_schema, save_dataset_csv, save_schema
 from tabevade.errors import FitError
+from tabevade.svgchart import bar_chart, line_chart
 from tabevade.synth import census_like_rows, census_like_schema
 
 
@@ -154,6 +159,26 @@ def test_curves_outputs_csvs_svgs_and_summary(tmp_path, census_files):
     assert summary[1][0] == "logistic_regression"
 
 
+def test_chart_text_is_escaped_as_before():
+    # the bytes xml.sax.saxutils.escape gave: &, < and > as entities, quotes kept
+    text = "a&b <c> \"d\" 'e'"
+    escaped = "a&amp;b &lt;c&gt; \"d\" 'e'"
+    line = line_chart([(0.0, 0.5), (1.0, 0.25)], text, text, text)
+    bar = bar_chart([(text, 0.5)], text, "x", "y")
+    assert line.count(f">{escaped}</text>") == 3
+    assert f">{escaped}</text>" in bar and f"<desc>{escaped},0.5</desc>" in bar
+    for svg in (line, bar):
+        ET.fromstring(svg)
+
+
+def test_cli_import_loads_no_network_modules():
+    code = ("import sys, tabevade.cli; "
+            "print([m for m in ('urllib.request', 'http.client', 'ssl') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(tabevade.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_extract_writes_52_feature_columns(tmp_path):
     run_ok(["synth", "--dataset", "webpages", "--rows", "10", "--seed", "2",
             "--out", str(tmp_path), "--run-name", "pages"])
@@ -237,6 +262,25 @@ def test_gridsearch_resume_with_other_flags_exits_2(tmp_path, census_files, caps
     assert sink.read_bytes() == written
     run_ok(args + ["--run-name", "same", "--resume-from", str(sink)])
     assert (tmp_path / "same" / "grid.csv").read_bytes() == written
+
+
+def test_gridsearch_resume_of_a_sink_from_another_version_exits_2(tmp_path, census_files, capsys):
+    data, schema = census_files
+    args = ["gridsearch", "--data", str(data), "--schema", str(schema),
+            "--models", "logistic_regression", "--methods", "gini_impurity",
+            "--n-values", "1", "--eps-min", "0.1", "--eps-max", "1.2", "--eps-steps", "3",
+            "--workers", "1", "--out", str(tmp_path)]
+    run_ok(args + ["--run-name", "first"])
+    sink = tmp_path / "first" / "grid.csv"
+    fingerprint = evaluation.fingerprint_path(sink)
+    stored = json.loads(fingerprint.read_text(encoding="utf-8"))
+    assert stored["version"] == tabevade.__version__
+    fingerprint.write_text(json.dumps({**stored, "version": "0.1.0"}), encoding="utf-8")
+    written = sink.read_bytes()
+    capsys.readouterr()
+    assert run(args + ["--run-name", "again", "--resume-from", str(sink)]) == 2
+    assert "(differing: version)" in capsys.readouterr().err
+    assert sink.read_bytes() == written
 
 
 def test_gridsearch_refuses_a_run_dir_that_holds_a_grid(tmp_path, census_files, capsys):

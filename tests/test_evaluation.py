@@ -9,6 +9,7 @@ from oracles import brute_force_auprc, confusion_recall
 from tabevade.attack import AttackConfig, build_plan
 from tabevade.data import Dataset, FeatureSchema, FeatureSpec, split
 from tabevade.errors import FitError, MetricError, ResumeError, TabevadeError
+import tabevade
 from tabevade import evaluation
 from tabevade.evaluation import (
     GRID_COLUMNS,
@@ -429,6 +430,19 @@ def test_grid_resume_refuses_a_sink_written_for_other_inputs(tmp_path):
     assert grid_search(train, test, spec, seed=0, sink=sink).records == GridResult.from_csv(sink).records
     fresh = grid_search(other_train, other_test, spec, seed=3)
     assert fresh.records != GridResult.from_csv(sink).records
+
+
+def test_grid_resume_refuses_a_sink_fingerprinted_by_another_version(tmp_path):
+    train, test = split(gaussian_blobs(60, seed=6, separation=1.0), 0.7, seed=0)
+    spec = GridSpec(n_values=(1,), epsilon_values=(0.5,), methods=("gini_impurity",),
+                    model_kinds=("decision_tree",))
+    sink = tmp_path / "grid.csv"
+    grid_search(train, test, spec, seed=0, sink=sink)
+    stored = json.loads(fingerprint_path(sink).read_text(encoding="utf-8"))
+    assert stored["version"] == tabevade.__version__
+    fingerprint_path(sink).write_text(json.dumps({**stored, "version": "0.1.0"}), encoding="utf-8")
+    with pytest.raises(ResumeError, match=r"\(differing: version\)"):
+        grid_search(train, test, spec, seed=0, sink=sink)
 
 
 def test_grid_resume_of_a_sink_without_fingerprint_writes_one(tmp_path):

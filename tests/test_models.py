@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 from oracles import (
+    forest_node_draws,
+    gini,
     mlp_adam_reference,
     node_split_reference,
     split_costs,
@@ -23,6 +25,7 @@ from tabevade.models import (
     predict_score,
     save_model,
 )
+from tabevade.models import forest as forest_module
 from tabevade.models import tree as tree_module
 from tabevade.models.boosting import GradientBoostedTrees, best_mse_split, mse_cost
 from tabevade.models.forest import RandomForest
@@ -477,6 +480,42 @@ def test_presorted_and_node_sorted_trees_are_identical(seed):
     assert presorted.flat.left.size > 5
     assert presorted.flat.to_dict() == at_node.flat.to_dict()
     assert presorted.importances.tolist() == at_node.importances.tolist()
+
+
+@pytest.mark.parametrize(("min_leaf", "max_features", "bootstrap"),
+                         [(1, "sqrt", True), (2, "sqrt", True), (4, 5, True), (2, None, False)])
+def test_forest_splits_match_node_reference_on_documented_streams(monkeypatch, min_leaf, max_features, bootstrap):
+    # small blocks, so trees grow in several batches and levels are costed in many sorts
+    monkeypatch.setattr(forest_module, "_TREE_BLOCK", 200)
+    monkeypatch.setattr(forest_module, "_PAIR_BLOCK", 64)
+    rng = np.random.default_rng(min_leaf)
+    base = rng.integers(0, 5, size=(40, 9)).astype(float)
+    X = base[rng.integers(0, 40, size=90)]  # ties and repeated rows
+    X[:, 4] = rng.random(90)  # one column of distinct values
+    y = ((X[:, 0] + X[:, 3] + rng.normal(0, 1.5, size=90)) > 4).astype(int)
+    forest = RandomForest(n_trees=6, max_depth=5, min_leaf=min_leaf, max_features=max_features,
+                          bootstrap=bootstrap).fit(X, y, np.random.default_rng(30))
+    trees = [t.to_dict() for t in forest.trees]
+    k = {"sqrt": 3, 5: 5, None: 9}[max_features]
+    Xl, yl = X.tolist(), y.tolist()
+    nodes = forest_node_draws(trees, Xl, yl, np.random.default_rng(30), k, bootstrap, 5, min_leaf)
+    assert sorted((t, node) for t, node, _, _ in nodes) == [(t, i) for t, tree in enumerate(trees)
+                                                            for i in range(len(tree["left"]))]
+    gains = np.zeros((len(trees), 9))
+    for t, node, rows, features in nodes:
+        tree = trees[t]
+        assert tree["n_samples"][node] == len(rows)
+        assert tree["value"][node] == sum(yl[r] for r in rows) / len(rows)
+        expected = None if features is None else node_split_reference(Xl, rows, [yl], features, "gini", min_leaf)
+        if expected is None:
+            assert tree["left"][node] == node, (t, node)
+        else:
+            assert tree["left"][node] != node, (t, node)
+            assert (tree["feature"][node], tree["threshold"][node]) == (expected[1], expected[2]), (t, node)
+            gains[t, expected[1]] += len(rows) * max(gini([yl[r] for r in rows]) - expected[0], 0.0)
+    assert sum(left != node for tree in trees for node, left in enumerate(tree["left"])) > 30
+    for t, tree in enumerate(forest.trees):
+        assert tree.importances == pytest.approx(gains[t] / gains[t].sum(), rel=1e-12, abs=1e-15)
 
 
 def test_grow_tree_partitions_no_order_for_children_at_max_depth():
