@@ -33,6 +33,8 @@ preorder, so each tree is the :class:`tree.FlatTree` a decision tree holds.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .tree import DecisionTree, FlatTree, feature_count, gini_cost, traverse
@@ -91,7 +93,7 @@ class RandomForest:
         levels = []  # per level: its nodes' (tree, feature, threshold, value, n_samples, gain)
         links = []  # per level: the ids of its split nodes and of their left children
         count = 0  # nodes numbered so far, level by level
-        for depth in range(self.max_depth + 1):
+        for depth in itertools.count():
             m = tree.size
             # a midpoint that rounds onto the lower of two adjacent values can leave a child empty
             value = ones / np.maximum(sizes, 1)
@@ -101,7 +103,7 @@ class RandomForest:
             searched = np.flatnonzero(is_searched)
             feature, threshold, gain = np.zeros(m, dtype=np.intp), np.zeros(m), np.zeros(m)  # set below at splits
             levels.append((tree, feature, threshold, value, sizes, gain))
-            if depth == self.max_depth or searched.size == 0:
+            if depth >= self.max_depth or searched.size == 0:
                 break
             rows = rows[np.repeat(is_searched, sizes)]
             counts = np.bincount(tree[searched], minlength=n_trees).tolist()
@@ -158,7 +160,7 @@ def code_columns(X: np.ndarray, y: np.ndarray):
 
 
 def _int_type(bound: int):
-    """int32 when every value stays below ``bound`` and it fits, for faster sorts; int64 otherwise."""
+    """The narrower of int32 and int64 that holds every value below ``bound`` (int32 sorts faster)."""
     return np.int32 if bound < 2**31 else np.int64
 
 
