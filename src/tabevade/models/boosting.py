@@ -27,14 +27,6 @@ def mse_cost(left_n, right_n, sums, n: int) -> np.ndarray:
     return left_sse + right_sse
 
 
-def best_mse_split(col: np.ndarray, target: np.ndarray, min_leaf: int):
-    """Best threshold minimizing weighted child variance; None if no split."""
-    target = np.asarray(target, dtype=float)
-    found = best_split(np.asarray(col, dtype=float)[:, None], np.arange(col.size), [0],
-                       (target, target * target), mse_cost, min_leaf)
-    return None if found is None else (found[0], found[2])
-
-
 def _grow_regression_tree(X, ordered, residual, hessian, max_depth: int, min_leaf: int) -> FlatTree:
     """Squared-error tree on ``residual`` whose leaves hold Newton steps; ``ordered`` is ``presort(X)``."""
     targets = (residual, residual * residual)

@@ -1,18 +1,21 @@
-"""CART-style binary classification tree (Gini criterion) and the flat tree
-layout every tree model shares.
+"""CART-style binary classification tree (Gini criterion), the flat tree
+layout every tree model shares, and the two growers that build them.
 
-Splits are searched over midpoints between consecutive distinct sorted
-values; ties break toward the lower feature index and lower threshold so
-training is fully deterministic.  One vectorized scan costs every boundary
-of every candidate feature of a node (:func:`best_split`).  A tree that
-scans all features sorts each column once per fit and partitions that
-order down the tree; a tree drawing a few features per node sorts those at
-the node.  The fitted tree also exposes impurity-decrease feature
+Splits are searched over the boundaries between distinct sorted values, at
+their :func:`midpoint`.  Each feature keeps its lowest-threshold minimum and
+a later feature replaces the best only when cheaper by more than 1e-15, so
+training is fully deterministic.  Gini trees (:class:`DecisionTree`, rfe's
+trees and every tree of a random forest) grow level by level through one
+grower, :func:`grow_trees`, as XGBoost's depthwise ``exact`` grower does
+(Chen & Guestrin, KDD 2016).  Boosting's squared-error trees grow depth
+first, through :func:`grow_tree` and the presorted node scan
+:func:`best_split`.  The fitted tree also exposes impurity-decrease feature
 importances, which recursive feature elimination uses as its default
 estimator signal.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -31,6 +34,9 @@ _TRAVERSE_BLOCK = 1 << 14
 # row) pairs at a time, which keeps each temporary array at 32 KB however
 # large the node
 _SCAN_BLOCK = 1 << 12
+# grow_trees() costs at most this many (drawn feature, sample) pairs in one
+# sort, which keeps each temporary array of a level's scan at 256 KB
+_PAIR_BLOCK = 1 << 15
 
 
 def scan_splits(values: np.ndarray, min_leaf: int, *targets: np.ndarray):
@@ -43,8 +49,8 @@ def scan_splits(values: np.ndarray, min_leaf: int, *targets: np.ndarray):
     ``(left_n, right_n, sums, valid, threshold)``: the row counts below and at
     or above each boundary (as floats, shared by every row), each target's
     ``(left, right)`` sums there (as floats), the mask of boundaries between
-    two distinct values, and ``threshold(i, b)``, the midpoint of the two
-    values around boundary ``b`` of row ``i``.
+    two distinct values, and ``threshold(i, b)``, the :func:`midpoint` of the
+    two values around boundary ``b`` of row ``i``.
     """
     n = values.shape[1]
     first, stop = max(min_leaf, 1) - 1, n - max(min_leaf, 1)  # stop excluded
@@ -60,10 +66,20 @@ def scan_splits(values: np.ndarray, min_leaf: int, *targets: np.ndarray):
         sums.append((left, running[:, -1:] - left))
 
     def threshold(i: int, b: int) -> float:
-        return float(0.5 * (values[i, first + b] + values[i, first + b + 1]))
+        return float(midpoint(values[i, first + b], values[i, first + b + 1]))
 
     left_n = np.arange(first, stop) + 1.0
     return left_n, n - left_n, sums, valid, threshold
+
+
+def midpoint(low, high):
+    """The split threshold between values ``low < high``: their midpoint, or ``high`` if it rounds onto ``low``.
+
+    Either way ``low < threshold <= high``, so ``X < threshold`` sends
+    ``low`` left and ``high`` right, also when ``high`` is the next double.
+    """
+    mid = 0.5 * (low + high)
+    return np.where(mid > low, mid, high)
 
 
 def gini_cost(left_n, right_n, sums, n: int) -> np.ndarray:
@@ -91,17 +107,17 @@ def presort(X: np.ndarray) -> np.ndarray:
     return ordered
 
 
-def best_split(X, rows, features, targets, cost, min_leaf: int, ordered=None):
+def best_split(X, rows, features, targets, cost, min_leaf: int, ordered):
     """Cheapest ``(cost, feature, threshold)`` splitting ``rows`` on one of ``features``, or None.
 
     ``X`` is the C-contiguous training matrix, ``targets`` are arrays over
     all its rows, and ``cost`` maps a :func:`scan_splits` result and the row
-    count to a cost per boundary.  ``ordered[i]``, when given, holds ``rows``
-    sorted by ``features[i]``; otherwise the columns are sorted here.
-    Features are scanned in blocks of at most ``_SCAN_BLOCK`` (feature, row)
-    pairs.  Each feature's cheapest boundary is its first (lowest threshold)
-    minimum, and in feature order only a strict improvement replaces the
-    best, so ties keep the lowest feature index.
+    count to a cost per boundary.  ``ordered[i]`` holds ``rows`` sorted by
+    ``features[i]``.  Features are scanned in blocks of at most
+    ``_SCAN_BLOCK`` (feature, row) pairs.  Each feature's cheapest boundary
+    is its first (lowest threshold) minimum, and in feature order only a
+    strict improvement replaces the best, so ties keep the lowest feature
+    index.
     """
     features = np.asarray(features)
     flat, width = X.ravel(), np.intp(X.shape[1])
@@ -110,10 +126,7 @@ def best_split(X, rows, features, targets, cost, min_leaf: int, ordered=None):
     step = max(1, _SCAN_BLOCK // max(n, 1))
     for start in range(0, features.size, step):
         block = features[start:start + step, None]
-        if ordered is None:
-            ids = rows[np.argsort(flat[rows * width + block], axis=1, kind="stable")]
-        else:
-            ids = ordered[start:start + step]
+        ids = ordered[start:start + step]
         values = flat[ids * width + block]
         scan = scan_splits(values, min_leaf, *(target[ids] for target in targets))
         if scan is None:
@@ -125,15 +138,6 @@ def best_split(X, rows, features, targets, cost, min_leaf: int, ordered=None):
             if found < best[0] - 1e-15:
                 best = (found, int(block[i, 0]), threshold(i, int(at[i])))
     return best if best[1] >= 0 else None
-
-
-def best_gini_split(col: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Best threshold for one feature: (weighted child impurity, threshold).
-
-    Returns None when no split keeps ``min_leaf`` rows on both sides.
-    """
-    found = best_split(np.asarray(col, dtype=float)[:, None], np.arange(col.size), [0], (y,), gini_cost, min_leaf)
-    return None if found is None else (found[0], found[2])
 
 
 @dataclass(eq=False)
@@ -209,17 +213,17 @@ class FlatTree:
         return cls(**joined, roots=roots)
 
 
-def grow_tree(X: np.ndarray, visit, ordered: np.ndarray | None, max_depth: int) -> FlatTree:
+def grow_tree(X: np.ndarray, visit, ordered: np.ndarray, max_depth: int) -> FlatTree:
     """Grow a tree depth first, left before right, numbering nodes in preorder.
 
     ``visit(rows, ordered, depth)`` returns a node's value and its split as
     ``best_split`` gives it, or None to make the node a leaf.  ``rows`` are
-    the node's row ids in ascending order.  Given a :func:`presort` block,
-    the tree stable-partitions it in place at every split (as SLIQ does,
-    Mehta et al. 1996), so each node gets a view of it holding its rows
-    sorted by every column; otherwise every node gets None.  Nodes at
-    ``max_depth`` get None too, so ``visit`` must make them leaves without
-    reading ``ordered``.
+    the node's row ids in ascending order.  ``ordered`` starts as the
+    :func:`presort` block, which the tree stable-partitions in place at
+    every split (as SLIQ does, Mehta et al. 1996), so each node gets a view
+    of it holding its rows sorted by every column.  Nodes at ``max_depth``
+    get None instead, so ``visit`` must make them leaves without reading
+    ``ordered``.
     """
     nodes: list[list] = []  # one list of NODE_FIELDS per node
     goes_left = np.zeros(X.shape[0], dtype=bool)
@@ -237,7 +241,7 @@ def grow_tree(X: np.ndarray, visit, ordered: np.ndarray | None, max_depth: int) 
         nodes[node][:2] = [feature, threshold]
         mask = X[rows, feature] < threshold
         left = right = None
-        if ordered is not None and depth + 1 < max_depth:
+        if depth + 1 < max_depth:
             goes_left[rows] = mask
             n_left = int(np.count_nonzero(mask))
             step = max(1, _SCAN_BLOCK // rows.size)
@@ -277,6 +281,213 @@ def traverse(tree: FlatTree, X: np.ndarray, reduce: Callable[[np.ndarray], np.nd
     return out
 
 
+def tree_streams(rng: np.random.Generator, n_trees: int) -> list[np.random.Generator]:
+    """One generator per tree: ``SeedSequence(rng.integers(2**63)).spawn(n_trees)``, in tree order."""
+    return [np.random.default_rng(seed) for seed in np.random.SeedSequence(int(rng.integers(2**63))).spawn(n_trees)]
+
+
+def code_columns(X: np.ndarray, y: np.ndarray):
+    """The training matrix as sort keys: ``(keyed, distinct, offsets, span)``.
+
+    Code c of column j stands for the c-th smallest distinct value of column
+    j; ``keyed`` is the (n x d) int32 block of ``2 * code + label`` of every
+    cell, ``distinct`` holds every column's sorted distinct values end to
+    end, ``offsets`` each column's offset into them, and ``span`` exceeds
+    every code.
+    """
+    keyed = np.empty(X.shape, dtype=np.int32)
+    distinct = []
+    for j, column in enumerate(X.T):
+        values, keyed[:, j] = np.unique(column, return_inverse=True)
+        distinct.append(values)
+    keyed *= 2
+    keyed += y[:, None].astype(np.int32)
+    offsets = np.cumsum([0] + [values.size for values in distinct[:-1]])
+    span = max((values.size for values in distinct), default=0)
+    return keyed, np.concatenate([np.empty(0), *distinct]), offsets, span
+
+
+def grow_trees(X, y, columns, rows, streams, k: int, max_depth: int, min_leaf: int):
+    """Gini trees grown together level by level, as one ``(FlatTree, importances)`` pair per tree.
+
+    Tree t grows on the t-th run of n (= ``X.shape[0]``) samples of ``rows``
+    and its searched nodes draw k of the d features from ``streams[t]``, as
+    :mod:`forest` documents; with k equal to d nothing is drawn.  Every
+    (node, drawn feature, boundary) of a level is costed in one segmented
+    pass per block of nodes over ``columns``, :func:`code_columns` of ``(X,
+    y)``: sorting (pair, code, label) keys gives every group's sample and
+    positive counts, which :func:`gini_cost` turns into costs.  The nodes are
+    renumbered to preorder at the end.  ``importances`` are each feature's
+    impurity decrease times node size, summed in preorder and normalised to
+    sum 1 (all zeros for a tree that never splits).
+    """
+    n, d = X.shape
+    n_trees = len(streams)
+    tree = np.arange(n_trees)  # per node of the level: its tree, sample count and positive count
+    sizes = np.full(n_trees, n)
+    ones = y[rows].reshape(n_trees, n).sum(axis=1)
+    levels = []  # per level: its nodes' (tree, feature, threshold, value, n_samples, gain)
+    links = []  # per level: the ids of its split nodes and of their left children
+    count = 0  # nodes numbered so far, level by level
+    for depth in itertools.count():
+        m = tree.size
+        value = ones / np.maximum(sizes, 1)  # only a tree fitted on no rows has an empty node
+        p0 = (sizes - ones) / np.maximum(sizes, 1)
+        impurity = 1.0 - (p0 * p0 + value * value)
+        is_searched = (sizes > 0) & (sizes >= 2 * min_leaf) & (impurity != 0.0)
+        searched = np.flatnonzero(is_searched)
+        feature, threshold, gain = np.zeros(m, dtype=np.intp), np.zeros(m), np.zeros(m)  # set below at splits
+        levels.append((tree, feature, threshold, value, sizes, gain))
+        if depth >= max_depth or searched.size == 0 or d == 0:
+            break
+        rows = rows[np.repeat(is_searched, sizes)]
+        if k < d:
+            counts = np.bincount(tree[searched], minlength=n_trees).tolist()
+            keys = np.concatenate([g.random((c, d)) for g, c in zip(streams, counts) if c])
+            drawn = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :k], axis=1)
+        else:
+            drawn = np.broadcast_to(np.arange(d), (searched.size, d))
+        cost, best, cut = cheapest_splits(rows, sizes[searched], ones[searched], drawn, columns, min_leaf)
+        split = np.isfinite(cost)
+        if not split.any():
+            break
+        parents = searched[split]
+        feature[parents], threshold[parents] = best[split], cut[split]
+        gain[parents] = sizes[parents] * np.maximum(impurity[parents] - cost[split], 0.0)
+        links.append((count + parents, count + m + 2 * np.arange(parents.size)))
+        count += m
+        rows, sizes, ones = _partition(X, y, rows[np.repeat(split, sizes[searched])], sizes[parents],
+                                       feature[parents], threshold[parents])
+        tree = np.repeat(tree[parents], 2)
+    grown = []
+    for flat, gain in _preorder(levels, links, n_trees):
+        importances = np.bincount(flat.feature, weights=gain, minlength=d)  # summed in preorder
+        total = importances.sum()
+        grown.append((flat, importances / total if total > 0 else importances))
+    return grown
+
+
+def _int_type(bound: int):
+    """The narrower of int32 and int64 that holds every value below ``bound`` (int32 sorts faster)."""
+    return np.int32 if bound < 2**31 else np.int64
+
+
+def cheapest_splits(rows, sizes, ones, drawn, columns, min_leaf: int):
+    """Each node's cheapest ``(cost, feature, threshold)`` over its drawn features, as three arrays.
+
+    ``rows`` holds the samples of every node (duplicates included), node
+    after node; node i has ``sizes[i]`` samples, ``ones[i]`` of them
+    positive, and draws the ascending features ``drawn[i]``.  ``columns`` is
+    :func:`code_columns` of the training data.  A node without a valid
+    split gets cost ``inf``, feature 0 and threshold 0.0.  Each sort costs
+    at most ``_PAIR_BLOCK`` (feature, sample) pairs: whole nodes at once,
+    or a lone larger node a slice of its drawn features at a time.
+    """
+    n_nodes, k = drawn.shape
+    pair_cost, pair_threshold = np.full((n_nodes, k), np.inf), np.zeros((n_nodes, k))
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < n_nodes:
+        first = ends[start] - sizes[start]
+        stop = max(start + 1, int(np.searchsorted(ends, first + _PAIR_BLOCK // k, side="right")))
+        width = min(k, max(1, _PAIR_BLOCK // int(ends[stop - 1] - first)))  # k unless one node exceeds a block
+        for slot in range(0, k, width):
+            found = _cost_pairs(rows[first:ends[stop - 1]], sizes[start:stop], ones[start:stop],
+                                drawn[start:stop, slot:slot + width], columns, min_leaf)
+            if found is not None:
+                node, slots, costs, thresholds = found
+                pair_cost[start + node, slot + slots], pair_threshold[start + node, slot + slots] = costs, thresholds
+        start = stop
+    cost, feature, threshold = np.full(n_nodes, np.inf), np.zeros(n_nodes, dtype=np.intp), np.zeros(n_nodes)
+    for slot in range(k):  # in feature order, only a clear improvement replaces the best
+        better = pair_cost[:, slot] < cost - 1e-15
+        cost[better], feature[better] = pair_cost[better, slot], drawn[better, slot]
+        threshold[better] = pair_threshold[better, slot]
+    return cost, feature, threshold
+
+
+def _cost_pairs(rows, sizes, ones, drawn, columns, min_leaf):
+    """Each (node, drawn feature) pair's first cheapest split, as ``(node, slot, cost, threshold)`` arrays.
+
+    Pairs without a valid boundary are left out; None when no pair has one.
+    """
+    keyed, distinct, offsets, span = columns
+    n_nodes, k = drawn.shape
+    pair_size = np.repeat(sizes, k)  # pair p = node * k + slot
+    pair_start = np.cumsum(pair_size) - pair_size
+    # one key per (pair, sample): (pair * span + code) * 2 + label
+    keys = np.repeat(np.arange(0, 2 * span * pair_size.size, 2 * span, dtype=_int_type(2 * span * pair_size.size))
+                     .reshape(n_nodes, k), sizes, axis=0)
+    cells = np.repeat(drawn, sizes, axis=0)
+    cells += rows[:, None] * keyed.shape[1]
+    keys += keyed.ravel().take(cells)
+    keys = np.sort(keys, axis=None)  # by pair, then code, then label
+    group = keys >> 1
+    last = np.flatnonzero(group[1:] != group[:-1])  # each group's last position, but the final group's
+    at = group[last] // span  # the pair left of each boundary
+    left_n = last + 1 - pair_start[at]
+    right_n = pair_size[at] - left_n
+    valid = np.flatnonzero((left_n >= max(min_leaf, 1)) & (right_n >= max(min_leaf, 1)))
+    if valid.size == 0:
+        return None
+    last, at, left_n, right_n = last[valid], at[valid], left_n[valid], right_n[valid]
+    positives = np.cumsum(keys & 1)
+    left_ones = positives[last] - np.concatenate([[0], positives[pair_start[1:] - 1]])[at]
+    right_ones = ones[at // k] - left_ones
+    costs = gini_cost(left_n.astype(float), right_n.astype(float),
+                      [(left_ones.astype(float), right_ones.astype(float))], pair_size[at])
+    heads = np.flatnonzero(np.concatenate([[True], at[1:] != at[:-1]]))
+    lowest = np.repeat(np.minimum.reduceat(costs, heads), np.diff(np.append(heads, costs.size)))
+    hits = np.flatnonzero(costs == lowest)
+    hits = hits[np.concatenate([[True], at[hits[1:]] != at[hits[:-1]]])]  # each pair's first minimum
+    node, slot = np.divmod(at[hits], k)
+    below, above = group[last[hits]] - at[hits] * span, group[last[hits] + 1] - at[hits] * span  # codes either side
+    column = offsets[drawn[node, slot]]
+    return node, slot, costs[hits], midpoint(distinct[column + below], distinct[column + above])
+
+
+def _partition(X, y, rows, sizes, feature, threshold):
+    """The samples of every split node regrouped into its two children, left then right.
+
+    Returns the regrouped samples, in row order within each child, and each
+    child's sample and positive counts; a sample goes left when
+    ``X[row, feature] < threshold``.
+    """
+    n, d = X.shape
+    node = np.repeat(np.arange(sizes.size), sizes)
+    child = 2 * node + (X.ravel().take(rows * d + feature[node]) >= threshold[node])
+    counts = np.bincount(child, minlength=2 * sizes.size)
+    ones = np.bincount(child, weights=y[rows], minlength=2 * sizes.size).astype(np.intp)
+    keys = (child * n + rows).astype(_int_type(2 * sizes.size * n))
+    return (np.sort(keys) % n).astype(np.intp), counts, ones
+
+
+def _preorder(levels, links, n_trees: int) -> list[tuple[FlatTree, np.ndarray]]:
+    """Split level-ordered nodes into one preorder ``(FlatTree, gain)`` pair per tree.
+
+    Node ids run level by level; ``links`` gives each level's split nodes
+    and their left children, whose right siblings follow them.
+    """
+    tree, feature, threshold, value, n_samples, gain = (np.concatenate(field) for field in zip(*levels))
+    ids = np.arange(tree.size)
+    left, right = ids.copy(), ids.copy()
+    subtree = np.ones(tree.size, dtype=np.intp)
+    for parents, lefts in reversed(links):
+        left[parents], right[parents] = lefts, lefts + 1
+        subtree[parents] += subtree[lefts] + subtree[lefts + 1]
+    local = np.zeros(tree.size, dtype=np.intp)  # preorder id within the node's tree
+    for parents, lefts in links:
+        local[lefts] = local[parents] + 1
+        local[lefts + 1] = local[parents] + 1 + subtree[lefts]
+    ends = np.cumsum(subtree[:n_trees])  # the roots are the first n_trees nodes
+    starts = ends - subtree[:n_trees]
+    order = np.empty(tree.size, dtype=np.intp)
+    order[starts[tree] + local] = ids
+    fields = [field[order] for field in (feature, threshold, local[left], local[right], value, n_samples)]
+    gain = gain[order]
+    return [(FlatTree(*(field[start:stop] for field in fields)), gain[start:stop]) for start, stop in zip(starts, ends)]
+
+
 class DecisionTree:
     def __init__(self, max_depth=12, min_leaf=2, max_features=None):
         self.max_depth = int(max_depth)
@@ -287,42 +498,19 @@ class DecisionTree:
         self.importances: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator | None = None):
+        """Grow on every row, drawing ``max_features`` per node as a one-tree forest without bootstrap does.
+
+        Without ``rng`` every node scans every feature.
+        """
         X = np.ascontiguousarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
-        self.n_features = X.shape[1]
-        imp = np.zeros(self.n_features)
-        # a tree that scans every feature at every node sorts each column once;
-        # one drawing a few features per node sorts just those, at the node
-        ordered = presort(X) if self._scans_all_features(rng) else None
-        self.flat = grow_tree(X, lambda rows, ordered, depth: self._visit(X, y, rows, ordered, depth, rng, imp),
-                              ordered, self.max_depth)
-        total = imp.sum()
-        self.importances = imp / total if total > 0 else imp
+        y = np.asarray(y, dtype=np.intp)
+        n, d = X.shape
+        k = d if rng is None else feature_count(self.max_features, d)
+        streams = [None] if rng is None else tree_streams(rng, 1)
+        [(self.flat, self.importances)] = grow_trees(X, y, code_columns(X, y), np.arange(n), streams, k,
+                                                     self.max_depth, self.min_leaf)
+        self.n_features = d
         return self
-
-    def _scans_all_features(self, rng: np.random.Generator | None) -> bool:
-        return self.max_features is None or rng is None
-
-    def _candidate_features(self, rng: np.random.Generator | None) -> np.ndarray:
-        if self._scans_all_features(rng):
-            return np.arange(self.n_features)
-        k = feature_count(self.max_features, self.n_features)
-        return np.sort(rng.choice(self.n_features, size=k, replace=False))
-
-    def _visit(self, X, y, rows, ordered, depth, rng, imp):
-        n = rows.size
-        if n == 0:
-            return 0.0, None
-        ones = int(y[rows].sum())
-        p0, p1 = (n - ones) / n, ones / n  # class shares from exact counts
-        value, parent_gini = p1, 1.0 - (p0 * p0 + p1 * p1)
-        if depth >= self.max_depth or n < 2 * self.min_leaf or parent_gini == 0.0:
-            return value, None
-        found = best_split(X, rows, self._candidate_features(rng), (y,), gini_cost, self.min_leaf, ordered)
-        if found is not None:
-            # zero-gain splits are allowed (XOR-style patterns need them to start)
-            imp[found[1]] += n * max(parent_gini - found[0], 0.0)
-        return value, found
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         return traverse(self.flat, X, lambda leaves: self.flat.value[leaves[0]])

@@ -228,7 +228,8 @@ def node_split_reference(X, rows, targets, features, criterion: str, min_leaf: i
                 (ls, lq), (rs, rq) = left, right
                 cost = (lq - ls * ls / left_n) + (rq - rs * rs / right_n)
             if cost < cheapest[0]:
-                cheapest = (cost, 0.5 * (values[p] + values[p + 1]))
+                mid = 0.5 * (values[p] + values[p + 1])  # or the upper value, when the midpoint rounds onto the lower
+                cheapest = (cost, mid if mid > values[p] else values[p + 1])
         if cheapest[0] < best[0] - 1e-15:
             best = (cheapest[0], j, cheapest[1])
     return best if best[1] >= 0 else None

@@ -27,11 +27,11 @@ from tabevade.models import (
 )
 from tabevade.models import forest as forest_module
 from tabevade.models import tree as tree_module
-from tabevade.models.boosting import GradientBoostedTrees, best_mse_split, mse_cost
+from tabevade.models.boosting import GradientBoostedTrees, mse_cost
 from tabevade.models.forest import RandomForest
 from tabevade.models.logistic import DEFAULTS as LOGISTIC_DEFAULTS, LogisticRegression, descend, sigmoid
 from tabevade.models.mlp import MLP
-from tabevade.models.tree import DecisionTree, best_gini_split, best_split, gini_cost, presort
+from tabevade.models.tree import DecisionTree, best_split, gini_cost, presort
 
 
 def schema_of(n):
@@ -390,7 +390,7 @@ def test_load_rejects_invalid_flat_arrays(tmp_path, edit, match):
 @pytest.mark.parametrize("criterion", ["gini", "mse"])
 def test_best_split_matches_brute_force(criterion, min_leaf):
     rng = np.random.default_rng(min_leaf)
-    scan, cost = (best_gini_split, weighted_gini) if criterion == "gini" else (best_mse_split, squared_deviations)
+    cost, reference = (gini_cost, weighted_gini) if criterion == "gini" else (mse_cost, squared_deviations)
     for trial in range(60):
         n = int(rng.integers(1, 16))
         # few distinct values and targets, so equal costs are common
@@ -399,15 +399,17 @@ def test_best_split_matches_brute_force(criterion, min_leaf):
             target = rng.integers(0, 2, size=n)
         else:
             target = rng.choice([-1.0, 0.0, 0.5, 2.0], size=n)
-        found = scan(col, target, min_leaf)
-        candidates = split_costs(col.tolist(), target.tolist(), min_leaf, cost)
+        targets = (target,) if criterion == "gini" else (target, target * target)
+        X = col[:, None]
+        found = best_split(X, np.arange(n), [0], targets, cost, min_leaf, presort(X))
+        candidates = split_costs(col.tolist(), target.tolist(), min_leaf, reference)
         if not candidates:
             assert found is None, trial
             continue
         best = min(c for _, c in candidates)
         assert found[0] == pytest.approx(best, abs=1e-9), trial
         # ties go to the lowest threshold
-        assert found[1] == min(t for t, c in candidates if c <= best + 1e-9), trial
+        assert found[2] == min(t for t, c in candidates if c <= best + 1e-9), trial
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +448,11 @@ def test_node_search_matches_per_feature_loop(monkeypatch, criterion, min_leaf, 
         X, rows, targets, features = node_case(rng, criterion)
         expected = node_split_reference(X.tolist(), rows.tolist(), [t.tolist() for t in targets],
                                          features.tolist(), criterion, min_leaf)
-        at_node = best_split(X, rows, features, targets, cost, min_leaf)
-        presorted = best_split(X, rows, features, targets, cost, min_leaf, node_ordered(X, rows, features))
-        assert presorted == at_node, trial
+        found = best_split(X, rows, features, targets, cost, min_leaf, node_ordered(X, rows, features))
         if expected is None:
-            assert at_node is None, trial
+            assert found is None, trial
             continue
-        assert [float(v).hex() for v in at_node] == [float(v).hex() for v in expected], trial
+        assert [float(v).hex() for v in found] == [float(v).hex() for v in expected], trial
 
 
 def test_node_search_spans_blocks_on_a_large_node():
@@ -469,8 +469,8 @@ def test_node_search_spans_blocks_on_a_large_node():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_presorted_and_node_sorted_trees_are_identical(seed):
-    # max_features equal to the feature count draws every feature at every
-    # node, so that tree sorts at the node where the default one presorts
+    # max_features equal to the feature count draws no keys, so the tree
+    # fitted with a generator scans every feature as the default one does
     rng = np.random.default_rng(seed)
     base = rng.integers(0, 4, size=(50, 6)).astype(float)
     X = base[rng.integers(0, 50, size=120)]
@@ -487,7 +487,7 @@ def test_presorted_and_node_sorted_trees_are_identical(seed):
 def test_forest_splits_match_node_reference_on_documented_streams(monkeypatch, min_leaf, max_features, bootstrap):
     # small blocks, so trees grow in several batches and levels are costed in many sorts
     monkeypatch.setattr(forest_module, "_TREE_BLOCK", 200)
-    monkeypatch.setattr(forest_module, "_PAIR_BLOCK", 64)
+    monkeypatch.setattr(tree_module, "_PAIR_BLOCK", 64)
     rng = np.random.default_rng(min_leaf)
     base = rng.integers(0, 5, size=(40, 9)).astype(float)
     X = base[rng.integers(0, 40, size=90)]  # ties and repeated rows
@@ -499,23 +499,100 @@ def test_forest_splits_match_node_reference_on_documented_streams(monkeypatch, m
     k = {"sqrt": 3, 5: 5, None: 9}[max_features]
     Xl, yl = X.tolist(), y.tolist()
     nodes = forest_node_draws(trees, Xl, yl, np.random.default_rng(30), k, bootstrap, 5, min_leaf)
+    assert_nodes_match_reference(trees, nodes, Xl, yl, min_leaf)
+    assert sum(left != node for tree in trees for node, left in enumerate(tree["left"])) > 30
+
+
+@pytest.mark.parametrize(("min_leaf", "max_features"), [(1, "sqrt"), (2, 5), (3, 1)])
+def test_decision_tree_draws_max_features_as_a_one_tree_forest(min_leaf, max_features):
+    rng = np.random.default_rng(min_leaf + 10)
+    base = rng.integers(0, 5, size=(40, 9)).astype(float)
+    X = base[rng.integers(0, 40, size=150)]
+    X[:, 4] = rng.random(150)
+    y = ((X[:, 0] + X[:, 3] + rng.normal(0, 1.5, size=150)) > 4).astype(int)
+    impl = DecisionTree(max_depth=6, min_leaf=min_leaf, max_features=max_features).fit(X, y, np.random.default_rng(30))
+    trees = [impl.to_dict()]
+    k = {"sqrt": 3, 5: 5, 1: 1}[max_features]
+    Xl, yl = X.tolist(), y.tolist()
+    nodes = forest_node_draws(trees, Xl, yl, np.random.default_rng(30), k, False, 6, min_leaf)
+    assert_nodes_match_reference(trees, nodes, Xl, yl, min_leaf)
+    assert sum(left != node for node, left in enumerate(trees[0]["left"])) > 8
+    forest = RandomForest(n_trees=1, max_depth=6, min_leaf=min_leaf, max_features=max_features,
+                          bootstrap=False).fit(X, y, np.random.default_rng(30))
+    assert forest.trees[0].to_dict() == trees[0]
+
+
+def assert_nodes_match_reference(trees, nodes, X, y, min_leaf):
+    """Each node of ``trees`` (``to_dict`` payloads) against the node scan of its samples and drawn features.
+
+    ``nodes`` is :func:`oracles.forest_node_draws` of the trees.  Also checks
+    every node's sample count and value, and each tree's importances.
+    """
     assert sorted((t, node) for t, node, _, _ in nodes) == [(t, i) for t, tree in enumerate(trees)
                                                             for i in range(len(tree["left"]))]
-    gains = np.zeros((len(trees), 9))
+    gains = np.zeros((len(trees), len(X[0])))
     for t, node, rows, features in nodes:
         tree = trees[t]
         assert tree["n_samples"][node] == len(rows)
-        assert tree["value"][node] == sum(yl[r] for r in rows) / len(rows)
-        expected = None if features is None else node_split_reference(Xl, rows, [yl], features, "gini", min_leaf)
+        assert tree["value"][node] == sum(y[r] for r in rows) / len(rows)
+        expected = None if features is None else node_split_reference(X, rows, [y], features, "gini", min_leaf)
         if expected is None:
             assert tree["left"][node] == node, (t, node)
         else:
             assert tree["left"][node] != node, (t, node)
             assert (tree["feature"][node], tree["threshold"][node]) == (expected[1], expected[2]), (t, node)
-            gains[t, expected[1]] += len(rows) * max(gini([yl[r] for r in rows]) - expected[0], 0.0)
-    assert sum(left != node for tree in trees for node, left in enumerate(tree["left"])) > 30
-    for t, tree in enumerate(forest.trees):
-        assert tree.importances == pytest.approx(gains[t] / gains[t].sum(), rel=1e-12, abs=1e-15)
+            gains[t, expected[1]] += len(rows) * max(gini([y[r] for r in rows]) - expected[0], 0.0)
+    for t, tree in enumerate(trees):
+        assert tree["importances"] == pytest.approx(gains[t] / gains[t].sum(), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("pair_block", [1, 7, 64, tree_module._PAIR_BLOCK])
+def test_tree_does_not_depend_on_the_pair_block(monkeypatch, pair_block):
+    # 900 rows x 40 features exceed the default block, so even it costs the root in slices
+    rng = np.random.default_rng(3)
+    X = rng.integers(0, 30, size=(900, 40)).astype(float)
+    y = (X[:, 5] + X[:, 17] + rng.normal(0, 8, size=900) > 30).astype(int)
+    assert X.size > tree_module._PAIR_BLOCK
+    monkeypatch.setattr(tree_module, "_PAIR_BLOCK", 1 << 30)  # every level in one sort
+    whole = DecisionTree(max_depth=6).fit(X, y)
+    monkeypatch.setattr(tree_module, "_PAIR_BLOCK", pair_block)
+    costed = []  # the (feature, sample) pairs of every sort
+    cost_pairs = tree_module._cost_pairs
+
+    def counted(rows, sizes, ones, drawn, *rest):
+        costed.append(rows.size * drawn.shape[1])
+        return cost_pairs(rows, sizes, ones, drawn, *rest)
+
+    monkeypatch.setattr(tree_module, "_cost_pairs", counted)
+    sliced = DecisionTree(max_depth=6).fit(X, y)
+    assert max(costed) <= max(pair_block, 900)  # a block, or one feature of the root
+    assert whole.flat.left.size > 20
+    assert sliced.to_dict() == whole.to_dict()
+    assert sliced.importances.tolist() == whole.importances.tolist()
+
+
+def test_trees_without_features_are_one_leaf():
+    y = np.array([0, 1, 0, 1, 1])
+    impl = DecisionTree().fit(np.zeros((5, 0)), y)
+    forest = RandomForest(n_trees=2, bootstrap=False).fit(np.zeros((5, 0)), y, np.random.default_rng(0))
+    for flat in (impl.flat, *(tree.flat for tree in forest.trees)):
+        assert flat.to_dict() == {"feature": [0], "threshold": [0.0], "left": [0], "right": [0], "value": [0.6],
+                                  "n_samples": [5]}
+
+
+def test_split_between_adjacent_doubles_separates_them():
+    # the midpoint of 1 and the next double rounds onto 1, so the threshold must be the upper value
+    up = np.nextafter(1.0, 2.0)
+    X = np.array([[1.0], [1.0], [up], [up]])
+    y = np.array([0, 0, 1, 1])
+    impl = DecisionTree(min_leaf=1).fit(X, y)
+    assert impl.flat.left.size == 3
+    assert impl.predict_scores(X).tolist() == [0.0, 0.0, 1.0, 1.0]
+    forest = RandomForest(n_trees=1, min_leaf=1, bootstrap=False).fit(X, y, np.random.default_rng(0))
+    assert forest.predict_scores(X).tolist() == [0.0, 0.0, 1.0, 1.0]
+    t = y.astype(float)
+    _, feature, threshold = best_split(X, np.arange(4), [0], (t, t * t), mse_cost, 1, presort(X))
+    assert (X[:, feature] < threshold).tolist() == [True, True, False, False]
 
 
 def test_grow_tree_partitions_no_order_for_children_at_max_depth():
