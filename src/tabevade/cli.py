@@ -18,6 +18,8 @@ import time
 from pathlib import Path
 from urllib.parse import unquote
 
+import numpy
+
 from . import __version__, synth
 from .attack import AttackConfig, build_plan, perturb_batch, select_features
 from .data import Dataset, atomic_write_text, format_number, load_dataset, load_schema, save_schema, split
@@ -52,6 +54,8 @@ def _run_dir(args, command: str) -> Path:
 def _write_manifest(run: Path, args) -> None:
     payload = {k: v for k, v in vars(args).items() if k != "func"}
     payload["version"] = __version__
+    payload["python"] = ".".join(str(part) for part in sys.version_info[:3])
+    payload["numpy"] = numpy.__version__
     for key, value in payload.items():
         if isinstance(value, Path):
             payload[key] = str(value)

@@ -1,9 +1,25 @@
 """Extraction of the 52 URL/HTML features a page-level detector consumes.
 
-Every counting rule is frozen here (and documented in docs/web_features.md):
-extraction is a pure function of (url, html) so re-extraction after page
-edits captures side effects exactly.  HTML is parsed leniently with the
-stdlib parser; URL rules operate on the raw string plus a urlsplit of it.
+Every counting rule is frozen here (and documented in docs/web_features.md).
+URL rules operate on the raw string plus a urlsplit of it.  HTML events come
+from one of two parsers:
+
+* pages in the *plain markup* grammar go through a one-regex tokenizer
+  (``_tokenize_plain``): text without ``<`` or ``&``, start tags with
+  quoted or bare attributes and an optional ``/>``, and end tags.  Each
+  raw-text element (script, style, title, textarea, iframe, xmp, noembed,
+  noframes, noscript) holds only text and is closed by its own end tag;
+* every other page (comments, declarations, entities, a stray ``<``,
+  markup inside a raw-text element, a self-closed or unclosed raw-text
+  element, ``<plaintext>``, a tag left open at end of input) goes to
+  ``_Collector``, a subclass of the stdlib ``HTMLParser``.
+
+The tokenizer yields exactly the events ``_Collector`` yields on its pages
+(tests/test_webfeatures.py checks this differentially), and those events do
+not depend on the Python version.  So extraction is a pure function of
+(url, html) for plain markup; other pages follow the running interpreter's
+``html.parser``, whose handling of raw-text elements and comments has
+changed between CPython releases.
 
 Rules that matter most downstream:
 
@@ -18,8 +34,10 @@ Rules that matter most downstream:
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from html.parser import HTMLParser
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -142,21 +160,39 @@ class WebFeatureVector:
             raise SchemaError(f"expected {len(WEB_FEATURE_NAMES)} feature values")
         if not np.isfinite(values).all():
             raise SchemaError("web features must be finite")
-        for name, value in zip(WEB_FEATURE_NAMES, values):
-            if name in RATIO_WEB_FEATURES:
-                continue
-            if value < 0 or value != np.floor(value):
-                raise SchemaError(f"feature {name} must be a non-negative integer, got {value}")
-        for name in BINARY_WEB_FEATURES:
-            if self[name] not in (0.0, 1.0):
-                raise SchemaError(f"feature {name} must be 0 or 1")
+        bad = _INTEGRAL_MASK & ((values < 0) | (values != np.floor(values)))
+        if bad.any():
+            i = int(bad.argmax())
+            raise SchemaError(f"feature {WEB_FEATURE_NAMES[i]} must be a non-negative integer, got {values[i]}")
+        bad = _BINARY_MASK & (values != 0.0) & (values != 1.0)
+        if bad.any():
+            raise SchemaError(f"feature {WEB_FEATURE_NAMES[int(bad.argmax())]} must be 0 or 1")
 
     def __getitem__(self, name: str) -> float:
-        return float(self.values[WEB_FEATURE_NAMES.index(name)])
+        try:
+            return float(self.values[_FEATURE_INDEX[name]])
+        except KeyError:
+            raise SchemaError(f"unknown web feature {name!r}") from None
+
+
+_FEATURE_INDEX = {name: i for i, name in enumerate(WEB_FEATURE_NAMES)}
+_INTEGRAL_MASK = np.array([name not in RATIO_WEB_FEATURES for name in WEB_FEATURE_NAMES])
+_BINARY_MASK = np.array([name in BINARY_WEB_FEATURES for name in WEB_FEATURE_NAMES])
 
 
 # ---------------------------------------------------------------------------
-# lenient HTML event collection
+# HTML event collection
+
+class PageEvents(NamedTuple):
+    """Start tags in document order, with the text a page's rules read."""
+
+    elements: list[tuple[str, dict[str, str], bool]]  # (tag, attrs, in_head)
+    script_text: list[str]  # inside script/style/title
+    body_text: list[str]  # everywhere else outside head
+
+
+_SKIP_TEXT_ELEMENTS = frozenset(("script", "style", "title"))
+
 
 class _Collector(HTMLParser):
     """Streams start tags, attributes and text with head/script tracking."""
@@ -179,14 +215,14 @@ class _Collector(HTMLParser):
         self.elements.append((tag, attr_map, self._head_depth > 0 or tag == "head"))
         if tag == "head":
             self._head_depth += 1
-        elif tag in ("script", "style", "title"):
+        elif tag in _SKIP_TEXT_ELEMENTS:
             self._skip_text_depth += 1
 
     def handle_endtag(self, tag):
         tag = tag.lower()
         if tag == "head" and self._head_depth > 0:
             self._head_depth -= 1
-        elif tag in ("script", "style", "title") and self._skip_text_depth > 0:
+        elif tag in _SKIP_TEXT_ELEMENTS and self._skip_text_depth > 0:
             self._skip_text_depth -= 1
 
     def handle_data(self, data):
@@ -197,14 +233,91 @@ class _Collector(HTMLParser):
             self.body_text.append(data)
 
 
-def collect_events(html: str) -> _Collector:
+# Raw-text elements hold text only in plain markup, so their content reads the
+# same whether a parser treats them as raw text or as ordinary elements.
+_RAW_TEXT_ELEMENTS = ("script", "style", "title", "textarea", "iframe", "xmp", "noembed", "noframes", "noscript")
+# never a plain start tag: a raw-text element matched as one was self-closed or
+# held markup, and <plaintext> swallows the rest of the page in some parsers
+_NOT_PLAIN_START = frozenset(_RAW_TEXT_ELEMENTS + ("plaintext",))
+_WS = r"[ \t\n\r\f]"  # the whitespace every CPython html.parser agrees on inside tags
+_NAME = r"[A-Za-z][A-Za-z0-9]*"
+_ATTR_NAME = r"[A-Za-z_:][-A-Za-z0-9_:.]*"
+_ATTR_VALUE = r"""(?:"[^"<>]*"|'[^'<>]*'|[^\s"'=<>`]+)"""
+_ATTRS = rf"(?:{_WS}+{_ATTR_NAME}(?:={_ATTR_VALUE})?)*"
+_ATTR_RE = re.compile(rf"{_WS}+({_ATTR_NAME})(?:=({_ATTR_VALUE}))?")
+# one match per run of text plus the token after it: a raw-text element with
+# its content, a start tag, an end tag, a stray "<", or the end of the page
+_PLAIN_TOKEN_RE = re.compile(
+    r"([^<]*)(?:"
+    rf"<((?ai:{'|'.join(_RAW_TEXT_ELEMENTS)}))({_ATTRS}){_WS}*>([^<]*)</({_NAME})>"
+    rf"|<({_NAME})({_ATTRS}){_WS}*(/?)>"
+    rf"|</({_NAME})>"
+    r"|(<)|\Z)"
+)
+
+
+def _plain_attrs(text: str) -> dict[str, str]:
+    attrs: dict[str, str] = {}
+    for name, value in _ATTR_RE.findall(text):
+        name = name.lower()
+        if name not in attrs:  # the first of duplicate attributes wins, as in _Collector
+            attrs[name] = value[1:-1] if value[:1] in ('"', "'") else value
+    return attrs
+
+
+def _tokenize_plain(html: str) -> PageEvents | None:
+    """The events of a plain-markup page; None once the page leaves that grammar."""
+    if "&" in html:
+        return None
+    elements: list[tuple[str, dict[str, str], bool]] = []
+    script_text: list[str] = []
+    body_text: list[str] = []
+    head_depth = 0
+    for text, raw_tag, raw_attrs, raw_text, raw_end, tag, attrs, close, end_tag, stray in (
+        _PLAIN_TOKEN_RE.findall(html)
+    ):
+        if text and not head_depth:
+            body_text.append(text)
+        if tag:
+            tag = tag.lower()
+            if tag in _NOT_PLAIN_START:
+                return None
+            elements.append((tag, _plain_attrs(attrs) if attrs else {}, head_depth > 0 or tag == "head"))
+            if tag == "head" and not close:
+                head_depth += 1
+        elif end_tag:
+            if head_depth and end_tag.lower() == "head":
+                head_depth -= 1
+        elif raw_tag:
+            tag = raw_tag.lower()
+            if raw_end.lower() != tag:
+                return None
+            elements.append((tag, _plain_attrs(raw_attrs) if raw_attrs else {}, head_depth > 0))
+            if raw_text:
+                if tag in _SKIP_TEXT_ELEMENTS:
+                    script_text.append(raw_text)
+                elif not head_depth:
+                    body_text.append(raw_text)
+        elif stray:
+            return None
+    return PageEvents(elements, script_text, body_text)
+
+
+def _parse_events(html: str) -> PageEvents:
+    """The stdlib parser's events: the only path for pages outside plain markup."""
     collector = _Collector()
     try:
         collector.feed(html)
         collector.close()
     except Exception as exc:  # the stdlib parser is lenient; anything else is fatal
         raise ExtractionError(f"cannot parse page: {exc}") from exc
-    return collector
+    return PageEvents(collector.elements, collector.script_text, collector.body_text)
+
+
+def collect_events(html: str) -> PageEvents:
+    """A page's events: from the tokenizer for plain markup, else from the stdlib parser."""
+    events = _tokenize_plain(html)
+    return events if events is not None else _parse_events(html)
 
 
 def element_sequence(html: str) -> list[tuple[str, tuple[tuple[str, str], ...]]]:
@@ -267,44 +380,51 @@ def extract_features(page: WebPage) -> WebFeatureVector:
     script_text = "".join(events.script_text)
     html_lower = page.html.lower()
 
-    tags = [tag for tag, _, _ in events.elements]
-    attrs_list = [attrs for _, attrs, _ in events.elements]
-
-    def count_tag(name: str) -> int:
-        return sum(1 for t in tags if t == name)
-
-    def form_actions() -> list[str | None]:
-        return [a.get("action") for t, a in zip(tags, attrs_list) if t == "form"]
-
-    forms = form_actions()
-
-    def action_is_abnormal(action: str | None) -> bool:
-        return action is None or action.strip().lower() in ("", "#", "about:blank")
-
-    def action_is_insecure(action: str | None) -> bool:
-        return action is not None and action.strip().lower().startswith("http://")
-
-    def action_is_relative(action: str | None) -> bool:
-        if action_is_abnormal(action):
-            return False
-        return not _SCHEME_RE.match(action.strip())
-
-    def action_is_safe(action: str | None) -> bool:
-        return not action_is_abnormal(action) and not action_is_insecure(action)
-
-    meta_refresh = sum(
-        1
-        for t, a in zip(tags, attrs_list)
-        if t == "meta" and a.get("http-equiv", "").strip().lower() == "refresh"
-    )
+    tags: Counter[str] = Counter()
+    href = mailto = hidden = passwords = refresh = contextmenu = mouseover = 0
+    abnormal_forms = insecure_forms = relative_forms = safe_forms = 0
+    for tag, attrs, _ in events.elements:
+        tags[tag] += 1
+        if tag == "form":
+            action = attrs.get("action")
+            target = action.strip().lower() if action is not None else ""
+            if target in ("", "#", "about:blank"):
+                abnormal_forms += 1
+            else:
+                if target.startswith("http://"):
+                    insecure_forms += 1
+                else:
+                    safe_forms += 1
+                if not _SCHEME_RE.match(action.strip()):
+                    relative_forms += 1
+        if not attrs:
+            continue
+        if "href" in attrs:
+            href += 1
+            if attrs["href"].strip().lower().startswith("mailto:"):
+                mailto += 1
+        if "oncontextmenu" in attrs:
+            contextmenu += 1
+        if "onmouseover" in attrs:
+            mouseover = 1
+        if tag == "input":
+            kind = attrs.get("type", "").lower()
+            if "hidden" in attrs or kind == "hidden":
+                hidden += 1
+            if kind == "password":
+                passwords += 1
+        elif "hidden" in attrs:
+            hidden += 1
+        if tag == "meta" and attrs.get("http-equiv", "").strip().lower() == "refresh":
+            refresh += 1
 
     values = {
-        "href": sum(1 for a in attrs_list if "href" in a),
-        "javascript": count_tag("script"),
+        "href": href,
+        "javascript": tags["script"],
         "text_in_body": len("".join(events.body_text).split()),
         "no_www": url.count("www"),
-        "images": count_tag("img"),
-        "meta": count_tag("meta"),
+        "images": tags["img"],
+        "meta": tags["meta"],
         "no_digits": digits,
         "subdomain_len": len(subdomain),
         "alph_digit_ratio": _ratio(letters, digits),
@@ -317,47 +437,39 @@ def extract_features(page: WebPage) -> WebFeatureVector:
         "suspicious_words": sum(html_lower.count(term) for term in SUSPICIOUS_TERMS),
         "len_fqdn": len(free_url.replace("/", "")),
         "protocol": 1 if url.lower().startswith("https") else 0,
-        "passwdfield": sum(
-            1 for t, a in zip(tags, attrs_list) if t == "input" and a.get("type", "").lower() == "password"
-        ),
+        "passwdfield": passwords,
         "no_vowels": vowels,
         "no_alpha": letters,
         "no_constants": consonants,
         "no_dots": url.count("."),
         "host_dig_let_ratio": _ratio(host_digits, host_letters),
-        "iframes": count_tag("iframe"),
-        "forms": len(forms),
+        "iframes": tags["iframe"],
+        "forms": tags["form"],
         "length_of_domains": len(domain),
         "dots_freeurl": hostname.count("."),
-        "relativeforms": sum(1 for a in forms if action_is_relative(a)),
+        "relativeforms": relative_forms,
         "vowel_constant_ratio": _ratio(vowels, consonants),
-        "hidden_text": sum(
-            1
-            for t, a in zip(tags, attrs_list)
-            if "hidden" in a or (t == "input" and a.get("type", "").lower() == "hidden")
-        ),
+        "hidden_text": hidden,
         "longest_token_hostname": _longest_token(hostname),
         "dig_in_hostname": host_digits,
         "no_dash": url.count("-"),
-        "redirects": _count_matches(_REDIRECT_RE, script_text) + meta_refresh,
-        "url_of_anchor": count_tag("a"),
-        "submit_to_mail": sum(
-            1 for a in attrs_list if a.get("href", "").strip().lower().startswith("mailto:")
-        ),
-        "rightclick_disabled": sum(1 for a in attrs_list if "oncontextmenu" in a),
+        "redirects": _count_matches(_REDIRECT_RE, script_text) + refresh,
+        "url_of_anchor": tags["a"],
+        "submit_to_mail": mailto,
+        "rightclick_disabled": contextmenu,
         "no_special_sym": sum(1 for c in url if c in _SPECIAL_SYMBOLS),
-        "title": 1 if count_tag("title") else 0,
+        "title": 1 if tags["title"] else 0,
         "no_percent": url.count("%"),
         "no_eq": url.count("="),
         "no_ques": url.count("?"),
         "popup": _count_matches(_POPUP_RE, script_text),
-        "insecureforms": sum(1 for a in forms if action_is_insecure(a)),
+        "insecureforms": insecure_forms,
         "no_http": url.count("http"),
-        "abnormalforms": sum(1 for a in forms if action_is_abnormal(a)),
-        "onmouseover": 1 if any("onmouseover" in a for a in attrs_list) else 0,
+        "abnormalforms": abnormal_forms,
+        "onmouseover": mouseover,
         "no_at": url.count("@"),
         "userprompt": _count_matches(_PROMPT_RE, script_text),
         "no_dollar": url.count("$"),
-        "SFH": sum(1 for a in forms if action_is_safe(a)),
+        "SFH": safe_forms,
     }
     return WebFeatureVector(values=np.array([values[name] for name in WEB_FEATURE_NAMES], dtype=float))

@@ -7,6 +7,24 @@ from __future__ import annotations
 
 import math
 
+from tabevade.webfeatures import (
+    _POPUP_RE,
+    _PROMPT_RE,
+    _REDIRECT_RE,
+    _SCHEME_RE,
+    _SPECIAL_SYMBOLS,
+    _VOWELS,
+    SUSPICIOUS_TERMS,
+    WEB_FEATURE_NAMES,
+    WebFeatureVector,
+    WebPage,
+    _count_matches,
+    _longest_token,
+    _parse_events,
+    _ratio,
+    _url_parts,
+)
+
 
 def gini(labels) -> float:
     if not labels:
@@ -317,3 +335,124 @@ def forest_node_draws(trees, X, y, rng, k: int, bootstrap: bool, max_depth: int,
                     children.append((tree["right"][node], [r for r in rows if not X[r][f] < cut]))
             level, depth = children, depth + 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# page features: the multi-pass extractor that the one-pass count replaced,
+# fed only by the stdlib HTMLParser (_Collector).  The URL helpers are shared
+# with webfeatures because the URL rules did not change.
+
+def extract_features_reference(page: WebPage) -> WebFeatureVector:
+    """The multi-pass extractor over the stdlib parser's events, one generator per rule."""
+    import numpy as np
+
+    url = page.url
+    events = _parse_events(page.html)
+    parts, hostname = _url_parts(url)
+    labels = hostname.split(".") if hostname else []
+    subdomain = ".".join(labels[:-2]) if len(labels) > 2 else ""
+    domain = ".".join(labels[-2:]) if len(labels) >= 2 else hostname
+    free_url = url.split("://", 1)[1] if "://" in url else url
+    letters = sum(c.isalpha() for c in url)
+    digits = sum(c.isdigit() for c in url)
+    vowels = sum(c in _VOWELS for c in url)
+    consonants = letters - vowels
+    host_letters = sum(c.isalpha() for c in hostname)
+    host_digits = sum(c.isdigit() for c in hostname)
+    script_text = "".join(events.script_text)
+    html_lower = page.html.lower()
+
+    tags = [tag for tag, _, _ in events.elements]
+    attrs_list = [attrs for _, attrs, _ in events.elements]
+
+    def count_tag(name: str) -> int:
+        return sum(1 for t in tags if t == name)
+
+    def form_actions() -> list[str | None]:
+        return [a.get("action") for t, a in zip(tags, attrs_list) if t == "form"]
+
+    forms = form_actions()
+
+    def action_is_abnormal(action: str | None) -> bool:
+        return action is None or action.strip().lower() in ("", "#", "about:blank")
+
+    def action_is_insecure(action: str | None) -> bool:
+        return action is not None and action.strip().lower().startswith("http://")
+
+    def action_is_relative(action: str | None) -> bool:
+        if action_is_abnormal(action):
+            return False
+        return not _SCHEME_RE.match(action.strip())
+
+    def action_is_safe(action: str | None) -> bool:
+        return not action_is_abnormal(action) and not action_is_insecure(action)
+
+    meta_refresh = sum(
+        1
+        for t, a in zip(tags, attrs_list)
+        if t == "meta" and a.get("http-equiv", "").strip().lower() == "refresh"
+    )
+
+    values = {
+        "href": sum(1 for a in attrs_list if "href" in a),
+        "javascript": count_tag("script"),
+        "text_in_body": len("".join(events.body_text).split()),
+        "no_www": url.count("www"),
+        "images": count_tag("img"),
+        "meta": count_tag("meta"),
+        "no_digits": digits,
+        "subdomain_len": len(subdomain),
+        "alph_digit_ratio": _ratio(letters, digits),
+        "url_len": len(url),
+        "len_freeurl": len(free_url),
+        "no_dir": parts.path.count("/"),
+        "no_alphanumeric": letters + digits,
+        "hyphens_in_path": parts.path.count("-"),
+        "longest_token": _longest_token(url),
+        "suspicious_words": sum(html_lower.count(term) for term in SUSPICIOUS_TERMS),
+        "len_fqdn": len(free_url.replace("/", "")),
+        "protocol": 1 if url.lower().startswith("https") else 0,
+        "passwdfield": sum(
+            1 for t, a in zip(tags, attrs_list) if t == "input" and a.get("type", "").lower() == "password"
+        ),
+        "no_vowels": vowels,
+        "no_alpha": letters,
+        "no_constants": consonants,
+        "no_dots": url.count("."),
+        "host_dig_let_ratio": _ratio(host_digits, host_letters),
+        "iframes": count_tag("iframe"),
+        "forms": len(forms),
+        "length_of_domains": len(domain),
+        "dots_freeurl": hostname.count("."),
+        "relativeforms": sum(1 for a in forms if action_is_relative(a)),
+        "vowel_constant_ratio": _ratio(vowels, consonants),
+        "hidden_text": sum(
+            1
+            for t, a in zip(tags, attrs_list)
+            if "hidden" in a or (t == "input" and a.get("type", "").lower() == "hidden")
+        ),
+        "longest_token_hostname": _longest_token(hostname),
+        "dig_in_hostname": host_digits,
+        "no_dash": url.count("-"),
+        "redirects": _count_matches(_REDIRECT_RE, script_text) + meta_refresh,
+        "url_of_anchor": count_tag("a"),
+        "submit_to_mail": sum(
+            1 for a in attrs_list if a.get("href", "").strip().lower().startswith("mailto:")
+        ),
+        "rightclick_disabled": sum(1 for a in attrs_list if "oncontextmenu" in a),
+        "no_special_sym": sum(1 for c in url if c in _SPECIAL_SYMBOLS),
+        "title": 1 if count_tag("title") else 0,
+        "no_percent": url.count("%"),
+        "no_eq": url.count("="),
+        "no_ques": url.count("?"),
+        "popup": _count_matches(_POPUP_RE, script_text),
+        "insecureforms": sum(1 for a in forms if action_is_insecure(a)),
+        "no_http": url.count("http"),
+        "abnormalforms": sum(1 for a in forms if action_is_abnormal(a)),
+        "onmouseover": 1 if any("onmouseover" in a for a in attrs_list) else 0,
+        "no_at": url.count("@"),
+        "userprompt": _count_matches(_PROMPT_RE, script_text),
+        "no_dollar": url.count("$"),
+        "SFH": sum(1 for a in forms if action_is_safe(a)),
+    }
+    return WebFeatureVector(values=np.array([values[name] for name in WEB_FEATURE_NAMES], dtype=float))

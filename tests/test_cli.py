@@ -67,6 +67,16 @@ def test_synth_then_train(tmp_path, census_files):
     assert metrics["test_recall"] > 0.5
 
 
+
+def test_manifest_records_the_interpreter_and_numpy(tmp_path):
+    import numpy
+
+    run_ok(["synth", "--dataset", "blobs", "--rows", "20", "--seed", "1", "--out", str(tmp_path), "--run-name", "b"])
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert manifest["python"] == "%d.%d.%d" % sys.version_info[:3]
+    assert manifest["numpy"] == numpy.__version__
+    assert manifest["version"] == tabevade.__version__
+
 def test_rank_on_separating_feature(tmp_path):
     data = tmp_path / "tiny.csv"
     schema_path = tmp_path / "tiny.json"

@@ -1,18 +1,26 @@
+import random
+import re
+
 import numpy as np
 import pytest
+from oracles import extract_features_reference
 
 from tabevade.errors import SchemaError
+from tabevade.synth import demo_pages
 from tabevade.webfeatures import (
     ADDABLE_WEB_FEATURES,
     BINARY_WEB_FEATURES,
     WEB_FEATURE_NAMES,
     WebFeatureVector,
     WebPage,
+    _parse_events,
+    _tokenize_plain,
     collect_events,
     default_web_schema,
     element_sequence,
     extract_features,
 )
+from tabevade.webspace import InjectionPlan, inject
 
 
 def test_feature_table_has_52_entries_in_order():
@@ -162,6 +170,25 @@ def test_vector_validation_rejects_negative_counts():
         WebFeatureVector(values=values)
 
 
+def test_vector_validation_names_the_first_bad_feature_in_table_order():
+    values = extract_features(WebPage(url="http://x.example", html="<html></html>")).values.copy()
+    values[WEB_FEATURE_NAMES.index("images")] = 1.5
+    values[WEB_FEATURE_NAMES.index("meta")] = -2
+    with pytest.raises(SchemaError, match=r"^feature images must be a non-negative integer, got 1\.5$"):
+        WebFeatureVector(values=values)
+    values = extract_features(WebPage(url="http://x.example", html="<html></html>")).values.copy()
+    values[WEB_FEATURE_NAMES.index("onmouseover")] = 3
+    values[WEB_FEATURE_NAMES.index("title")] = 2
+    with pytest.raises(SchemaError, match=r"^feature title must be 0 or 1$"):
+        WebFeatureVector(values=values)
+
+
+def test_unknown_feature_name_raises_schema_error_naming_it():
+    vec = extract_features(WebPage(url="http://x.example", html="<html></html>"))
+    with pytest.raises(SchemaError, match="'no_such_feature'"):
+        vec["no_such_feature"]
+
+
 def test_element_sequence_orders_tags():
     seq = element_sequence("<html><body><a href='x'>t</a><img src='y'></body></html>")
     assert [tag for tag, _ in seq] == ["html", "body", "a", "img"]
@@ -177,3 +204,112 @@ def test_self_closing_tags_leave_head_and_text_tracking_unchanged():
     assert events.elements[6][1] == {"charset": "x"}
     assert "".join(events.body_text) == "body wordstail"
     assert events.script_text == []
+
+
+# ---------------------------------------------------------------------------
+# the plain-markup tokenizer against the stdlib parser
+
+ALL_ADDITIONS = InjectionPlan(additions={name: 2 for name in ADDABLE_WEB_FEATURES})
+
+
+def _replace_one(html: str, rng: random.Random, pattern: str, repl: str) -> str:
+    matches = list(re.finditer(pattern, html))
+    if not matches:
+        return html
+    m = rng.choice(matches)
+    return html[:m.start()] + m.expand(repl) + html[m.end():]
+
+
+# near-grammar edits of demo pages: the first group stays plain markup, the
+# second leaves it (entities, comments, declarations, markup in raw text)
+_MUTATIONS = (
+    lambda h, r: _replace_one(h, r, r"<(img|input|meta)([^>]*)>", r"<\1\2/>"),
+    lambda h, r: _replace_one(h, r, r"<(img|input|meta)([^>]*)>", r"<\1\2 />"),
+    lambda h, r: _replace_one(h, r, r"<p>", "<br/><p>"),
+    lambda h, r: _replace_one(h, r, r"<head>", "<head/><head>"),
+    lambda h, r: _replace_one(h, r, r"<a (href=\"[^\"]*\")>([^<]*)</a>", r"<A \1>\2</A>"),
+    lambda h, r: _replace_one(h, r, r"<script>([^<]*)</script>", r"<SCRIPT>\1</Script>"),
+    lambda h, r: _replace_one(h, r, r"<title>([^<]*)</title>", r"<TITLE>\1</title>"),
+    lambda h, r: _replace_one(h, r, r" href=", " HREF="),
+    lambda h, r: _replace_one(h, r, r" type=", " Type="),
+    lambda h, r: _replace_one(h, r, r"=\"([^\" ]+)\"", r"=\1"),
+    lambda h, r: _replace_one(h, r, r"=\"([^\"]*)\"", r"='\1'"),
+    lambda h, r: _replace_one(h, r, r"<a href=", '<a href="/dup" href='),
+    lambda h, r: _replace_one(h, r, r"<input type=\"hidden\"", '<input type="text" type="hidden"'),
+    lambda h, r: _replace_one(h, r, r"<p>", "<p hidden oncontextmenu onmouseover=\"\">"),
+    lambda h, r: _replace_one(h, r, r"<input ", "<input hidden "),
+    lambda h, r: _replace_one(h, r, r"<form ", '<form novalidate action="mailto:x@y.example" '),
+    lambda h, r: _replace_one(h, r, r"<form ", "<form  action=' HTTP://x.example/p '  "),
+    lambda h, r: _replace_one(h, r, r"</form>", '</form><form action="about:blank"></form><form action=#></form>'),
+    lambda h, r: _replace_one(h, r, r"<meta ", '<meta HTTP-EQUIV=" Refresh " '),
+    lambda h, r: _replace_one(h, r, r"<body>", '<body><textarea rows=2>a b</textarea><noscript>c</noscript>'),
+    lambda h, r: _replace_one(h, r, r"<body>", "<body>\t<iframe></iframe>\n<xmp> d </xmp>"),
+    # the rest leave the grammar
+    lambda h, r: _replace_one(h, r, r"<p>", "<p>a &amp; b "),
+    lambda h, r: _replace_one(h, r, r"<a ", "<!-- x --><a "),
+    lambda h, r: "<!DOCTYPE html>" + h,
+    lambda h, r: _replace_one(h, r, r"<script>", "<script>if (a<b) {}"),
+    lambda h, r: _replace_one(h, r, r"<script>", "<script>x</p>y"),
+    lambda h, r: _replace_one(h, r, r"</title>", ""),
+    lambda h, r: h + "<script>window.open('tail')",
+    lambda h, r: h + "<a href='x'>a</a><a href=\"y",
+    lambda h, r: _replace_one(h, r, r"<h1>", "<h1>1 < 2 "),
+    lambda h, r: _replace_one(h, r, r"<img ", "<img/ "),
+)
+
+
+def _near_grammar_documents(count: int, seed: int):
+    rng = random.Random(seed)
+    pages = [page for _, page, _ in demo_pages(10, 10, seed=seed)]
+    pages += [inject(page, ALL_ADDITIONS) for page in pages]
+    for _ in range(count):
+        page = rng.choice(pages)
+        html = page.html
+        for _ in range(rng.randint(1, 3)):
+            html = rng.choice(_MUTATIONS)(html, rng)
+        yield WebPage(url=page.url, html=html)
+
+
+def test_tokenizer_and_one_pass_counts_match_the_stdlib_parser_and_the_reference():
+    accepted = 0
+    documents = list(_near_grammar_documents(400, seed=3))
+    for page in documents:
+        reference = _parse_events(page.html)
+        events = collect_events(page.html)
+        assert events.elements == reference.elements, page.html
+        assert "".join(events.script_text) == "".join(reference.script_text), page.html
+        assert "".join(events.body_text) == "".join(reference.body_text), page.html
+        assert [v.hex() for v in extract_features(page).values] == \
+            [v.hex() for v in extract_features_reference(page).values], page.html
+        accepted += _tokenize_plain(page.html) is not None
+    # both paths must carry a real share, or the comparison above says nothing
+    assert 0.35 * len(documents) <= accepted <= 0.85 * len(documents)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 41])
+def test_demo_pages_and_their_injected_forms_take_the_tokenizer(seed):
+    for _, page, _ in demo_pages(20, 20, seed=seed):
+        for html in (page.html, inject(page, ALL_ADDITIONS).html):
+            events = _tokenize_plain(html)
+            assert events is not None, html
+            assert events == _parse_events(html)
+
+
+@pytest.mark.parametrize("html", [
+    # CPython 3.11.7 and 3.13.13 give different events for the first eight
+    "<title>a<b>c</b></title><a>",
+    "<iframe><a href=3></iframe>",
+    "<textarea><a href=1></textarea>",
+    "<xmp><a href=1></xmp>",
+    "<plaintext><a href=1>",
+    "<plaintext>a</plaintext>",
+    "<!--x--!><a href=1>t</a>-->",
+    "<script>x</script",
+    "<a href='x'>a</a><a href=\"y",
+    # self-closed and unclosed raw-text elements are outside plain markup too
+    "<script/>",
+    "<title>x",
+])
+def test_pages_with_version_dependent_parses_take_the_stdlib_parser(html):
+    assert _tokenize_plain(html) is None
+    assert collect_events(html) == _parse_events(html)
