@@ -144,10 +144,11 @@ class GridResult:
 
     @staticmethod
     def from_csv(path: Union[str, Path]) -> "GridResult":
-        """Read a grid CSV; a malformed row raises :class:`MetricError` naming its line."""
+        """Read a grid CSV; a malformed row, or a cell read twice, raises :class:`MetricError` naming its lines."""
         with open(path, "r", encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
             records = []
+            lines: dict[tuple, int] = {}  # each cell's first line
             try:
                 header = next(reader, None)
                 if header is None or tuple(header) != GRID_COLUMNS:
@@ -158,6 +159,10 @@ class GridResult:
                     if len(row) != len(GRID_COLUMNS):
                         raise ValueError(f"expected {len(GRID_COLUMNS)} cells, found {len(row)}")
                     records.append(GridRecord(row[0], row[1], int(row[2]), *map(float, row[3:])))
+                    first = lines.setdefault(_cell_key(*row[:4]), reader.line_num)
+                    if first != reader.line_num:
+                        raise MetricError(f"{path}, lines {first} and {reader.line_num}: both hold the cell "
+                                          f"{','.join(row[:4])}; was the grid written by two runs at once?")
             except (ValueError, csv.Error) as exc:
                 raise MetricError(f"{path}, line {reader.line_num}: {exc}") from None
         return GridResult(records=tuple(records))
@@ -271,47 +276,57 @@ def grid_search(
     resuming a sink whose fingerprint differs raises :class:`ResumeError`; a
     sink without one resumes and gets one.  A new sink and its fingerprint are
     written only once the fits and rankings have returned, so a run that fails
-    there leaves nothing behind to resume.  The fits and rankings run in up
+    there leaves nothing behind to resume.  From before the fingerprint
+    check until the last cell, the run holds an exclusive ``flock`` on
+    ``<sink>.lock``; a run that finds it held raises :class:`ResumeError`
+    before it reads or writes anything.  The fits and rankings run in up
     to ``workers`` processes, never more than there are of them; the cells
     are then evaluated here, in order, so results are identical for any
     worker count.  A worker that dies raises :class:`TabevadeError`.
     """
-    done: dict[tuple, GridRecord] = {}
-    fingerprinted = False
-    if sink is not None:
-        fingerprint = grid_fingerprint(train, test, spec, seed)
-        if Path(sink).exists():
-            fingerprinted = _check_fingerprint(Path(sink), fingerprint)
-            _trim_torn_tail(sink)
-            if Path(sink).stat().st_size > 0:
-                for r in GridResult.from_csv(sink).records:
-                    done[_cell_key(r.model, r.method, r.n, r.epsilon)] = r
+    with ExitStack() as stack:  # holds the sink's lock, then the sink, until the last cell is written
+        done: dict[tuple, GridRecord] = {}
+        fingerprinted = False
+        if sink is not None:
+            import fcntl  # POSIX only; only a grid with a sink takes the lock
+            lock = stack.enter_context(open(f"{sink}.lock", "a", encoding="utf-8"))  # holds nothing, stays
+            try:
+                fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)  # released when the file closes
+            except BlockingIOError:
+                raise ResumeError(f"another run is writing {sink} (it holds {sink}.lock); let it finish "
+                                  "and resume the grid then, or pick a new --run-name") from None
+            fingerprint = grid_fingerprint(train, test, spec, seed)
+            if Path(sink).exists():
+                fingerprinted = _check_fingerprint(Path(sink), fingerprint)
+                _trim_torn_tail(sink)
+                if Path(sink).stat().st_size > 0:
+                    for r in GridResult.from_csv(sink).records:
+                        done[_cell_key(r.model, r.method, r.n, r.epsilon)] = r
 
-    cells = [
-        (kind, method, n, epsilon)
-        for kind in spec.model_kinds
-        for method in spec.methods
-        for n in spec.n_values
-        for epsilon in spec.epsilon_values
-    ]
-    pending = [c for c in cells if _cell_key(*c) not in done]
-    kinds = [kind for kind in spec.model_kinds if any(c[0] == kind for c in pending)]
-    methods = [method for method in spec.methods if any(c[1] == method for c in pending)]
+        cells = [
+            (kind, method, n, epsilon)
+            for kind in spec.model_kinds
+            for method in spec.methods
+            for n in spec.n_values
+            for epsilon in spec.epsilon_values
+        ]
+        pending = [c for c in cells if _cell_key(*c) not in done]
+        kinds = [kind for kind in spec.model_kinds if any(c[0] == kind for c in pending)]
+        methods = [method for method in spec.methods if any(c[1] == method for c in pending)]
 
-    tasks = [("fit", kind) for kind in kinds] + [("rank_features", method) for method in methods]
-    if workers > 1 and tasks:
-        try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-                results = list(pool.map(_prepare, tasks, repeat(train), repeat(seed)))
-        except BrokenProcessPool as exc:
-            raise TabevadeError(
-                f"a worker process died before the fits and rankings finished ({exc}); "
-                "if it ran out of memory, resume the grid with fewer --workers"
-            ) from None
-    else:
-        results = [_prepare(task, train, seed) for task in tasks]
-    prepared = dict(zip(tasks, results))
-    with ExitStack() as stack:
+        tasks = [("fit", kind) for kind in kinds] + [("rank_features", method) for method in methods]
+        if workers > 1 and tasks:
+            try:
+                with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+                    results = list(pool.map(_prepare, tasks, repeat(train), repeat(seed)))
+            except BrokenProcessPool as exc:
+                raise TabevadeError(
+                    f"a worker process died before the fits and rankings finished ({exc}); "
+                    "if it ran out of memory, resume the grid with fewer --workers"
+                ) from None
+        else:
+            results = [_prepare(task, train, seed) for task in tasks]
+        prepared = dict(zip(tasks, results))
         if sink is not None:  # created only now, so a failed fit or ranking leaves no sink behind
             if not fingerprinted:
                 atomic_write_text(fingerprint_path(sink), json.dumps(fingerprint, indent=2) + "\n")

@@ -3,44 +3,117 @@
 Each round fits a squared-error regression tree to the residual y - p and
 replaces leaf values with a Newton step sum(residual) / sum(p(1-p)), the
 classic binomial-deviance update.  Scores are the sigmoid of the raw sum.
-The training matrix never changes between rounds, so its columns are
-sorted once per fit and every round's tree partitions a copy of that order.
+
+Trees grow level by level from per-(node, value) sums, as XGBoost's exact
+greedy grower does (Chen & Guestrin, KDD 2016).  Columns are coded once per
+fit by their distinct values (:func:`tree.code_values`); per level, one
+``np.bincount`` of residuals and one of rows over (searched node, value)
+keys, cumulated over each feature's values, give every boundary's left
+count and sum.  A boundary between two values present in the node costs
+-(L²/n_L + R²/n_R), which ranks a node's splits as their summed squared
+error does; thresholds and tie rules are :mod:`tree`'s.  A default tree has
+at most 4 searched nodes per level, so these dense sums stay small.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 from .logistic import sigmoid
-from .tree import FlatTree, best_split, grow_tree, presort, traverse
+from .tree import FlatTree, _partition, _preorder, code_values, first_minima, midpoint, pick_features, traverse
 
 DEFAULTS = {"n_trees": 100, "max_depth": 3, "learning_rate": 0.1, "min_leaf": 1}
 
+# a level sums at most this many (node, value) bins at a time (at least one
+# node), which keeps each per-bin array at 1 MB however deep the tree
+_SUM_BLOCK = 1 << 17
 
-def mse_cost(left_n, right_n, sums, n: int) -> np.ndarray:
-    """Children's summed squared deviations at each boundary :func:`scan_splits` gives.
 
-    No division by ``n``: the cost only ranks boundaries of one node.
+def code_matrix(X: np.ndarray):
+    """``(codes, distinct, starts)``: cell (i, j) is ``distinct[codes[i, j]]``, and column j's values are
+    ``distinct[starts[j]:starts[j + 1]]``."""
+    codes, distinct, offsets, _ = code_values(X)
+    return codes + offsets, distinct, np.append(offsets, distinct.size)
+
+
+def grow_regression_tree(X, coded, residual, hessian, max_depth: int, min_leaf: int) -> FlatTree:
+    """Squared-error tree on ``residual`` whose nodes hold Newton steps; ``coded`` is :func:`code_matrix` of ``X``.
+
+    A node is a leaf at ``max_depth``, below ``2 * min_leaf`` rows, or when
+    its residuals are all ``np.allclose`` to its first row's.
     """
-    [(left_sum, right_sum), (left_sq, right_sq)] = sums
-    left_sse = left_sq - left_sum * left_sum / left_n
-    right_sse = right_sq - right_sum * right_sum / right_n
-    return left_sse + right_sse
-
-
-def _grow_regression_tree(X, ordered, residual, hessian, max_depth: int, min_leaf: int) -> FlatTree:
-    """Squared-error tree on ``residual`` whose leaves hold Newton steps; ``ordered`` is ``presort(X)``."""
-    targets = (residual, residual * residual)
-    features = np.arange(X.shape[1])
-
-    def visit(rows, ordered, depth):
-        h = hessian[rows].sum()
-        value = 0.0 if h <= 1e-12 else float(residual[rows].sum() / h)
+    n = X.shape[0]
+    rows, sizes = np.arange(n), np.array([n])
+    levels, links, count = [], [], 0  # as tree.grow_trees keeps them
+    for depth in itertools.count():
+        m = sizes.size
+        node = np.repeat(np.arange(m), sizes)
         target = residual[rows]
-        if depth >= max_depth or rows.size < 2 * min_leaf or np.allclose(target, target[0]):
-            return value, None
-        return value, best_split(X, rows, features, targets, mse_cost, min_leaf, ordered)
+        hessians = np.bincount(node, weights=hessian[rows], minlength=m)
+        value = np.divide(np.bincount(node, weights=target, minlength=m), hessians, out=np.zeros(m),
+                          where=hessians > 1e-12)
+        feature, threshold = np.zeros(m, dtype=np.intp), np.zeros(m)  # set below at splits
+        levels.append((np.zeros(m, dtype=np.intp), feature, threshold, value, sizes, np.zeros(m)))
+        if depth >= max_depth:
+            break
+        starts = np.cumsum(sizes) - sizes
+        first = np.repeat(target[starts], sizes)  # np.allclose(target, target[0]) for every node at once
+        constant = np.logical_and.reduceat(np.abs(target - first) <= 1e-8 + 1e-5 * np.abs(first), starts)
+        is_searched = (sizes >= 2 * min_leaf) & ~constant
+        searched = np.flatnonzero(is_searched)
+        if searched.size == 0 or X.shape[1] == 0:
+            break
+        rows = rows[np.repeat(is_searched, sizes)]
+        cost, best, cut = _cheapest_splits(rows, sizes[searched], residual, coded, min_leaf)
+        split = np.isfinite(cost)
+        if not split.any():
+            break
+        parents = searched[split]
+        feature[parents], threshold[parents] = best[split], cut[split]
+        links.append((count + parents, count + m + 2 * np.arange(parents.size)))
+        count += m
+        rows, sizes, _ = _partition(X, residual, rows[np.repeat(split, sizes[searched])], sizes[parents],
+                                    feature[parents], threshold[parents])  # its label counts go unused
+    [(flat, _)] = _preorder(levels, links, 1)
+    return flat
 
-    return grow_tree(X, visit, ordered, max_depth)
+
+def _cheapest_splits(rows, sizes, residual, coded, min_leaf: int):
+    """Each node's cheapest ``(cost, feature, threshold)``, for ``rows`` holding the nodes' rows node after node."""
+    codes, distinct, starts = coded
+    n_nodes, d, n_values = sizes.size, codes.shape[1], distinct.size
+    pair_cost, pair_threshold = np.full((n_nodes, d), np.inf), np.zeros((n_nodes, d))
+    feature_of = np.repeat(np.arange(d), np.diff(starts))
+    lowest = max(min_leaf, 1)
+    ends = np.cumsum(sizes)
+    step = max(1, _SUM_BLOCK // max(n_values, 1))
+    for first in range(0, n_nodes, step):
+        block = sizes[first:first + step]
+        part = rows[ends[first] - sizes[first]:ends[first + block.size - 1]]
+        keys = (codes[part] + (np.repeat(np.arange(block.size), block) * n_values)[:, None]).ravel()
+        bins = block.size * n_values
+        counts = np.bincount(keys, minlength=bins).reshape(block.size, n_values)
+        left = np.bincount(keys, weights=np.repeat(residual[part], d), minlength=bins).reshape(block.size, n_values)
+        for start, stop in zip(starts[:-1].tolist(), starts[1:].tolist()):  # each feature's sums, cumulated
+            np.cumsum(left[:, start:stop], axis=1, out=left[:, start:stop])
+        left_n = np.cumsum(counts, axis=1) - feature_of * block[:, None]  # each feature holds every row once
+        right_n = block[:, None] - left_n
+        present = counts > 0
+        at, code = np.nonzero(present & (left_n >= lowest) & (right_n >= lowest))
+        if at.size == 0:
+            continue
+        feature = feature_of[code]
+        left_sum, n_left, n_right = left[at, code], left_n[at, code], right_n[at, code]
+        right_sum = left[at, starts[feature + 1] - 1] - left_sum
+        costs = -(left_sum * left_sum / n_left + right_sum * right_sum / n_right)
+        hits = first_minima(at * d + feature, costs)
+        at, code, feature = at[hits], code[hits], feature[hits]
+        filled = np.flatnonzero(present)
+        above = filled[np.searchsorted(filled, at * n_values + code, side="right")] - at * n_values
+        pair_cost[first + at, feature] = costs[hits]
+        pair_threshold[first + at, feature] = midpoint(distinct[code], distinct[above])
+    return pick_features(pair_cost, pair_threshold, np.broadcast_to(np.arange(d), (n_nodes, d)))
 
 
 class GradientBoostedTrees:
@@ -61,14 +134,12 @@ class GradientBoostedTrees:
         self.base_score = float(np.log(rate / (1.0 - rate)))
         raw = np.full(y.size, self.base_score)
         self.trees = []
-        ordered = presort(X)
-        partitioned = np.empty_like(ordered)  # each round's tree partitions a copy in place
+        coded = code_matrix(X)
         for _ in range(self.n_trees):
             p = sigmoid(raw)
             residual = y - p
             hessian = p * (1.0 - p)
-            np.copyto(partitioned, ordered)
-            tree = _grow_regression_tree(X, partitioned, residual, hessian, self.max_depth, self.min_leaf)
+            tree = grow_regression_tree(X, coded, residual, hessian, self.max_depth, self.min_leaf)
             raw += self.learning_rate * traverse(tree, X, lambda leaves: tree.value[leaves[0]])
             self.trees.append(tree)
         self._flat = FlatTree.stack(self.trees)  # so one traversal predicts every tree

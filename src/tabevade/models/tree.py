@@ -1,17 +1,19 @@
 """CART-style binary classification tree (Gini criterion), the flat tree
-layout every tree model shares, and the two growers that build them.
+layout every tree model shares, and the level-wise Gini grower.
 
 Splits are searched over the boundaries between distinct sorted values, at
 their :func:`midpoint`.  Each feature keeps its lowest-threshold minimum and
-a later feature replaces the best only when cheaper by more than 1e-15, so
-training is fully deterministic.  Gini trees (:class:`DecisionTree`, rfe's
-trees and every tree of a random forest) grow level by level through one
-grower, :func:`grow_trees`, as XGBoost's depthwise ``exact`` grower does
-(Chen & Guestrin, KDD 2016).  Boosting's squared-error trees grow depth
-first, through :func:`grow_tree` and the presorted node scan
-:func:`best_split`.  The fitted tree also exposes impurity-decrease feature
-importances, which recursive feature elimination uses as its default
-estimator signal.
+a later feature replaces the best only when cheaper by more than 1e-15
+(:func:`pick_features`), so training is fully deterministic.  Gini trees
+(:class:`DecisionTree`, rfe's trees and every tree of a random forest) grow
+level by level through :func:`grow_trees`, as XGBoost's depthwise
+``exact`` grower does (Chen & Guestrin, KDD 2016).  A forest's level holds
+thousands of bootstrapped nodes, so it sorts (node, feature, value) keys
+and costs only the groups its samples fill; a boosted tree's level has at
+most a few nodes, so :mod:`boosting` sums residuals per (node, value)
+instead, over the same :func:`code_values`, :func:`_partition` and
+:func:`_preorder`.  The fitted tree also exposes impurity-decrease feature
+importances, which recursive feature elimination uses.
 """
 from __future__ import annotations
 
@@ -30,46 +32,9 @@ NODE_FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples")
 # traverse() works on at most this many (tree, row) pairs at a time, which
 # keeps each of its temporary arrays at 128 KB however many rows are predicted
 _TRAVERSE_BLOCK = 1 << 14
-# best_split() scans, and grow_tree() partitions, at most this many (feature,
-# row) pairs at a time, which keeps each temporary array at 32 KB however
-# large the node
-_SCAN_BLOCK = 1 << 12
 # grow_trees() costs at most this many (drawn feature, sample) pairs in one
 # sort, which keeps each temporary array of a level's scan at 256 KB
 _PAIR_BLOCK = 1 << 15
-
-
-def scan_splits(values: np.ndarray, min_leaf: int, *targets: np.ndarray):
-    """Every boundary of each row of ``values`` that could split it, or None when none is valid.
-
-    ``values`` is a (features x rows) block, each row sorted ascending, and
-    each target a block of the same shape in the same order.  Boundary ``b``
-    sits after sorted position ``p = first + b``; the positions run over
-    those that leave at least ``min_leaf`` rows on each side.  Returns
-    ``(left_n, right_n, sums, valid, threshold)``: the row counts below and at
-    or above each boundary (as floats, shared by every row), each target's
-    ``(left, right)`` sums there (as floats), the mask of boundaries between
-    two distinct values, and ``threshold(i, b)``, the :func:`midpoint` of the
-    two values around boundary ``b`` of row ``i``.
-    """
-    n = values.shape[1]
-    first, stop = max(min_leaf, 1) - 1, n - max(min_leaf, 1)  # stop excluded
-    if stop <= first:
-        return None
-    valid = values[:, first:stop] < values[:, first + 1:stop + 1]
-    if not valid.any():
-        return None
-    sums = []
-    for target in targets:
-        running = np.cumsum(target, axis=1)
-        left = running[:, first:stop].astype(float, copy=False)
-        sums.append((left, running[:, -1:] - left))
-
-    def threshold(i: int, b: int) -> float:
-        return float(midpoint(values[i, first + b], values[i, first + b + 1]))
-
-    left_n = np.arange(first, stop) + 1.0
-    return left_n, n - left_n, sums, valid, threshold
 
 
 def midpoint(low, high):
@@ -82,9 +47,8 @@ def midpoint(low, high):
     return np.where(mid > low, mid, high)
 
 
-def gini_cost(left_n, right_n, sums, n: int) -> np.ndarray:
-    """Weighted child Gini impurity at each boundary that :func:`scan_splits` gives."""
-    [(left_ones, right_ones)] = sums
+def gini_cost(left_n, right_n, left_ones, right_ones, n) -> np.ndarray:
+    """Weighted child Gini impurity at each boundary, from its children's sizes and positive counts."""
     left_gini = 1.0 - ((left_ones / left_n) ** 2 + ((left_n - left_ones) / left_n) ** 2)
     right_gini = 1.0 - ((right_ones / right_n) ** 2 + ((right_n - right_ones) / right_n) ** 2)
     return (left_n * left_gini + right_n * right_gini) / n
@@ -97,47 +61,6 @@ def feature_count(max_features, n_features: int) -> int:
     if max_features == "sqrt":
         return max(1, int(np.sqrt(n_features)))
     return max(1, min(int(max_features), n_features))
-
-
-def presort(X: np.ndarray) -> np.ndarray:
-    """Each column's row ids in ascending value order, ties in row order, as a (features x rows) int32 block."""
-    ordered = np.empty(X.shape[::-1], dtype=np.int32)
-    for j, column in enumerate(X.T):  # column by column, so the only int64 temporary is one column's
-        ordered[j] = np.argsort(column, kind="stable")
-    return ordered
-
-
-def best_split(X, rows, features, targets, cost, min_leaf: int, ordered):
-    """Cheapest ``(cost, feature, threshold)`` splitting ``rows`` on one of ``features``, or None.
-
-    ``X`` is the C-contiguous training matrix, ``targets`` are arrays over
-    all its rows, and ``cost`` maps a :func:`scan_splits` result and the row
-    count to a cost per boundary.  ``ordered[i]`` holds ``rows`` sorted by
-    ``features[i]``.  Features are scanned in blocks of at most
-    ``_SCAN_BLOCK`` (feature, row) pairs.  Each feature's cheapest boundary
-    is its first (lowest threshold) minimum, and in feature order only a
-    strict improvement replaces the best, so ties keep the lowest feature
-    index.
-    """
-    features = np.asarray(features)
-    flat, width = X.ravel(), np.intp(X.shape[1])
-    n = rows.size
-    best = (np.inf, -1, 0.0)
-    step = max(1, _SCAN_BLOCK // max(n, 1))
-    for start in range(0, features.size, step):
-        block = features[start:start + step, None]
-        ids = ordered[start:start + step]
-        values = flat[ids * width + block]
-        scan = scan_splits(values, min_leaf, *(target[ids] for target in targets))
-        if scan is None:
-            continue
-        left_n, right_n, sums, valid, threshold = scan
-        costs = np.where(valid, cost(left_n, right_n, sums, n), np.inf)
-        at = costs.argmin(axis=1)
-        for i, found in enumerate(costs[np.arange(at.size), at].tolist()):
-            if found < best[0] - 1e-15:
-                best = (found, int(block[i, 0]), threshold(i, int(at[i])))
-    return best if best[1] >= 0 else None
 
 
 @dataclass(eq=False)
@@ -213,49 +136,6 @@ class FlatTree:
         return cls(**joined, roots=roots)
 
 
-def grow_tree(X: np.ndarray, visit, ordered: np.ndarray, max_depth: int) -> FlatTree:
-    """Grow a tree depth first, left before right, numbering nodes in preorder.
-
-    ``visit(rows, ordered, depth)`` returns a node's value and its split as
-    ``best_split`` gives it, or None to make the node a leaf.  ``rows`` are
-    the node's row ids in ascending order.  ``ordered`` starts as the
-    :func:`presort` block, which the tree stable-partitions in place at
-    every split (as SLIQ does, Mehta et al. 1996), so each node gets a view
-    of it holding its rows sorted by every column.  Nodes at ``max_depth``
-    get None instead, so ``visit`` must make them leaves without reading
-    ``ordered``.
-    """
-    nodes: list[list] = []  # one list of NODE_FIELDS per node
-    goes_left = np.zeros(X.shape[0], dtype=bool)
-    pending = [(np.arange(X.shape[0]), ordered, 0, None)]  # rows, ordered, depth, (parent, slot) of the child id
-    while pending:
-        rows, ordered, depth, link = pending.pop()
-        node = len(nodes)
-        value, split = visit(rows, ordered, depth)
-        nodes.append([0, 0.0, node, node, value, rows.size])
-        if link is not None:
-            nodes[link[0]][link[1]] = node
-        if split is None:
-            continue
-        _, feature, threshold = split
-        nodes[node][:2] = [feature, threshold]
-        mask = X[rows, feature] < threshold
-        left = right = None
-        if depth + 1 < max_depth:
-            goes_left[rows] = mask
-            n_left = int(np.count_nonzero(mask))
-            step = max(1, _SCAN_BLOCK // rows.size)
-            for start in range(0, len(ordered), step):
-                part = ordered[start:start + step]
-                side = goes_left[part]
-                to_left, to_right = part[side], part[~side]
-                part[:, :n_left] = to_left.reshape(len(part), n_left)
-                part[:, n_left:] = to_right.reshape(len(part), -1)
-            left, right = ordered[:, :n_left], ordered[:, n_left:]
-        pending += [(rows[~mask], right, depth + 1, (node, 3)), (rows[mask], left, depth + 1, (node, 2))]
-    return FlatTree(*(np.array(column) for column in zip(*nodes)))
-
-
 def traverse(tree: FlatTree, X: np.ndarray, reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """One output per row of ``X``, from the leaves it reaches from every root.
 
@@ -286,25 +166,28 @@ def tree_streams(rng: np.random.Generator, n_trees: int) -> list[np.random.Gener
     return [np.random.default_rng(seed) for seed in np.random.SeedSequence(int(rng.integers(2**63))).spawn(n_trees)]
 
 
-def code_columns(X: np.ndarray, y: np.ndarray):
-    """The training matrix as sort keys: ``(keyed, distinct, offsets, span)``.
+def code_values(X: np.ndarray):
+    """Each column's cells as codes of its sorted distinct values: ``(codes, distinct, offsets, span)``.
 
-    Code c of column j stands for the c-th smallest distinct value of column
-    j; ``keyed`` is the (n x d) int32 block of ``2 * code + label`` of every
-    cell, ``distinct`` holds every column's sorted distinct values end to
-    end, ``offsets`` each column's offset into them, and ``span`` exceeds
-    every code.
+    ``codes`` is an (n x d) int32 block; code c of column j stands for
+    ``distinct[offsets[j] + c]``, and ``span`` exceeds every code.
     """
-    keyed = np.empty(X.shape, dtype=np.int32)
+    codes = np.empty(X.shape, dtype=np.int32)
     distinct = []
     for j, column in enumerate(X.T):
-        values, keyed[:, j] = np.unique(column, return_inverse=True)
+        values, codes[:, j] = np.unique(column, return_inverse=True)
         distinct.append(values)
+    bounds = np.cumsum([0] + [values.size for values in distinct])
+    span = max((values.size for values in distinct), default=0)
+    return codes, np.concatenate([np.empty(0), *distinct]), bounds[:-1], span
+
+
+def code_columns(X: np.ndarray, y: np.ndarray):
+    """The training matrix as sort keys: :func:`code_values` with ``2 * code + label`` in place of each code."""
+    keyed, distinct, offsets, span = code_values(X)
     keyed *= 2
     keyed += y[:, None].astype(np.int32)
-    offsets = np.cumsum([0] + [values.size for values in distinct[:-1]])
-    span = max((values.size for values in distinct), default=0)
-    return keyed, np.concatenate([np.empty(0), *distinct]), offsets, span
+    return keyed, distinct, offsets, span
 
 
 def grow_trees(X, y, columns, rows, streams, k: int, max_depth: int, min_leaf: int):
@@ -398,12 +281,37 @@ def cheapest_splits(rows, sizes, ones, drawn, columns, min_leaf: int):
                 node, slots, costs, thresholds = found
                 pair_cost[start + node, slot + slots], pair_threshold[start + node, slot + slots] = costs, thresholds
         start = stop
-    cost, feature, threshold = np.full(n_nodes, np.inf), np.zeros(n_nodes, dtype=np.intp), np.zeros(n_nodes)
-    for slot in range(k):  # in feature order, only a clear improvement replaces the best
-        better = pair_cost[:, slot] < cost - 1e-15
-        cost[better], feature[better] = pair_cost[better, slot], drawn[better, slot]
-        threshold[better] = pair_threshold[better, slot]
-    return cost, feature, threshold
+    return pick_features(pair_cost, pair_threshold, drawn)
+
+
+def pick_features(pair_cost, pair_threshold, features):
+    """Each node's ``(cost, feature, threshold)`` from the cheapest split of each of its ascending ``features``.
+
+    The (nodes x slots) arrays give each feature's cost (``inf`` without a split) and threshold.  In feature
+    order only a feature cheaper than the best by more than 1e-15 replaces it, so near ties keep the lower
+    index.  A node without a split gets cost ``inf``, feature 0 and threshold 0.0.
+    """
+    nodes = np.arange(pair_cost.shape[0])
+    # without the margin the first cheapest feature wins; nodes where it refuses an improvement take the loop
+    slot = pair_cost.argmin(axis=1)
+    best = np.minimum.accumulate(pair_cost, axis=1)[:, :-1]
+    refused = (pair_cost[:, 1:] < best) & ~(pair_cost[:, 1:] < best - 1e-15)
+    for node in np.flatnonzero(refused.any(axis=1)).tolist():
+        cheapest = np.inf
+        for at, cost in enumerate(pair_cost[node].tolist()):
+            if cost < cheapest - 1e-15:
+                cheapest, slot[node] = cost, at
+    cost = pair_cost[nodes, slot]
+    split = np.isfinite(cost)
+    return cost, np.where(split, features[nodes, slot], 0), np.where(split, pair_threshold[nodes, slot], 0.0)
+
+
+def first_minima(group, costs):
+    """Positions of each group's first cheapest entry, for ``group`` ids ascending along ``costs``."""
+    heads = np.flatnonzero(np.concatenate([[True], group[1:] != group[:-1]]))
+    lowest = np.repeat(np.minimum.reduceat(costs, heads), np.diff(np.append(heads, costs.size)))
+    hits = np.flatnonzero(costs == lowest)
+    return hits[np.concatenate([[True], group[hits[1:]] != group[hits[:-1]]])]
 
 
 def _cost_pairs(rows, sizes, ones, drawn, columns, min_leaf):
@@ -434,12 +342,9 @@ def _cost_pairs(rows, sizes, ones, drawn, columns, min_leaf):
     positives = np.cumsum(keys & 1)
     left_ones = positives[last] - np.concatenate([[0], positives[pair_start[1:] - 1]])[at]
     right_ones = ones[at // k] - left_ones
-    costs = gini_cost(left_n.astype(float), right_n.astype(float),
-                      [(left_ones.astype(float), right_ones.astype(float))], pair_size[at])
-    heads = np.flatnonzero(np.concatenate([[True], at[1:] != at[:-1]]))
-    lowest = np.repeat(np.minimum.reduceat(costs, heads), np.diff(np.append(heads, costs.size)))
-    hits = np.flatnonzero(costs == lowest)
-    hits = hits[np.concatenate([[True], at[hits[1:]] != at[hits[:-1]]])]  # each pair's first minimum
+    costs = gini_cost(left_n.astype(float), right_n.astype(float), left_ones.astype(float),
+                      right_ones.astype(float), pair_size[at])
+    hits = first_minima(at, costs)  # each pair's first (lowest threshold) minimum
     node, slot = np.divmod(at[hits], k)
     below, above = group[last[hits]] - at[hits] * span, group[last[hits] + 1] - at[hits] * span  # codes either side
     column = offsets[drawn[node, slot]]

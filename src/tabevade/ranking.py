@@ -18,7 +18,6 @@ from .data import Dataset, fit_scaler, split, transform
 from .errors import RankingError
 from .metrics import recall
 from .models import Model, logistic, tree
-from .models.tree import scan_splits
 
 RANKING_METHODS = ("info_gain_ratio", "gini_impurity", "permutation", "rfe", "ffs")
 
@@ -71,15 +70,16 @@ def _entropy(y: np.ndarray) -> float:
 
 def _boundaries(train: Dataset, feature_index: int):
     """Labels, and ``(left_n, right_n, left_ones, right_ones)`` at every
-    distinct-value boundary of one feature, or None when it has none."""
+    distinct-value boundary of one feature (whole numbers, as floats, from
+    its rows and positives per value code, cumulated), or None without one."""
     X, y = _class_arrays(train)
-    order = np.argsort(X[:, feature_index], kind="stable")
-    scan = scan_splits(X[order, feature_index][None], 1, y[order][None])
-    if scan is None:
+    codes = tree.code_values(X[:, [feature_index]])[0][:, 0]
+    rows = np.bincount(codes)
+    if rows.size < 2:
         return y, None
-    left_n, right_n, [(left_ones, right_ones)], valid, _ = scan
-    valid = valid[0]
-    return y, (left_n[valid], right_n[valid], left_ones[0, valid], right_ones[0, valid])
+    left_n = np.cumsum(rows[:-1]).astype(float)
+    left_ones = np.cumsum(np.bincount(codes, weights=y)[:-1])
+    return y, (left_n, y.size - left_n, left_ones, float(y.sum()) - left_ones)
 
 
 def _gini_vec(ones: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -198,17 +198,22 @@ def rfe_rank(train: Dataset, seed: int = 0) -> FeatureRanking:
     Importances come from a decision tree refitted on the survivors.  The
     last survivor ranks first.  Among equally unimportant features the
     highest index is eliminated first, so the lower index wins the rank.
+    Each refit grows on the surviving columns of one coding of the scaled
+    matrix, the tree ``DecisionTree(**tree.DEFAULTS)`` grows on them alone;
+    it draws nothing, so ``seed`` changes nothing.
     """
     X, y = _class_arrays(train)
     if X.shape[1] < 2:
         raise RankingError("RFE needs at least 2 features")
     Xs = transform(X, fit_scaler(train))
+    keyed, distinct, offsets, span = tree.code_columns(Xs, y)
     remaining = list(range(X.shape[1]))
     eliminated: list[int] = []
     while len(remaining) > 1:
         # a bare tree on scaled columns: part of a one-hot group is no valid Dataset for models.fit
-        impl = tree.DecisionTree(**tree.DEFAULTS).fit(Xs[:, remaining], y, rng=np.random.default_rng(seed))
-        imps = impl.importances
+        columns = (keyed[:, remaining], distinct, offsets[remaining], span)
+        [(_, imps)] = tree.grow_trees(Xs[:, remaining], y, columns, np.arange(y.size), [None], len(remaining),
+                                      tree.DEFAULTS["max_depth"], tree.DEFAULTS["min_leaf"])
         worst = max(range(len(remaining)), key=lambda k: (-imps[k], remaining[k]))
         eliminated.append(remaining.pop(worst))
     return _by_position(remaining + eliminated[::-1], "rfe")

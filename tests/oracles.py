@@ -152,13 +152,13 @@ def weighted_gini(left, right) -> float:
     return (len(left) * gini(left) + len(right) * gini(right)) / (len(left) + len(right))
 
 
-def squared_deviations(left, right) -> float:
-    """Sum over both sides of each value's squared distance from its side's mean."""
-    total = 0.0
-    for side in (left, right):
-        mean = sum(side) / len(side)
-        total += sum((y - mean) ** 2 for y in side)
-    return total
+def squared_gain_cost(left, right) -> float:
+    """Minus the children's squared sums over their sizes, -(L²/n_L + R²/n_R).
+
+    Per node it is the children's summed squared deviations less a constant,
+    the sum of squares of every target, so it ranks a node's splits the same.
+    """
+    return -(sum(left) ** 2 / len(left) + sum(right) ** 2 / len(right))
 
 
 def perturb_reference(x, plan, selected) -> list[float]:
@@ -209,17 +209,15 @@ def perturb_reference(x, plan, selected) -> list[float]:
     return out
 
 
-def node_split_reference(X, rows, targets, features, criterion: str, min_leaf: int):
-    """The node search one feature at a time, as ``(cost, feature, threshold)`` or None.
+def node_split_reference(X, rows, y, features, min_leaf: int):
+    """The Gini node search one feature at a time, as ``(cost, feature, threshold)`` or None.
 
     Each feature's rows are sorted stably by value.  Every boundary between
     two distinct values that leaves ``min_leaf`` rows per side is costed
-    from running target sums taken in that order, with the same float
+    from running label sums taken in that order, with the same float
     operations as the vectorized search, so the two agree bit for bit; a
     feature keeps its first (lowest threshold) cheapest boundary.  In feature
     order a feature replaces the best only when cheaper by more than 1e-15.
-    ``criterion`` is "gini" (one 0/1 target) or "mse" (the target and its
-    square).
     """
     import itertools
 
@@ -228,29 +226,80 @@ def node_split_reference(X, rows, targets, features, criterion: str, min_leaf: i
     for j in features:
         ranked = sorted(rows, key=lambda r: X[r][j])  # stable: ties keep row order
         values = [X[r][j] for r in ranked]
-        running = [list(itertools.accumulate(t[r] for r in ranked)) for t in targets]
+        running = list(itertools.accumulate(y[r] for r in ranked))
         cheapest = (math.inf, 0.0)
         for p in range(n - 1):
             left_n = p + 1.0
             right_n = n - left_n
             if values[p] == values[p + 1] or left_n < min_leaf or right_n < min_leaf:
                 continue
-            left = [float(r[p]) for r in running]
-            right = [r[-1] - side for r, side in zip(running, left)]
-            if criterion == "gini":
-                lo, ro = left[0], right[0]
-                a, b = lo / left_n, (left_n - lo) / left_n
-                c, d = ro / right_n, (right_n - ro) / right_n
-                cost = (left_n * (1.0 - (a * a + b * b)) + right_n * (1.0 - (c * c + d * d))) / n
-            else:
-                (ls, lq), (rs, rq) = left, right
-                cost = (lq - ls * ls / left_n) + (rq - rs * rs / right_n)
+            lo = float(running[p])
+            ro = running[-1] - lo
+            a, b = lo / left_n, (left_n - lo) / left_n
+            c, d = ro / right_n, (right_n - ro) / right_n
+            cost = (left_n * (1.0 - (a * a + b * b)) + right_n * (1.0 - (c * c + d * d))) / n
             if cost < cheapest[0]:
-                mid = 0.5 * (values[p] + values[p + 1])  # or the upper value, when the midpoint rounds onto the lower
-                cheapest = (cost, mid if mid > values[p] else values[p + 1])
+                cheapest = (cost, _midpoint(values[p], values[p + 1]))
         if cheapest[0] < best[0] - 1e-15:
             best = (cheapest[0], j, cheapest[1])
     return best if best[1] >= 0 else None
+
+
+def _midpoint(low, high) -> float:
+    mid = 0.5 * (low + high)
+    return mid if mid > low else high  # the upper value when the midpoint rounds onto the lower
+
+
+def mse_split_reference(X, rows, target, features, min_leaf: int):
+    """The squared-error node search by brute force, as ``(cost, feature, threshold)`` or None.
+
+    For each feature in order, every midpoint between two consecutive
+    distinct values of the node's rows that leaves ``min_leaf`` rows per
+    side is costed with :func:`squared_gain_cost`'s formula; a feature keeps
+    its first (lowest threshold) cheapest midpoint, and a feature replaces
+    the best only when cheaper by more than 1e-15.  The left sum adds each
+    distinct value's targets (in the order of ``rows``) and then those sums
+    in value order, and the right sum is the feature's total minus it: the
+    float operations of the per-(node, value) kernel, so the two agree bit
+    for bit even on targets that are not dyadic.
+    """
+    import itertools
+
+    best = (math.inf, -1, 0.0)
+    for j in features:
+        values = sorted({X[r][j] for r in rows})
+        running = list(itertools.accumulate(sum(target[r] for r in rows if X[r][j] == v) for v in values))
+        cheapest = (math.inf, 0.0)
+        for low, high, left_sum in zip(values, values[1:], running):
+            threshold = _midpoint(low, high)
+            n_left = float(sum(1 for r in rows if X[r][j] < threshold))
+            n_right = len(rows) - n_left
+            if n_left < max(min_leaf, 1) or n_right < max(min_leaf, 1):
+                continue
+            right_sum = running[-1] - left_sum
+            cost = -(left_sum * left_sum / n_left + right_sum * right_sum / n_right)
+            if cost < cheapest[0]:
+                cheapest = (cost, threshold)
+        if cheapest[0] < best[0] - 1e-15:
+            best = (cheapest[0], j, cheapest[1])
+    return best if best[1] >= 0 else None
+
+
+def tree_node_rows(tree: dict, X, rows):
+    """``(node, depth, rows)`` for every node of a flat tree (lists as in ``to_dict``), in preorder.
+
+    A node's rows are those of its parent that go its way: left when
+    ``row[feature] < threshold``.
+    """
+    out, pending = [], [(0, 0, list(rows))]
+    while pending:
+        node, depth, at = pending.pop()
+        out.append((node, depth, at))
+        if tree["left"][node] != node:
+            f, cut = tree["feature"][node], tree["threshold"][node]
+            pending.append((tree["right"][node], depth + 1, [r for r in at if not X[r][f] < cut]))
+            pending.append((tree["left"][node], depth + 1, [r for r in at if X[r][f] < cut]))
+    return out
 
 
 def mlp_adam_reference(X, y, hidden: int, epochs: int, learning_rate: float, batch_size: int, rng):

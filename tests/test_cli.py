@@ -312,6 +312,84 @@ def test_gridsearch_refuses_a_run_dir_that_holds_a_grid(tmp_path, census_files, 
     assert (run_dir / "grid.csv").read_bytes() == before["grid.csv"]
 
 
+# a separate process holding an exclusive flock on argv[1] until its stdin closes, as a running grid does
+LOCK_HOLDER = ("import fcntl, sys; handle = open(sys.argv[1], 'a'); fcntl.flock(handle, fcntl.LOCK_EX); "
+               "print('held', flush=True); sys.stdin.read()")
+
+
+def hold_lock(path: Path) -> subprocess.Popen:
+    holder = subprocess.Popen([sys.executable, "-c", LOCK_HOLDER, str(path)], stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE, text=True)
+    assert holder.stdout.readline() == "held\n"
+    return holder
+
+
+def release(holder: subprocess.Popen) -> None:
+    holder.stdin.close()
+    assert holder.wait(timeout=30) == 0
+
+
+def test_gridsearch_on_a_sink_another_process_holds_exits_2(tmp_path, census_files, capsys):
+    data, schema = census_files
+    args = ["gridsearch", "--data", str(data), "--schema", str(schema),
+            "--models", "logistic_regression", "--methods", "gini_impurity",
+            "--n-values", "1", "--eps-min", "0.1", "--eps-max", "1.2", "--eps-steps", "3",
+            "--workers", "1", "--out", str(tmp_path)]
+    (tmp_path / "g").mkdir()
+    holder = hold_lock(tmp_path / "g" / "grid.csv.lock")
+    try:
+        capsys.readouterr()
+        assert run(args + ["--run-name", "g"]) == 2
+        assert "another run is writing" in capsys.readouterr().err
+        assert not (tmp_path / "g" / "grid.csv").exists()
+        assert not evaluation.fingerprint_path(tmp_path / "g" / "grid.csv").exists()
+    finally:
+        release(holder)
+    run_ok(args + ["--run-name", "g"])
+    sink = tmp_path / "g" / "grid.csv"
+    written = sink.read_bytes()
+    holder = hold_lock(tmp_path / "g" / "grid.csv.lock")
+    try:
+        assert run(args + ["--run-name", "again", "--resume-from", str(sink)]) == 2
+        assert "another run is writing" in capsys.readouterr().err
+        assert sink.read_bytes() == written
+    finally:
+        release(holder)
+    run_ok(args + ["--run-name", "again", "--resume-from", str(sink)])
+    assert sink.read_bytes() == written
+
+
+def test_two_gridsearch_processes_on_one_run_dir_write_each_cell_once(tmp_path, census_files):
+    data, schema = census_files
+    argv = [sys.executable, "-m", "tabevade.cli", "gridsearch", "--data", str(data), "--schema", str(schema),
+            "--models", "logistic_regression,random_forest", "--methods", "gini_impurity",
+            "--n-values", "1,2", "--eps-min", "0.1", "--eps-max", "1.2", "--eps-steps", "3",
+            "--workers", "1", "--out", str(tmp_path), "--run-name", "g"]
+    env = {**os.environ, "PYTHONPATH": str(Path(tabevade.__file__).parents[1])}
+    runs = [subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for _ in range(2)]
+    outcomes = sorted((proc.wait(timeout=120), proc.communicate()[1]) for proc in runs)
+    # the second either found the lock held or, started late, the grid already there
+    assert [code for code, _ in outcomes] == [0, 2], outcomes
+    assert "another run is writing" in outcomes[1][1] or "already exists" in outcomes[1][1]
+    grid = evaluation.GridResult.from_csv(tmp_path / "g" / "grid.csv")  # raises on a repeated cell
+    assert len(grid.records) == 2 * 2 * 3
+
+
+def test_curves_on_a_grid_with_a_repeated_cell_exits_1(tmp_path, census_files, capsys):
+    data, schema = census_files
+    run_ok(["gridsearch", "--data", str(data), "--schema", str(schema),
+            "--models", "logistic_regression", "--methods", "gini_impurity",
+            "--n-values", "1", "--eps-min", "0.1", "--eps-max", "1.2", "--eps-steps", "3",
+            "--workers", "1", "--out", str(tmp_path), "--run-name", "gc"])
+    header, *rows = (tmp_path / "gc" / "grid.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    doubled = tmp_path / "doubled.csv"
+    doubled.write_text(header + "".join(rows + rows), encoding="utf-8")  # two runs' rows, as before the lock
+    capsys.readouterr()
+    assert run(["curves", "--grid", str(doubled), "--out", str(tmp_path), "--run-name", "cv"]) == 1
+    assert "doubled.csv, lines 2 and 5: both hold the cell" in capsys.readouterr().err
+
+
 def test_gridsearch_with_a_repeated_value_exits_1(tmp_path, census_files, capsys):
     data, schema = census_files
     code = run(["gridsearch", "--data", str(data), "--schema", str(schema),

@@ -345,6 +345,16 @@ def test_grid_csv_malformed_row_names_its_line(tmp_path, body, message):
         GridResult.from_csv(path)
 
 
+def test_grid_csv_with_a_repeated_cell_names_both_lines(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text(",".join(GRID_COLUMNS) + "\n"
+                    "logistic_regression,gini_impurity,1,0.5,0.9,0.1,0.8\n"
+                    "logistic_regression,gini_impurity,2,0.5,0.9,0.1,0.8\n\n"
+                    "logistic_regression,gini_impurity,1,0.50,0.9,0.2,0.7\n", encoding="utf-8")
+    with pytest.raises(MetricError, match="grid.csv, lines 2 and 5: both hold the cell logistic_regression,gini_"):
+        GridResult.from_csv(path)
+
+
 def test_grid_resume_after_truncation_at_every_byte(tmp_path):
     train, test = split(gaussian_blobs(60, seed=6, separation=1.0), 0.7, seed=0)
     spec = GridSpec(

@@ -6,9 +6,11 @@ from oracles import (
     forest_node_draws,
     gini,
     mlp_adam_reference,
+    mse_split_reference,
     node_split_reference,
     split_costs,
-    squared_deviations,
+    squared_gain_cost,
+    tree_node_rows,
     walk_flat_tree,
     weighted_gini,
 )
@@ -25,13 +27,14 @@ from tabevade.models import (
     predict_score,
     save_model,
 )
+from tabevade.models import boosting as boosting_module
 from tabevade.models import forest as forest_module
 from tabevade.models import tree as tree_module
-from tabevade.models.boosting import GradientBoostedTrees, mse_cost
+from tabevade.models.boosting import GradientBoostedTrees, code_matrix, grow_regression_tree
 from tabevade.models.forest import RandomForest
 from tabevade.models.logistic import DEFAULTS as LOGISTIC_DEFAULTS, LogisticRegression, descend, sigmoid
 from tabevade.models.mlp import MLP
-from tabevade.models.tree import DecisionTree, best_split, gini_cost, presort
+from tabevade.models.tree import DecisionTree, cheapest_splits, code_columns
 
 
 def schema_of(n):
@@ -384,13 +387,22 @@ def test_load_rejects_invalid_flat_arrays(tmp_path, edit, match):
 
 
 # ---------------------------------------------------------------------------
-# split scan against every midpoint
+# split search against every midpoint
+
+def root_split(X, target, criterion, min_leaf):
+    """The root's ``(feature, threshold)`` of a one-level Gini or squared-error tree, or None for a leaf."""
+    if criterion == "gini":
+        flat = DecisionTree(max_depth=1, min_leaf=min_leaf).fit(X, target).flat
+    else:
+        flat = grow_regression_tree(X, code_matrix(X), target, np.ones(target.size), 1, min_leaf)
+    return None if flat.left[0] == 0 else (int(flat.feature[0]), float(flat.threshold[0]))
+
 
 @pytest.mark.parametrize("min_leaf", [1, 2, 5])
 @pytest.mark.parametrize("criterion", ["gini", "mse"])
 def test_best_split_matches_brute_force(criterion, min_leaf):
     rng = np.random.default_rng(min_leaf)
-    cost, reference = (gini_cost, weighted_gini) if criterion == "gini" else (mse_cost, squared_deviations)
+    reference = weighted_gini if criterion == "gini" else squared_gain_cost
     for trial in range(60):
         n = int(rng.integers(1, 16))
         # few distinct values and targets, so equal costs are common
@@ -399,72 +411,115 @@ def test_best_split_matches_brute_force(criterion, min_leaf):
             target = rng.integers(0, 2, size=n)
         else:
             target = rng.choice([-1.0, 0.0, 0.5, 2.0], size=n)
-        targets = (target,) if criterion == "gini" else (target, target * target)
-        X = col[:, None]
-        found = best_split(X, np.arange(n), [0], targets, cost, min_leaf, presort(X))
+        found = root_split(col[:, None], target, criterion, min_leaf)
         candidates = split_costs(col.tolist(), target.tolist(), min_leaf, reference)
-        if not candidates:
+        if not candidates or np.unique(target).size == 1:  # a pure or constant root is a leaf
             assert found is None, trial
             continue
         best = min(c for _, c in candidates)
-        assert found[0] == pytest.approx(best, abs=1e-9), trial
         # ties go to the lowest threshold
-        assert found[2] == min(t for t, c in candidates if c <= best + 1e-9), trial
+        assert found == (0, min(t for t, c in candidates if c <= best + 1e-9)), trial
+
+
+def test_pick_features_replaces_the_best_only_when_cheaper_by_more_than_1e_15():
+    rng = np.random.default_rng(4)
+    costs = [np.inf, 0.3, 0.3 - 5e-16, 0.3 - 1.1e-15, 0.3 - 2e-15, 0.25, 0.25 + 1e-16, -1.0]
+    for trial in range(300):
+        pair_cost = rng.choice(costs, size=(4, int(rng.integers(1, 7))))
+        pair_threshold = rng.random(pair_cost.shape)
+        features = np.sort(rng.choice(20, size=pair_cost.shape, replace=True), axis=1)
+        found = tree_module.pick_features(pair_cost, pair_threshold, features)
+        for i in range(4):
+            best = (np.inf, 0, 0.0)  # the loop over features in order
+            for cost, feature, threshold in zip(pair_cost[i].tolist(), features[i].tolist(),
+                                                pair_threshold[i].tolist()):
+                if cost < best[0] - 1e-15:
+                    best = (cost, feature, threshold)
+            assert (found[0][i], found[1][i], found[2][i]) == best, (trial, i)
 
 
 # ---------------------------------------------------------------------------
-# node search over every feature at once against the per-feature loop
+# several nodes searched at once against the per-node loop
 
 def node_case(rng, criterion):
-    """A node of 1 to 40 rows of a table with ties, constant and duplicated rows."""
+    """A table of 60 rows with ties, constant and duplicated rows, and 1 to 4 disjoint nodes of it.
+
+    Targets are 0/1 labels, or residuals: dyadic, so that every sum is
+    exact, or in half the cases with noise, so that the order of the sums
+    shows in the costs' last bits.
+    """
     n_features = int(rng.integers(1, 12))
     base = rng.integers(0, rng.integers(1, 6, size=n_features), size=(30, n_features)).astype(float)
     base[:, rng.random(n_features) < 0.2] = 1.5  # some constant columns
     X = base[rng.integers(0, 30, size=60)]  # drawn with replacement, as a bootstrap sample is
     if criterion == "gini":
-        targets = (rng.integers(0, 2, size=60),)
+        target = rng.integers(0, 2, size=60)
     else:
-        t = rng.choice([-1.0, 0.0, 0.25, 0.5, 2.0], size=60) + rng.normal(0, 1e-3, size=60) * (rng.random() < 0.5)
-        targets = (t, t * t)
-    rows = np.sort(rng.choice(60, size=int(rng.choice([1, 2, rng.integers(3, 41)])), replace=False))
-    features = np.sort(rng.choice(n_features, size=int(rng.integers(1, n_features + 1)), replace=False))
-    return X, rows, targets, features
+        target = rng.choice([-1.0, 0.0, 0.25, 0.5, 2.0], size=60) + rng.normal(0, 1e-3, size=60) * (rng.random() < 0.5)
+    free = rng.permutation(60)
+    nodes = []
+    for _ in range(int(rng.integers(1, 5))):
+        size = int(rng.choice([1, 2, rng.integers(3, 16)]))
+        nodes.append(np.sort(free[:size]))
+        free = free[size:]
+    return X, target, nodes
 
 
-def node_ordered(X, rows, features):
-    """The presorted order of ``features`` cut down to ``rows``, as partitioning leaves it."""
-    full = presort(X)[features]
-    return full[np.isin(full, rows)].reshape(len(features), rows.size)
+def hexes_of(split):
+    return None if split is None else [float(v).hex() for v in split]
 
 
-@pytest.mark.parametrize("scan_block", [1, 7, 1 << 12])
+@pytest.mark.parametrize("block", [1, 7, 1 << 12])
 @pytest.mark.parametrize("min_leaf", [1, 2, 5])
 @pytest.mark.parametrize("criterion", ["gini", "mse"])
-def test_node_search_matches_per_feature_loop(monkeypatch, criterion, min_leaf, scan_block):
-    monkeypatch.setattr(tree_module, "_SCAN_BLOCK", scan_block)  # 1 and 7 split nodes into many blocks
-    cost = gini_cost if criterion == "gini" else mse_cost
-    rng = np.random.default_rng([min_leaf, scan_block])
+def test_node_search_matches_per_feature_loop(monkeypatch, criterion, min_leaf, block):
+    # blocks of 1 and 7 cost a level in many pieces: one (feature, sample) pair or one node at a time
+    monkeypatch.setattr(tree_module, "_PAIR_BLOCK", block)
+    monkeypatch.setattr(boosting_module, "_SUM_BLOCK", block)
+    rng = np.random.default_rng([min_leaf, block])
     for trial in range(80):
-        X, rows, targets, features = node_case(rng, criterion)
-        expected = node_split_reference(X.tolist(), rows.tolist(), [t.tolist() for t in targets],
-                                         features.tolist(), criterion, min_leaf)
-        found = best_split(X, rows, features, targets, cost, min_leaf, node_ordered(X, rows, features))
-        if expected is None:
-            assert found is None, trial
-            continue
-        assert [float(v).hex() for v in found] == [float(v).hex() for v in expected], trial
+        X, target, nodes = node_case(rng, criterion)
+        rows, sizes = np.concatenate(nodes), np.array([node.size for node in nodes])
+        Xl, tl = X.tolist(), target.tolist()
+        d = X.shape[1]
+        if criterion == "gini":
+            k = int(rng.integers(1, d + 1))
+            drawn = np.array([np.sort(rng.choice(d, size=k, replace=False)) for _ in nodes])
+            ones = np.array([int(target[node].sum()) for node in nodes])
+            found = cheapest_splits(rows, sizes, ones, drawn, code_columns(X, target), min_leaf)
+            expected = [node_split_reference(Xl, node.tolist(), tl, features.tolist(), min_leaf)
+                        for node, features in zip(nodes, drawn)]
+        else:
+            found = boosting_module._cheapest_splits(rows, sizes, target, code_matrix(X), min_leaf)
+            expected = [mse_split_reference(Xl, node.tolist(), tl, range(d), min_leaf) for node in nodes]
+        for i, reference in enumerate(expected):
+            split = None if np.isinf(found[0][i]) else (found[0][i], found[1][i], found[2][i])
+            assert hexes_of(split) == hexes_of(reference), (trial, i)
 
 
 def test_node_search_spans_blocks_on_a_large_node():
-    # 300 rows x 40 features is three times the scan block, at its real size
+    # 900 rows x 40 features exceed the Gini grower's pair block, and 150
+    # nodes over 40 columns of 50 values exceed boosting's sum block, at
+    # their real sizes, so both kernels cost them in pieces
     rng = np.random.default_rng(9)
-    X = rng.integers(0, 50, size=(300, 40)).astype(float)
-    y = (X[:, 7] + rng.normal(0, 10, size=300) > 25).astype(int)
-    rows, features = np.arange(300), np.arange(40)
-    assert rows.size * features.size > 2 * tree_module._SCAN_BLOCK
-    found = best_split(X, rows, features, (y,), gini_cost, 2, presort(X))
-    assert found == node_split_reference(X.tolist(), rows.tolist(), [y.tolist()], features.tolist(), "gini", 2)
-    assert found[1] == 7
+    X = rng.integers(0, 50, size=(900, 40)).astype(float)
+    y = (X[:, 7] + rng.normal(0, 10, size=900) > 25).astype(int)
+    Xl, yl = X.tolist(), y.tolist()
+    assert X.size > tree_module._PAIR_BLOCK
+    cost, feature, threshold = cheapest_splits(np.arange(900), np.array([900]), np.array([y.sum()]),
+                                               np.arange(40)[None], code_columns(X, y), 2)
+    assert (cost[0], feature[0], threshold[0]) == node_split_reference(Xl, range(900), yl, range(40), 2)
+    assert feature[0] == 7
+    coded = code_matrix(X)
+    assert 150 * coded[1].size > 2 * boosting_module._SUM_BLOCK
+    residual = (y - 0.25) * 2.0 + rng.integers(-8, 8, size=900) * 2.0**-10  # dyadic, so sums are exact
+    rows = rng.permutation(900)
+    nodes = [np.sort(rows[i:i + 6]) for i in range(0, 900, 6)]
+    found = boosting_module._cheapest_splits(np.concatenate(nodes), np.full(150, 6), residual, coded, 1)
+    rl = residual.tolist()
+    for i, node in enumerate(nodes):
+        assert hexes_of((found[0][i], found[1][i], found[2][i])) == hexes_of(
+            mse_split_reference(Xl, node.tolist(), rl, range(40), 1)), i
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -535,7 +590,7 @@ def assert_nodes_match_reference(trees, nodes, X, y, min_leaf):
         tree = trees[t]
         assert tree["n_samples"][node] == len(rows)
         assert tree["value"][node] == sum(y[r] for r in rows) / len(rows)
-        expected = None if features is None else node_split_reference(X, rows, [y], features, "gini", min_leaf)
+        expected = None if features is None else node_split_reference(X, rows, y, features, min_leaf)
         if expected is None:
             assert tree["left"][node] == node, (t, node)
         else:
@@ -590,27 +645,110 @@ def test_split_between_adjacent_doubles_separates_them():
     assert impl.predict_scores(X).tolist() == [0.0, 0.0, 1.0, 1.0]
     forest = RandomForest(n_trees=1, min_leaf=1, bootstrap=False).fit(X, y, np.random.default_rng(0))
     assert forest.predict_scores(X).tolist() == [0.0, 0.0, 1.0, 1.0]
-    t = y.astype(float)
-    _, feature, threshold = best_split(X, np.arange(4), [0], (t, t * t), mse_cost, 1, presort(X))
-    assert (X[:, feature] < threshold).tolist() == [True, True, False, False]
+    boosted = GradientBoostedTrees(n_trees=1, max_depth=1).fit(X, y)
+    assert boosted.trees[0].left.size == 3
+    assert (X[:, boosted.trees[0].feature[0]] < boosted.trees[0].threshold[0]).tolist() == [True, True, False, False]
 
 
-def test_grow_tree_partitions_no_order_for_children_at_max_depth():
+def test_growers_partition_no_rows_for_children_at_max_depth(monkeypatch):
     rng = np.random.default_rng(5)
     X = rng.integers(0, 6, size=(80, 4)).astype(float)
     y = (X[:, 0] + X[:, 2] + rng.normal(0, 1, size=80) > 5).astype(int)
-    seen = []
+    for module, grow in ((tree_module, lambda: DecisionTree(max_depth=2, min_leaf=1).fit(X, y).flat),
+                         (boosting_module, lambda: grow_regression_tree(X, code_matrix(X), y - 0.5, np.full(80, 0.25),
+                                                                        2, 1))):
+        partitioned = []  # the split nodes of every partitioned level
+        partition = module._partition
 
-    def visit(rows, ordered, depth):
-        seen.append((depth, ordered is None))
-        if depth >= 2:
-            return 0.0, None
-        if ordered is not None:  # the partitioned view still holds the node's rows sorted by each column
-            assert np.array_equal(ordered, node_ordered(X, rows, np.arange(4)))
-        return 0.0, best_split(X, rows, np.arange(4), (y,), gini_cost, 1, ordered)
+        def counted(X, y, rows, sizes, *rest):
+            partitioned.append(sizes.size)
+            return partition(X, y, rows, sizes, *rest)
 
-    tree_module.grow_tree(X, visit, presort(X), 2)
-    assert sorted(set(seen)) == [(0, False), (1, False), (2, True)]
+        monkeypatch.setattr(module, "_partition", counted)
+        flat = grow()
+        assert flat.depth == 2
+        assert partitioned == [1, 2], module  # the root's level and the next; never the level at max_depth
+
+
+# ---------------------------------------------------------------------------
+# boosting's squared-error trees, node by node against the brute-force oracle
+
+def boosting_case(name, rng):
+    """``(X, residual, hessian)``: residuals and hessians dyadic, so every sum is exact in any order."""
+    n = 40
+    if name == "ties":  # few-valued columns, many tied values and costs
+        X = rng.integers(0, 3, size=(n, 5)).astype(float)
+        X[:, 4] = rng.integers(0, 2, size=n)
+    elif name == "adjacent":  # columns of two adjacent doubles, whose midpoint rounds onto the lower
+        X = np.where(rng.random((n, 3)) < 0.5, 1.0, np.nextafter(1.0, 2.0))
+        X[:, 2] = rng.integers(0, 4, size=n) + np.where(rng.random(n) < 0.5, 0.0, 2.0**-52)
+    else:
+        X = rng.integers(0, 6, size=(n, 4)).astype(float)
+    if name == "constant":  # every residual within np.allclose of the first: the root is a leaf
+        residual = np.full(n, 0.5) + rng.integers(0, 2, size=n) * 2.0**-30
+    else:
+        residual = rng.choice([-0.75, -0.5, 0.25, 0.5, 1.0], size=n) + rng.integers(-4, 4, size=n) * 2.0**-12
+    if name == "single_leaf":
+        X[:, :] = 2.5  # no boundary anywhere
+    hessian = rng.choice([0.125, 0.25, 0.1875], size=n)
+    return X, residual, hessian
+
+
+@pytest.mark.parametrize("case", ["ties", "adjacent", "constant", "single_leaf", "spread"])
+@pytest.mark.parametrize("min_leaf", [1, 2, 5])
+def test_boosted_trees_match_the_mse_oracle_node_by_node(case, min_leaf):
+    rng = np.random.default_rng([min_leaf, len(case)])
+    X, residual, hessian = boosting_case(case, rng)
+    flat = grow_regression_tree(X, code_matrix(X), residual, hessian, 4, min_leaf)
+    tree = flat.to_dict()
+    Xl, rl, hl = X.tolist(), residual.tolist(), hessian.tolist()
+    nodes = tree_node_rows(tree, Xl, range(len(Xl)))
+    assert sorted(node for node, _, _ in nodes) == list(range(len(tree["left"])))
+    for node, depth, rows in nodes:
+        assert tree["n_samples"][node] == len(rows)
+        h = sum(hl[r] for r in rows)
+        assert tree["value"][node] == (0.0 if h <= 1e-12 else sum(rl[r] for r in rows) / h), node
+        target = [rl[r] for r in rows]
+        constant = all(abs(t - target[0]) <= 1e-8 + 1e-5 * abs(target[0]) for t in target)
+        expected = None
+        if depth < 4 and len(rows) >= 2 * min_leaf and not constant:
+            expected = mse_split_reference(Xl, rows, rl, range(X.shape[1]), min_leaf)
+        if expected is None:
+            assert tree["left"][node] == node, node
+        else:
+            assert (tree["feature"][node], float(tree["threshold"][node]).hex()) == (expected[1], expected[2].hex())
+    if case in ("constant", "single_leaf"):
+        assert len(tree["left"]) == 1
+    else:
+        assert len(tree["left"]) > 5
+
+
+def test_boosted_fit_matches_the_mse_oracle_node_by_node_bit_for_bit():
+    # real residuals, not dyadic: the oracle adds them in the kernel's order, so splits agree in every bit
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 8, size=(120, 5)).astype(float)
+    X[:, 3] = rng.random(120)
+    y = ((X[:, 0] + 4 * X[:, 3] + rng.normal(0, 1.5, size=120)) > 5).astype(float)
+    model = GradientBoostedTrees(n_trees=6, max_depth=3, min_leaf=2).fit(X, y)
+    Xl = X.tolist()
+    raw = np.full(120, model.base_score)
+    inner = 0
+    for flat in model.trees:
+        tree = flat.to_dict()
+        residual = (y - sigmoid(raw)).tolist()  # the fit's own float operations
+        for node, depth, rows in tree_node_rows(tree, Xl, range(len(Xl))):
+            target = [residual[r] for r in rows]
+            expected = None
+            if depth < 3 and len(rows) >= 4 and not all(abs(t - target[0]) <= 1e-8 + 1e-5 * abs(target[0])
+                                                          for t in target):
+                expected = mse_split_reference(Xl, rows, residual, range(5), 2)
+            if expected is None:
+                assert tree["left"][node] == node
+                continue
+            inner += 1
+            assert (tree["feature"][node], float(tree["threshold"][node]).hex()) == (expected[1], expected[2].hex())
+        raw += model.learning_rate * np.array([walk_flat_tree(tree, row) for row in Xl])
+    assert inner > 20
 
 
 def test_mlp_flat_adam_step_matches_per_array_loop():

@@ -8,10 +8,12 @@ from oracles import (
 )
 import tabevade.models as models_module
 import tabevade.ranking as ranking_module
-from tabevade.data import Dataset, FeatureSchema, FeatureSpec, split
+from tabevade.data import Dataset, FeatureSchema, FeatureSpec, fit_scaler, split, transform
 from tabevade.errors import RankingError
 from tabevade.metrics import recall
 from tabevade.models import fit
+from tabevade.models import tree as tree_module
+from tabevade.models.tree import DecisionTree
 from tabevade.ranking import (
     RANKING_METHODS,
     FeatureRanking,
@@ -236,6 +238,31 @@ def test_rfe_ranking_is_full_permutation():
     ds = dataset(rng.normal(size=(40, 5)), rng.integers(0, 2, size=40))
     ranking = rfe_rank(ds, seed=0)
     assert sorted(ranking.order) == list(range(5))
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_rfe_coded_once_ranks_as_a_decision_tree_refitted_on_the_survivors(seed, monkeypatch):
+    # one-hot groups, ties and a constant column: one coding of the scaled matrix must serve every refit
+    ds = census_like(n_rows=300, seed=seed)
+    Xs = transform(ds.X, fit_scaler(ds))
+    remaining = list(range(ds.n_features))
+    eliminated, expected = [], []  # the old loop: a DecisionTree fitted on Xs[:, remaining] per step
+    while len(remaining) > 1:
+        imps = DecisionTree(**tree_module.DEFAULTS).fit(Xs[:, remaining], ds.y, rng=np.random.default_rng(0)).importances
+        expected.append(imps.tolist())
+        worst = max(range(len(remaining)), key=lambda k: (-imps[k], remaining[k]))
+        eliminated.append(remaining.pop(worst))
+    seen = []
+    grow = tree_module.grow_trees
+
+    def recorded(*args):
+        [(flat, imps)] = grow(*args)
+        seen.append(imps.tolist())
+        return [(flat, imps)]
+
+    monkeypatch.setattr(tree_module, "grow_trees", recorded)
+    assert rfe_rank(ds, seed=seed).order == tuple(remaining + eliminated[::-1])
+    assert seen == expected
 
 
 def test_ffs_selects_predictive_feature_first():
