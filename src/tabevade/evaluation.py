@@ -6,6 +6,14 @@ computed once per method.  Records can persist incrementally to a CSV sink
 so an interrupted search resumes.  A worker pool runs the fits and rankings
 in parallel, with no more processes than there are fits plus rankings;
 every cell is evaluated in the calling process.
+
+Once epsilon saturates the n selected features (each is clamped to the
+training range, and discrete ones round back toward the original), a
+larger epsilon perturbs to exactly the same rows.  So the grid first
+numbers the runs of consecutive (method, n, epsilon) triples whose
+perturbed rows are equal, and a cell in the same run as the cell just
+evaluated for its model kind reuses that cell's attack recall without
+perturbing or predicting.
 """
 from __future__ import annotations
 
@@ -25,8 +33,8 @@ import numpy as np
 from .attack import AttackConfig, AttackPlan, compute_direction, perturb_batch
 from .data import Dataset, atomic_write_text, fit_scaler, format_number, schema_to_dict
 from .errors import MetricError, ResumeError, TabevadeError
-from .metrics import auprc, recall, success_rate
-from .models import MODEL_KINDS, Model, fit, predict, predict_score
+from .metrics import auprc, label_recall, recall, success_rate
+from .models import MODEL_KINDS, Model, fit, labels, predict, predict_score
 from .ranking import RANKING_METHODS, FeatureRanking, rank_features
 
 
@@ -45,16 +53,17 @@ def evaluate_attack(model: Model, test: Dataset, plan: AttackPlan) -> Evaluation
     """Perturb the input-class test rows and measure the damage.
 
     Target-class rows pass through untouched; already-misclassified input
-    rows are perturbed like the rest.
+    rows are perturbed like the rest.  The model scores the clean and the
+    attacked rows once each; recalls come from those scores' labels.
     """
     baseline_scores = predict_score(model, test.X)
-    base_recall = recall(model, test.X, test.y)
+    base_recall = label_recall(labels(baseline_scores), test.y)
     base_auprc = auprc(baseline_scores, test.y)
     pos = test.rows_of_class(1)
     attacked = test.X.copy()
     attacked[pos] = perturb_batch(test.take(pos), plan)
     attack_scores = predict_score(model, attacked)
-    att_recall = recall(model, attacked, test.y)
+    att_recall = label_recall(labels(attack_scores), test.y)
     return EvaluationReport(
         baseline_recall=base_recall,
         attack_recall=att_recall,
@@ -258,6 +267,27 @@ def _check_fingerprint(sink: Path, fingerprint: dict) -> bool:
     return True
 
 
+def _perturbation_runs(spec: GridSpec, wanted: set, attacked: Callable[[str, int, float], np.ndarray]) -> dict:
+    """Number the runs of equal perturbations among the ``wanted`` (method, n,
+    epsilon) triples.
+
+    The triples are taken in spec order and perturbed once each; a triple
+    whose rows are exactly equal (``np.array_equal``) to the previous
+    triple's joins its run, any other starts the next.  Only the previous
+    matrix is held.  Two triples with the same run number therefore attack
+    with the same rows.
+    """
+    runs: dict[tuple, int] = {}
+    run, previous = -1, None
+    for triple in ((m, n, e) for m in spec.methods for n in spec.n_values for e in spec.epsilon_values):
+        if triple in wanted:
+            rows = attacked(*triple)
+            if previous is None or not np.array_equal(rows, previous):
+                run += 1
+            runs[triple], previous = run, rows
+    return runs
+
+
 def grid_search(
     train: Dataset,
     test: Dataset,
@@ -283,6 +313,14 @@ def grid_search(
     to ``workers`` processes, never more than there are of them; the cells
     are then evaluated here, in order, so results are identical for any
     worker count.  A worker that dies raises :class:`TabevadeError`.
+
+    Before the first cell, every pending (method, n, epsilon) triple is
+    perturbed once, in spec order, and numbered by its run of exactly equal
+    perturbed rows (see :func:`_perturbation_runs`).  A cell whose model
+    kind and run match the cell just evaluated takes that cell's attack
+    recall; any other cell perturbs its triple again and predicts.  So each
+    model kind predicts once per run, and a resume that skips cells inside
+    a run still reuses only equal rows.
     """
     with ExitStack() as stack:  # holds the sink's lock, then the sink, until the last cell is written
         done: dict[tuple, GridRecord] = {}
@@ -338,11 +376,20 @@ def grid_search(
         baselines = {kind: recall(prepared["fit", kind], test.X, test.y) for kind in kinds}
         scaler, direction = fit_scaler(train), compute_direction(train)
         positives = test.take(test.rows_of_class(1))
-        for finished, (kind, method, n, epsilon) in enumerate(pending, start=len(done) + 1):
+
+        def attacked(method: str, n: int, epsilon: float) -> np.ndarray:
             config = AttackConfig(n=n, epsilon=epsilon, method=method)
             plan = AttackPlan(train.schema, prepared["rank_features", method], direction, config, scaler)
-            preds = predict(prepared["fit", kind], perturb_batch(positives, plan))
-            attack_recall = float(preds.mean()) if preds.size else 0.0
+            return perturb_batch(positives, plan)
+
+        runs = _perturbation_runs(spec, {c[1:] for c in pending}, attacked)
+        last = None  # (kind, run) of the cell just evaluated, and its attack recall
+        for finished, (kind, method, n, epsilon) in enumerate(pending, start=len(done) + 1):
+            key = (kind, runs[method, n, epsilon])
+            if last is None or last[0] != key:
+                preds = predict(prepared["fit", kind], attacked(method, n, epsilon))
+                last = key, float(preds.mean()) if preds.size else 0.0
+            attack_recall = last[1]
             record = GridRecord(kind, method, n, epsilon, baselines[kind], attack_recall,
                                 success_rate(baselines[kind], attack_recall))
             done[_cell_key(kind, method, n, epsilon)] = record

@@ -9,12 +9,16 @@ from .models import Model, predict
 
 def recall(model: Model, X, y) -> float:
     """Fraction of actual positives the model labels positive."""
+    return label_recall(predict(model, X), y)
+
+
+def label_recall(labels, y) -> float:
+    """Fraction of actual positives among the rows ``labels`` marks 1."""
     y = np.asarray(y, dtype=int)
     positives = int((y == 1).sum())
     if positives == 0:
         raise MetricError("recall is undefined without positive samples")
-    preds = predict(model, X)
-    return float(((preds == 1) & (y == 1)).sum() / positives)
+    return float(((labels == 1) & (y == 1)).sum() / positives)
 
 
 def success_rate(baseline_recall: float, attack_recall: float) -> float:

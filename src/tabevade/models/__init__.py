@@ -89,9 +89,14 @@ def predict_score(model: Model, X) -> np.ndarray:
     return np.clip(model.impl.predict_scores(Xs), 0.0, 1.0)
 
 
+def labels(scores: np.ndarray) -> np.ndarray:
+    """Hard labels of scores: 1 where the score reaches 0.5 (ties go positive)."""
+    return (scores >= 0.5).astype(int)
+
+
 def predict(model: Model, X) -> np.ndarray:
-    """Hard labels: 1 where the score reaches 0.5 (ties go positive)."""
-    return (predict_score(model, X) >= 0.5).astype(int)
+    """Hard labels of :func:`predict_score` (see :func:`labels`)."""
+    return labels(predict_score(model, X))
 
 
 def save_model(model: Model, path: Union[str, Path]) -> None:

@@ -12,11 +12,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from html.parser import HTMLParser
 
 from .attack import AttackPlan, perturb
-from .errors import InfeasibleInjectionError, UnsupportedFeatureError
-from .models import Model, predict, predict_score
+from .errors import ExtractionError, InfeasibleInjectionError, UnsupportedFeatureError
+from .models import Model, labels, predict_score
 from .webfeatures import (
+    _ATTRS,
+    _NAME,
+    _RAW_TEXT_ELEMENTS,
+    _WS,
     WEB_FEATURE_NAMES,
     WebFeatureVector,
     WebPage,
@@ -94,13 +99,78 @@ _BODY_CLOSE_RE = re.compile(r"</body\s*>", re.IGNORECASE)
 _HTML_CLOSE_RE = re.compile(r"</html\s*>", re.IGNORECASE)
 _HEAD_CLOSE_RE = re.compile(r"</head\s*>", re.IGNORECASE)
 
+# Plain markup as the page tokenizer in webfeatures reads it (text, start and
+# end tags, raw-text elements holding only text), plus declarations such as
+# <!DOCTYPE html>.  Every "<" in it opens a tag that each CPython html.parser
+# reads the same way, so an end tag matched right after such a prefix is a
+# real one; any other page is settled by parsing it.
+_RAW_NAMES = "|".join(_RAW_TEXT_ELEMENTS)
+_PLAIN_PREFIX_RE = re.compile(
+    rf"[^<]*(?:(?:</{_NAME}>"
+    rf"|<(?!(?i:{_RAW_NAMES}|plaintext)(?![A-Za-z0-9])){_NAME}{_ATTRS}{_WS}*/?>"
+    rf"|<((?i:{_RAW_NAMES})){_ATTRS}{_WS}*>[^<]*</(?i:\1)>"
+    rf"|<![A-Za-z][^<>]*>)[^<]*)*"
+)
 
-def _insert_before_last(html: str, pattern: re.Pattern, chunk: str) -> str | None:
+
+def _last_start(pattern: re.Pattern, html: str) -> int | None:
     matches = list(pattern.finditer(html))
-    if not matches:
-        return None
-    pos = matches[-1].start()
-    return html[:pos] + chunk + html[pos:]
+    return matches[-1].start() if matches else None
+
+
+class _EndTagScanner(HTMLParser):
+    """Offsets of a page's real </head>, </body> and </html> end tags, and
+    of the unfinished markup (an unclosed comment, tag or raw-text element)
+    that the parser holds back at the page's end."""
+
+    def __init__(self, html: str) -> None:
+        super().__init__(convert_charrefs=True)
+        self._line_starts = [0] + [m.end() for m in re.finditer("\n", html)]
+        self.ends: dict[str, int] = {}  # tag -> offset of its last real end tag
+        self._last_start_tag = 0
+        try:
+            self.feed(html)  # no close(): what the parser holds back stays unfinished
+        except Exception as exc:  # as in extraction: the stdlib parser is lenient, anything else is fatal
+            raise ExtractionError(f"cannot parse page: {exc}") from exc
+        self.unfinished = self._last_start_tag if self.cdata_elem else len(html) - len(self.rawdata)
+
+    def _offset(self) -> int:
+        line, column = self.getpos()
+        return self._line_starts[line - 1] + column
+
+    def handle_starttag(self, tag, attrs):
+        self._last_start_tag = self._offset()
+
+    def handle_startendtag(self, tag, attrs):  # <body/> opens nothing and closes nothing
+        self.handle_starttag(tag, attrs)
+
+    def handle_endtag(self, tag):
+        if tag.lower() in ("head", "body", "html"):
+            self.ends[tag.lower()] = self._offset()
+
+
+def _splice_points(html: str) -> tuple[int | None, int]:
+    """Where head metadata and the hidden container go.
+
+    Metadata goes before the last real </head> (None when there is none);
+    the container before the last real </body>, else the last real
+    </html>, else at the end of the page's finished markup.  "Real" means
+    an end tag the feature extractor's parser sees, not one inside a
+    comment, script or attribute value.  The last regex match of each is
+    taken as it is when the markup before it is plain; only other pages
+    are parsed.
+    """
+    head = _last_start(_HEAD_CLOSE_RE, html)
+    body = _last_start(_BODY_CLOSE_RE, html)
+    if body is None:
+        body = _last_start(_HTML_CLOSE_RE, html)
+    if body is None:
+        body = len(html)
+    if _PLAIN_PREFIX_RE.fullmatch(html, 0, body if head is None else max(head, body)):
+        return head, body  # every "<" in plain markup opens a real tag, so both matches are real
+    scanner = _EndTagScanner(html)
+    body = scanner.ends.get("body", scanner.ends.get("html", scanner.unfinished))
+    return scanner.ends.get("head"), body
 
 
 def inject(page: WebPage, plan: InjectionPlan) -> WebPage:
@@ -108,7 +178,9 @@ def inject(page: WebPage, plan: InjectionPlan) -> WebPage:
 
     An empty plan returns the page byte-identical.  Missing </head> sends
     metadata into the hidden container; missing </body> appends the
-    container before </html> or at the document end.
+    container before </html> or at the document end, ahead of any markup
+    left unfinished there.  End tags inside comments, raw-text elements or
+    attribute values do not count (see :func:`_splice_points`).
     """
     if plan.is_empty:
         return page
@@ -127,23 +199,18 @@ def inject(page: WebPage, plan: InjectionPlan) -> WebPage:
                 body_parts.append(_GENERATORS[name](k))
 
     html = page.html
-    if head_parts:
-        with_head = _insert_before_last(html, _HEAD_CLOSE_RE, "".join(head_parts))
-        if with_head is None:
-            body_parts = head_parts + body_parts  # no head: metadata rides in the container
-        else:
-            html = with_head
-
+    head, body = _splice_points(html)
+    if head is None:
+        body_parts = head_parts + body_parts  # no head: metadata rides in the container
+        head, head_parts = body, []
     container = (
         f'<div {CONTAINER_ATTR}="1" aria-hidden="true" style="{_HIDDEN_STYLE}">'
         + "".join(body_parts)
         + "</div>"
     )
-    injected = _insert_before_last(html, _BODY_CLOSE_RE, container)
-    if injected is None:
-        injected = _insert_before_last(html, _HTML_CLOSE_RE, container)
-    if injected is None:
-        injected = html + container
+    (at, chunk), (later_at, later_chunk) = sorted([(head, "".join(head_parts)), (body, container)],
+                                                  key=lambda splice: splice[0])
+    injected = html[:at] + chunk + html[at:later_at] + later_chunk + html[later_at:]
     return WebPage(url=page.url, html=injected)
 
 
@@ -167,7 +234,9 @@ def problem_space_attack(
 
     The attack plan must mask its selection to addable features; the
     re-extraction is what the classifier sees, so unplanned side effects
-    count for (or against) the attacker.
+    count for (or against) the attacker.  The model scores the original
+    and the re-extracted vector once each, and each label is drawn from
+    its score as :func:`~tabevade.models.predict` draws it.
     """
     if plan.schema.names != WEB_FEATURE_NAMES:
         raise InfeasibleInjectionError(
@@ -184,8 +253,8 @@ def problem_space_attack(
     new_page = inject(page, injection)
     reextracted = extract_features(new_page)
 
-    baseline_label = int(predict(model, original.values)[0])
-    attack_label = int(predict(model, reextracted.values)[0])
+    baseline_score, attack_score = (predict_score(model, v.values) for v in (original, reextracted))
+    baseline_label, attack_label = (int(labels(score)[0]) for score in (baseline_score, attack_score))
     planned = dict(injection.additions)
     side_effects = {}
     for i, name in enumerate(WEB_FEATURE_NAMES):
@@ -195,8 +264,8 @@ def problem_space_attack(
     record = ProblemSpaceRecord(
         baseline_label=baseline_label,
         attack_label=attack_label,
-        baseline_score=float(predict_score(model, original.values)[0]),
-        attack_score=float(predict_score(model, reextracted.values)[0]),
+        baseline_score=float(baseline_score[0]),
+        attack_score=float(attack_score[0]),
         planned=planned,
         side_effects=side_effects,
         evaded=baseline_label == 1 and attack_label == 0,

@@ -505,3 +505,36 @@ def extract_features_reference(page: WebPage) -> WebFeatureVector:
         "SFH": sum(1 for a in forms if action_is_safe(a)),
     }
     return WebFeatureVector(values=np.array([values[name] for name in WEB_FEATURE_NAMES], dtype=float))
+
+
+def grid_reference(train, test, spec, seed):
+    """The grid's records with every cell perturbed and predicted on its own.
+
+    Models and rankings are fitted once, as the grid fits them; each cell
+    then builds its own plan, perturbs the test positives and predicts
+    them, with nothing shared between cells.  Records come in cell order.
+    """
+    from tabevade.attack import AttackConfig, AttackPlan, compute_direction, perturb_batch
+    from tabevade.data import fit_scaler
+    from tabevade.evaluation import GridRecord
+    from tabevade.metrics import recall, success_rate
+    from tabevade.models import fit, predict
+    from tabevade.ranking import rank_features
+
+    rankings = {method: rank_features(train, method, seed=seed) for method in spec.methods}
+    positives = test.take(test.rows_of_class(1))
+    records = []
+    for kind in spec.model_kinds:
+        model = fit(kind, train, seed=seed)
+        baseline = recall(model, test.X, test.y)
+        for method in spec.methods:
+            for n in spec.n_values:
+                for epsilon in spec.epsilon_values:
+                    config = AttackConfig(n=n, epsilon=epsilon, method=method)
+                    plan = AttackPlan(train.schema, rankings[method], compute_direction(train), config,
+                                      fit_scaler(train))
+                    preds = predict(model, perturb_batch(positives, plan))
+                    attack = float(preds.mean()) if preds.size else 0.0
+                    records.append(GridRecord(kind, method, n, epsilon, baseline, attack,
+                                              success_rate(baseline, attack)))
+    return tuple(records)

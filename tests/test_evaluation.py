@@ -1,3 +1,4 @@
+import collections
 import json
 import multiprocessing
 import os
@@ -5,9 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from oracles import brute_force_auprc, confusion_recall
-from tabevade.attack import AttackConfig, build_plan
-from tabevade.data import Dataset, FeatureSchema, FeatureSpec, split
+from oracles import brute_force_auprc, confusion_recall, grid_reference
+from tabevade.attack import AttackConfig, AttackPlan, build_plan, compute_direction, perturb_batch
+from tabevade.data import Dataset, FeatureSchema, FeatureSpec, fit_scaler, split
 from tabevade.errors import FitError, MetricError, ResumeError, TabevadeError
 import tabevade
 from tabevade import evaluation
@@ -23,6 +24,7 @@ from tabevade.evaluation import (
     max_success_curve,
 )
 from tabevade.metrics import auprc, recall, success_rate
+from tabevade.ranking import rank_features
 from tabevade.models import fit, predict
 from tabevade.synth import census_like, gaussian_blobs
 
@@ -170,6 +172,23 @@ def test_evaluate_report_internally_consistent():
     assert report.success_rate == pytest.approx(
         success_rate(report.baseline_recall, report.attack_recall)
     )
+
+
+def test_evaluate_scores_clean_and_attacked_rows_once_each(monkeypatch):
+    train, test = split(census_like(400, seed=2), 0.8, seed=0)
+    model = fit("decision_tree", train, seed=0)
+    plan = build_plan(train, AttackConfig(n=4, epsilon=0.6, method="gini_impurity"), seed=0)
+    calls = []
+    real = model.impl.predict_scores
+    monkeypatch.setattr(model.impl, "predict_scores", lambda X: calls.append(len(X)) or real(X))
+    report = evaluate_attack(model, test, plan)
+    assert calls == [test.n_rows, test.n_rows]
+    monkeypatch.undo()
+    assert report.baseline_recall == recall(model, test.X, test.y)
+    attacked = test.X.copy()
+    positives = test.rows_of_class(1)
+    attacked[positives] = perturb_batch(test.take(positives), plan)
+    assert report.attack_recall == recall(model, attacked, test.y)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +434,101 @@ def test_grid_resume_fits_and_ranks_only_for_pending_cells(tmp_path, monkeypatch
     assert grid_search(train, test, spec, seed=0, sink=sink).records == full.records
     assert fits == [] and ranks == []
     assert GridResult.from_csv(sink).records == full.records
+
+
+# epsilon reaches far past saturation, so later epsilons repeat the rows of earlier ones
+SATURATING = GridSpec(
+    n_values=(1, 2, 4), epsilon_values=(0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.3, 1.0, 6.0),
+    methods=("info_gain_ratio", "gini_impurity"), model_kinds=("logistic_regression", "decision_tree"),
+)
+
+
+def saturating_inputs():
+    return split(census_like(400, seed=0), 0.8, seed=0)
+
+
+def perturbation_runs(train, test, spec):
+    """Each (method, n, epsilon) triple's run: runs of consecutive triples, in spec order, with equal rows."""
+    direction, scaler = compute_direction(train), fit_scaler(train)
+    positives = test.take(test.rows_of_class(1))
+    keys = {}
+    for method in spec.methods:
+        ranking = rank_features(train, method, seed=0)
+        for n in spec.n_values:
+            for epsilon in spec.epsilon_values:
+                plan = AttackPlan(train.schema, ranking, direction, AttackConfig(n=n, epsilon=epsilon, method=method),
+                                  scaler)
+                keys[method, n, epsilon] = perturb_batch(positives, plan).tobytes()
+    runs, run, previous = {}, -1, None
+    for triple, key in keys.items():
+        run += key != previous
+        runs[triple], previous = run, key
+    return runs
+
+
+def test_grid_predicts_once_per_run_of_equal_perturbations(monkeypatch):
+    train, test = saturating_inputs()
+    reference = grid_reference(train, test, SATURATING, seed=0)
+    runs = perturbation_runs(train, test, SATURATING)
+    assert max(collections.Counter(runs.values()).values()) > 1
+    predicts = counting(monkeypatch, "predict", 0)
+    grid = grid_search(train, test, SATURATING, seed=0)
+    assert grid.records == reference
+    per_kind = collections.Counter(model.kind for model in predicts)
+    assert per_kind == {kind: len(set(runs.values())) for kind in SATURATING.model_kinds}
+
+
+def test_grid_resume_at_every_line_inside_a_run_writes_the_uninterrupted_bytes(tmp_path):
+    train, test = saturating_inputs()
+    spec = GridSpec(n_values=SATURATING.n_values, epsilon_values=SATURATING.epsilon_values,
+                    methods=("info_gain_ratio",), model_kinds=("decision_tree",))
+    runs = perturbation_runs(train, test, spec)
+    full_sink = tmp_path / "full.csv"
+    full = grid_search(train, test, spec, seed=0, sink=full_sink)
+    whole = full_sink.read_bytes()
+    lines = whole.splitlines(keepends=True)
+    run_of = [runs[r.method, r.n, r.epsilon] for r in full.records]
+    # a cut after data line i (record i - 1) is inside a run when records i - 1 and i share one
+    cuts = [i for i in range(2, len(lines)) if run_of[i - 2] == run_of[i - 1]]
+    assert cuts
+    sink = tmp_path / "cut.csv"
+    for i in cuts:
+        sink.write_bytes(b"".join(lines[:i]))
+        resumed = grid_search(train, test, spec, seed=0, sink=sink)
+        assert resumed.records == full.records, i
+        assert sink.read_bytes() == whole, i
+
+
+def test_grid_resume_with_gaps_inside_runs_matches_the_full_grid(tmp_path):
+    train, test = saturating_inputs()
+    full = grid_search(train, test, SATURATING, seed=0)
+    sink = tmp_path / "grid.csv"
+    GridResult(records=full.records[::2]).to_csv(sink)  # every other cell, so each run is cut into pieces
+    assert grid_search(train, test, SATURATING, seed=0, sink=sink).records == full.records
+
+
+def test_grid_resume_of_one_run_per_kind_predicts_each_kind(tmp_path, monkeypatch):
+    train, test = saturating_inputs()
+    reference = grid_reference(train, test, SATURATING, seed=0)
+    runs = perturbation_runs(train, test, SATURATING)
+    cells = len(reference) // 2
+    logistic, tree = reference[:cells], reference[cells:]
+    # a run of several cells whose attack recall differs between the two kinds
+    run = next(runs[r.method, r.n, r.epsilon] for r, t in zip(logistic, tree)
+               if r.attack_recall != t.attack_recall
+               and list(runs.values()).count(runs[r.method, r.n, r.epsilon]) > 1)
+    sink = tmp_path / "grid.csv"
+    GridResult(records=tuple(r for r in reference if runs[r.method, r.n, r.epsilon] != run)).to_csv(sink)
+    predicts = counting(monkeypatch, "predict", 0)
+    assert grid_search(train, test, SATURATING, seed=0, sink=sink).records == reference
+    assert [model.kind for model in predicts] == list(SATURATING.model_kinds)
+
+
+def test_grid_sink_is_byte_identical_with_two_workers(tmp_path):
+    train, test = saturating_inputs()
+    grid_search(train, test, SATURATING, seed=0, sink=tmp_path / "one.csv", workers=1)
+    grid_search(train, test, SATURATING, seed=0, sink=tmp_path / "two.csv", workers=2)
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
 
 def test_grid_resume_refuses_a_sink_written_for_other_inputs(tmp_path):

@@ -19,6 +19,8 @@ from tabevade.webfeatures import (
     extract_features,
     is_display_suppressed,
 )
+from test_webfeatures import _near_grammar_documents
+from tabevade import webspace
 from tabevade.webspace import (
     CONTAINER_ATTR,
     InjectionPlan,
@@ -139,6 +141,63 @@ def test_inject_handles_pages_without_head_or_body():
     assert out.html.startswith("<p>just text</p>")
 
 
+# "|" marks where the container must go
+@pytest.mark.parametrize("marked", [
+    "<html><body>x|</body><!-- moved </body> --></html>",
+    "<html><body>x|</body><script>var s = '</body></html>';</script></html>",
+    "<html><body><p title='</body>'>x</p>|</body></html>",
+    "<html><head><title>t</title></head><body>x<style>/* </head></body> */</style>|</body></html>",
+    '<html><body>x|</body><p title="a>b</body>"></p></html>',
+    # markup left unfinished at the end of the page
+    "<html><body>x|<!-- never closed </body></html>",
+    "<html><body>x|</body><!-- never closed </html>",
+    "<html><body>x|<!-- never closed > </body></html>",
+    "<p>x|<!-- never closed",
+    "<p>x|<script>var never_closed = 1;",
+])
+def test_inject_lands_before_the_last_real_end_tag(marked):
+    before, after = marked.split("|")
+    out = inject(WebPage(url="http://x.example", html=before + after), InjectionPlan(additions={"href": 2}))
+    assert out.html.startswith(before + f"<div {CONTAINER_ATTR}=")
+    assert out.html.endswith("</div>" + after)
+    assert extract_features(out)["href"] == 2
+
+
+def test_inject_places_plain_pages_without_parsing(monkeypatch):
+    """Plain pages keep the last regex match, and it is where a parse would put the container."""
+    pages = [page for _, page, _ in demo_pages(20, 20, seed=3)] + [SAMPLE]
+    expected = [webspace._EndTagScanner(page.html) for page in pages]
+
+    def refuse(html):
+        raise AssertionError("a plain page was parsed")
+
+    monkeypatch.setattr(webspace, "_EndTagScanner", refuse)
+    for page, scanner in zip(pages, expected):
+        assert webspace._splice_points(page.html) == (scanner.ends["head"], scanner.ends["body"])
+
+
+# end tags that are not real: in a comment, a script, an attribute value, an unclosed comment
+_FAKE_END_TAGS = (
+    lambda h: h.replace("</body>", "</body><!-- </body></html> -->"),
+    lambda h: h.replace("</body>", "</body><script>'</body>'</script>"),
+    lambda h: h.replace("<body>", "<body><p title='</head></body>'>t</p>", 1),
+    lambda h: h.replace("</body>", '</body><p title="a>b</body>"></p>'),
+    lambda h: h + "<!-- left open </body>",
+    lambda h: h,
+)
+
+
+def test_inject_splices_where_a_parse_would_on_near_grammar_pages():
+    for i, page in enumerate(_near_grammar_documents(200, seed=5)):
+        page = WebPage(url=page.url, html=_FAKE_END_TAGS[i % len(_FAKE_END_TAGS)](page.html))
+        scanner = webspace._EndTagScanner(page.html)
+        parsed = scanner.ends.get("head"), scanner.ends.get("body", scanner.ends.get("html", scanner.unfinished))
+        assert webspace._splice_points(page.html) == parsed, page.html
+        before = extract_features(page)
+        after = extract_features(inject(page, InjectionPlan(additions={"href": 2, "meta": 1})))
+        assert (after["href"], after["meta"]) == (before["href"] + 2, before["meta"] + 1), page.html
+
+
 def _is_subsequence(needle, haystack) -> bool:
     it = iter(haystack)
     return all(item in it for item in needle)
@@ -248,6 +307,34 @@ def test_problem_space_flips_some_demo_pages():
         _, record = problem_space_attack(page, plan, model)
         flips += record.evaded
     assert flips >= 1
+
+
+def count_model_calls(monkeypatch, model):
+    """Rows passed to each call of the model's scorer, the one call every prediction makes."""
+    calls = []
+    real = model.impl.predict_scores
+
+    def wrapper(X):
+        calls.append(len(X))
+        return real(X)
+
+    monkeypatch.setattr(model.impl, "predict_scores", wrapper)
+    return calls
+
+
+def test_problem_space_scores_each_vector_once(monkeypatch):
+    ds, model, mask = web_fixture()
+    plan = build_plan(ds, AttackConfig(n=6, epsilon=4.0, method="gini_impurity", feature_mask=mask), seed=0)
+    page = demo_pages(1, 0, seed=11)[0][1]
+    expected = problem_space_attack(page, plan, model)
+    calls = count_model_calls(monkeypatch, model)
+    forged, record = problem_space_attack(page, plan, model)
+    assert calls == [1, 1]
+    assert (forged, record) == expected
+    assert record.baseline_label == int(record.baseline_score >= 0.5)
+    assert record.attack_label == int(record.attack_score >= 0.5)
+    assert record.baseline_label == predict(model, extract_features(page).values)[0]
+    assert record.attack_label == predict(model, extract_features(forged).values)[0]
 
 
 def test_page_corpus_writes_each_file_atomically_and_labels_last_synced(tmp_path, monkeypatch):
