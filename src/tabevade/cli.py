@@ -44,10 +44,11 @@ from .webspace import problem_space_attack
 # ---------------------------------------------------------------------------
 # small helpers
 
-def _run_dir(args, command: str) -> Path:
+def _run_dir(args, command: str, create: bool = True) -> Path:
     name = args.run_name or f"{command}-{time.strftime('%Y%m%d-%H%M%S')}"
     run = Path(args.out) / name
-    run.mkdir(parents=True, exist_ok=True)
+    if create:
+        run.mkdir(parents=True, exist_ok=True)
     return run
 
 
@@ -252,25 +253,26 @@ def _cmd_gridsearch(args) -> int:
         methods=tuple(args.methods.split(",")),
         model_kinds=tuple(args.models.split(",")),
     )
-    run = _run_dir(args, "gridsearch")
-    sink = run / "grid.csv"
-    if args.resume_from:
-        # continue an earlier sink in place
-        sink = Path(args.resume_from)
-    elif sink.exists():
+    # a resume continues an earlier sink in place, so its run dir waits until the sink is ours
+    run = _run_dir(args, "gridsearch", create=not args.resume_from)
+    sink = Path(args.resume_from) if args.resume_from else run / "grid.csv"
+    if not args.resume_from and sink.exists():
         raise ResumeError(
             f"{sink} already exists; continue it with --resume-from {sink}, "
             "or pick a new --run-name"
         )
-    _write_manifest(run, args)
     total = spec.n_cells
+
+    def started() -> None:  # a run refused for the sink's lock or fingerprint writes nothing
+        run.mkdir(parents=True, exist_ok=True)
+        _write_manifest(run, args)
 
     def progress(done: int, _total: int) -> None:
         if args.verbose and (done % 50 == 0 or done == total):
             print(f"  {done}/{total} cells", file=sys.stderr)
 
     result = grid_search(train, test, spec, seed=args.seed, sink=sink, workers=args.workers,
-                         progress=progress)
+                         progress=progress, started=started)
     if sink != run / "grid.csv":
         result.to_csv(run / "grid.csv")
     print(f"evaluated {len(result.records)} cells -> {run / 'grid.csv'}")

@@ -296,6 +296,7 @@ def grid_search(
     sink: Union[str, Path, None] = None,
     workers: int = 1,
     progress: Callable[[int, int], None] | None = None,
+    started: Callable[[], None] | None = None,
 ) -> GridResult:
     """Evaluate the full (model, method, n, epsilon) cross product.
 
@@ -309,7 +310,9 @@ def grid_search(
     there leaves nothing behind to resume.  From before the fingerprint
     check until the last cell, the run holds an exclusive ``flock`` on
     ``<sink>.lock``; a run that finds it held raises :class:`ResumeError`
-    before it reads or writes anything.  The fits and rankings run in up
+    before it reads or writes anything.  ``started`` is called once the run
+    holds the lock and has passed the fingerprint check, before any fit, so
+    a refused run never reaches it.  The fits and rankings run in up
     to ``workers`` processes, never more than there are of them; the cells
     are then evaluated here, in order, so results are identical for any
     worker count.  A worker that dies raises :class:`TabevadeError`.
@@ -340,6 +343,8 @@ def grid_search(
                 if Path(sink).stat().st_size > 0:
                     for r in GridResult.from_csv(sink).records:
                         done[_cell_key(r.model, r.method, r.n, r.epsilon)] = r
+        if started:
+            started()
 
         cells = [
             (kind, method, n, epsilon)

@@ -14,6 +14,8 @@ from one of two parsers:
   element, ``<plaintext>``, a tag left open at end of input) goes to
   ``_Collector``, a subclass of the stdlib ``HTMLParser``.
 
+Both also report where ``inject`` splices: the last real </head>, and the
+last real </body>, else </html>, else the end of the finished markup.
 The tokenizer yields exactly the events ``_Collector`` yields on its pages
 (tests/test_webfeatures.py checks this differentially), and those events do
 not depend on the Python version.  So extraction is a pure function of
@@ -36,6 +38,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from html.parser import HTMLParser
 from typing import NamedTuple
 from urllib.parse import urlsplit
@@ -146,6 +149,11 @@ class WebPage:
     url: str
     html: str
 
+    @cached_property
+    def events(self) -> PageEvents:
+        """The page's one parse, shared by feature extraction and injection."""
+        return collect_events(self.html)
+
 
 @dataclass(frozen=True)
 class WebFeatureVector:
@@ -184,28 +192,45 @@ _BINARY_MASK = np.array([name in BINARY_WEB_FEATURES for name in WEB_FEATURE_NAM
 # HTML event collection
 
 class PageEvents(NamedTuple):
-    """Start tags in document order, with the text a page's rules read."""
+    """Start tags in document order, with the text a page's rules read and
+    the offsets where injection splices markup in."""
 
     elements: list[tuple[str, dict[str, str], bool]]  # (tag, attrs, in_head)
     script_text: list[str]  # inside script/style/title
     body_text: list[str]  # everywhere else outside head
+    head_end: int | None  # the last real </head>
+    body_end: int  # the last real </body>, else </html>, else the end of the finished markup
 
 
 _SKIP_TEXT_ELEMENTS = frozenset(("script", "style", "title"))
 
 
-class _Collector(HTMLParser):
-    """Streams start tags, attributes and text with head/script tracking."""
+def _splice_offsets(ends: dict[str, int], finished: int) -> tuple[int | None, int]:
+    """(head_end, body_end) from the offsets of the last real end tag of each name."""
+    return ends.get("head"), ends.get("body", ends.get("html", finished))
 
-    def __init__(self) -> None:
+
+class _Collector(HTMLParser):
+    """Streams start tags, attributes and text with head/script tracking, and
+    the offsets of the real </head>, </body> and </html> end tags."""
+
+    def __init__(self, html: str) -> None:
         super().__init__(convert_charrefs=True)
         self.elements: list[tuple[str, dict[str, str], bool]] = []  # (tag, attrs, in_head)
         self.script_text: list[str] = []
         self.body_text: list[str] = []
         self._head_depth = 0
         self._skip_text_depth = 0  # inside script/style/title
+        self._line_starts = [0] + [m.end() for m in re.finditer("\n", html)]
+        self.ends: dict[str, int] = {}  # tag -> offset of its last real end tag
+        self.last_start = 0  # offset of the last start tag
 
-    def handle_starttag(self, tag, attrs):
+    def _offset(self) -> int:
+        line, column = self.getpos()
+        return self._line_starts[line - 1] + column
+
+    def _element(self, tag, attrs) -> str:
+        self.last_start = self._offset()
         tag = tag.lower()
         attr_map: dict[str, str] = {}
         for key, value in attrs:
@@ -213,13 +238,22 @@ class _Collector(HTMLParser):
             if key not in attr_map:
                 attr_map[key] = value if value is not None else ""
         self.elements.append((tag, attr_map, self._head_depth > 0 or tag == "head"))
+        return tag
+
+    def handle_starttag(self, tag, attrs):
+        tag = self._element(tag, attrs)
         if tag == "head":
             self._head_depth += 1
         elif tag in _SKIP_TEXT_ELEMENTS:
             self._skip_text_depth += 1
 
+    def handle_startendtag(self, tag, attrs):  # <head/> or <body/> opens nothing and closes nothing
+        self._element(tag, attrs)
+
     def handle_endtag(self, tag):
         tag = tag.lower()
+        if tag in ("head", "body", "html"):
+            self.ends[tag] = self._offset()
         if tag == "head" and self._head_depth > 0:
             self._head_depth -= 1
         elif tag in _SKIP_TEXT_ELEMENTS and self._skip_text_depth > 0:
@@ -254,6 +288,9 @@ _PLAIN_TOKEN_RE = re.compile(
     rf"|</({_NAME})>"
     r"|(<)|\Z)"
 )
+# Every "<" in plain markup opens a tag the tokenizer reads (attribute values
+# and raw text hold none), so in a plain page each match is a real end tag.
+_SPLICE_END_RE = re.compile(r"</(head|body|html)>", re.IGNORECASE)
 
 
 def _plain_attrs(text: str) -> dict[str, str]:
@@ -300,18 +337,23 @@ def _tokenize_plain(html: str) -> PageEvents | None:
                     body_text.append(raw_text)
         elif stray:
             return None
-    return PageEvents(elements, script_text, body_text)
+    ends = {m[1].lower(): m.start() for m in _SPLICE_END_RE.finditer(html)}
+    return PageEvents(elements, script_text, body_text, *_splice_offsets(ends, len(html)))
 
 
 def _parse_events(html: str) -> PageEvents:
     """The stdlib parser's events: the only path for pages outside plain markup."""
-    collector = _Collector()
+    collector = _Collector(html)
     try:
         collector.feed(html)
+        # read before close(): what the parser holds back now (an unclosed comment, tag or raw-text
+        # element) is unfinished markup, and an end tag that only close() flushes out is not real
+        finished = collector.last_start if collector.cdata_elem else len(html) - len(collector.rawdata)
+        head_end, body_end = _splice_offsets(collector.ends, finished)
         collector.close()
     except Exception as exc:  # the stdlib parser is lenient; anything else is fatal
         raise ExtractionError(f"cannot parse page: {exc}") from exc
-    return PageEvents(collector.elements, collector.script_text, collector.body_text)
+    return PageEvents(collector.elements, collector.script_text, collector.body_text, head_end, body_end)
 
 
 def collect_events(html: str) -> PageEvents:
@@ -365,7 +407,7 @@ def _longest_token(text: str) -> int:
 
 def extract_features(page: WebPage) -> WebFeatureVector:
     url = page.url
-    events = collect_events(page.html)
+    events = page.events
     parts, hostname = _url_parts(url)
     labels = hostname.split(".") if hostname else []
     subdomain = ".".join(labels[:-2]) if len(labels) > 2 else ""

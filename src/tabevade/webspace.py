@@ -4,29 +4,20 @@ Additions only - removals could break a live page - so a plan holds a
 non-negative element count per addable feature.  Injection is textual: the
 original markup is left byte-for-byte intact and one hidden container (plus
 head metadata) is spliced in, which makes the original element sequence a
-subsequence of the result by construction.  Re-extraction after injection
-is how side-effect features (an injected mailto anchor also counts as an
-href, redirect stubs are also scripts) are observed.
+subsequence of the result by construction.  The splice offsets come from
+the page's one parse (``WebPage.events``), the parse feature extraction
+reads.  Re-extraction after injection is how side-effect features (an
+injected mailto anchor also counts as an href, redirect stubs are also
+scripts) are observed.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from html.parser import HTMLParser
 
 from .attack import AttackPlan, perturb
-from .errors import ExtractionError, InfeasibleInjectionError, UnsupportedFeatureError
+from .errors import InfeasibleInjectionError, UnsupportedFeatureError
 from .models import Model, labels, predict_score
-from .webfeatures import (
-    _ATTRS,
-    _NAME,
-    _RAW_TEXT_ELEMENTS,
-    _WS,
-    WEB_FEATURE_NAMES,
-    WebFeatureVector,
-    WebPage,
-    extract_features,
-)
+from .webfeatures import WEB_FEATURE_NAMES, WebFeatureVector, WebPage, extract_features
 
 CONTAINER_ATTR = "data-pad-container"
 _HIDDEN_STYLE = "display:none!important;visibility:hidden!important"
@@ -95,92 +86,15 @@ def plan_injection(
     return InjectionPlan(additions=additions)
 
 
-_BODY_CLOSE_RE = re.compile(r"</body\s*>", re.IGNORECASE)
-_HTML_CLOSE_RE = re.compile(r"</html\s*>", re.IGNORECASE)
-_HEAD_CLOSE_RE = re.compile(r"</head\s*>", re.IGNORECASE)
-
-# Plain markup as the page tokenizer in webfeatures reads it (text, start and
-# end tags, raw-text elements holding only text), plus declarations such as
-# <!DOCTYPE html>.  Every "<" in it opens a tag that each CPython html.parser
-# reads the same way, so an end tag matched right after such a prefix is a
-# real one; any other page is settled by parsing it.
-_RAW_NAMES = "|".join(_RAW_TEXT_ELEMENTS)
-_PLAIN_PREFIX_RE = re.compile(
-    rf"[^<]*(?:(?:</{_NAME}>"
-    rf"|<(?!(?i:{_RAW_NAMES}|plaintext)(?![A-Za-z0-9])){_NAME}{_ATTRS}{_WS}*/?>"
-    rf"|<((?i:{_RAW_NAMES})){_ATTRS}{_WS}*>[^<]*</(?i:\1)>"
-    rf"|<![A-Za-z][^<>]*>)[^<]*)*"
-)
-
-
-def _last_start(pattern: re.Pattern, html: str) -> int | None:
-    matches = list(pattern.finditer(html))
-    return matches[-1].start() if matches else None
-
-
-class _EndTagScanner(HTMLParser):
-    """Offsets of a page's real </head>, </body> and </html> end tags, and
-    of the unfinished markup (an unclosed comment, tag or raw-text element)
-    that the parser holds back at the page's end."""
-
-    def __init__(self, html: str) -> None:
-        super().__init__(convert_charrefs=True)
-        self._line_starts = [0] + [m.end() for m in re.finditer("\n", html)]
-        self.ends: dict[str, int] = {}  # tag -> offset of its last real end tag
-        self._last_start_tag = 0
-        try:
-            self.feed(html)  # no close(): what the parser holds back stays unfinished
-        except Exception as exc:  # as in extraction: the stdlib parser is lenient, anything else is fatal
-            raise ExtractionError(f"cannot parse page: {exc}") from exc
-        self.unfinished = self._last_start_tag if self.cdata_elem else len(html) - len(self.rawdata)
-
-    def _offset(self) -> int:
-        line, column = self.getpos()
-        return self._line_starts[line - 1] + column
-
-    def handle_starttag(self, tag, attrs):
-        self._last_start_tag = self._offset()
-
-    def handle_startendtag(self, tag, attrs):  # <body/> opens nothing and closes nothing
-        self.handle_starttag(tag, attrs)
-
-    def handle_endtag(self, tag):
-        if tag.lower() in ("head", "body", "html"):
-            self.ends[tag.lower()] = self._offset()
-
-
-def _splice_points(html: str) -> tuple[int | None, int]:
-    """Where head metadata and the hidden container go.
-
-    Metadata goes before the last real </head> (None when there is none);
-    the container before the last real </body>, else the last real
-    </html>, else at the end of the page's finished markup.  "Real" means
-    an end tag the feature extractor's parser sees, not one inside a
-    comment, script or attribute value.  The last regex match of each is
-    taken as it is when the markup before it is plain; only other pages
-    are parsed.
-    """
-    head = _last_start(_HEAD_CLOSE_RE, html)
-    body = _last_start(_BODY_CLOSE_RE, html)
-    if body is None:
-        body = _last_start(_HTML_CLOSE_RE, html)
-    if body is None:
-        body = len(html)
-    if _PLAIN_PREFIX_RE.fullmatch(html, 0, body if head is None else max(head, body)):
-        return head, body  # every "<" in plain markup opens a real tag, so both matches are real
-    scanner = _EndTagScanner(html)
-    body = scanner.ends.get("body", scanner.ends.get("html", scanner.unfinished))
-    return scanner.ends.get("head"), body
-
-
 def inject(page: WebPage, plan: InjectionPlan) -> WebPage:
     """Append a hidden container (and head metadata) realizing the plan.
 
     An empty plan returns the page byte-identical.  Missing </head> sends
     metadata into the hidden container; missing </body> appends the
     container before </html> or at the document end, ahead of any markup
-    left unfinished there.  End tags inside comments, raw-text elements or
-    attribute values do not count (see :func:`_splice_points`).
+    left unfinished there.  Only end tags the page's parse sees count, not
+    ones inside comments, raw-text elements or attribute values; the offsets
+    come from ``page.events``, so a page extracted before is not parsed again.
     """
     if plan.is_empty:
         return page
@@ -199,7 +113,7 @@ def inject(page: WebPage, plan: InjectionPlan) -> WebPage:
                 body_parts.append(_GENERATORS[name](k))
 
     html = page.html
-    head, body = _splice_points(html)
+    head, body = page.events.head_end, page.events.body_end
     if head is None:
         body_parts = head_parts + body_parts  # no head: metadata rides in the container
         head, head_parts = body, []

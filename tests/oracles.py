@@ -6,7 +6,10 @@ no code path with the vectorized implementations under test.
 from __future__ import annotations
 
 import math
+import re
+from html.parser import HTMLParser
 
+from tabevade.errors import ExtractionError
 from tabevade.webfeatures import (
     _POPUP_RE,
     _PROMPT_RE,
@@ -505,6 +508,48 @@ def extract_features_reference(page: WebPage) -> WebFeatureVector:
         "SFH": sum(1 for a in forms if action_is_safe(a)),
     }
     return WebFeatureVector(values=np.array([values[name] for name in WEB_FEATURE_NAMES], dtype=float))
+
+
+
+# ---------------------------------------------------------------------------
+# splice points: the separate feed-only parse that inject ran before the
+# offsets moved into the page's one parse
+
+class _EndTagScanner(HTMLParser):
+    """Offsets of a page's real </head>, </body> and </html> end tags, and
+    of the unfinished markup (an unclosed comment, tag or raw-text element)
+    that the parser holds back at the page's end."""
+
+    def __init__(self, html: str) -> None:
+        super().__init__(convert_charrefs=True)
+        self._line_starts = [0] + [m.end() for m in re.finditer("\n", html)]
+        self.ends: dict[str, int] = {}  # tag -> offset of its last real end tag
+        self._last_start_tag = 0
+        try:
+            self.feed(html)  # no close(): what the parser holds back stays unfinished
+        except Exception as exc:  # as in extraction: the stdlib parser is lenient, anything else is fatal
+            raise ExtractionError(f"cannot parse page: {exc}") from exc
+        self.unfinished = self._last_start_tag if self.cdata_elem else len(html) - len(self.rawdata)
+
+    def _offset(self) -> int:
+        line, column = self.getpos()
+        return self._line_starts[line - 1] + column
+
+    def handle_starttag(self, tag, attrs):
+        self._last_start_tag = self._offset()
+
+    def handle_startendtag(self, tag, attrs):  # <body/> opens nothing and closes nothing
+        self.handle_starttag(tag, attrs)
+
+    def handle_endtag(self, tag):
+        if tag.lower() in ("head", "body", "html"):
+            self.ends[tag.lower()] = self._offset()
+
+
+def splice_points_reference(html: str) -> tuple[int | None, int]:
+    """(head_end, body_end) as a separate feed-only parse of the page finds them."""
+    scanner = _EndTagScanner(html)
+    return scanner.ends.get("head"), scanner.ends.get("body", scanner.ends.get("html", scanner.unfinished))
 
 
 def grid_reference(train, test, spec, seed):

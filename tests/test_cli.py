@@ -270,6 +270,7 @@ def test_gridsearch_resume_with_other_flags_exits_2(tmp_path, census_files, caps
     assert "(differing: seed" in capsys.readouterr().err
     assert run(args + ["--run-name", "split", "--resume-from", str(sink), "--train-fraction", "0.6"]) == 2
     assert sink.read_bytes() == written
+    assert not (tmp_path / "again").exists() and not (tmp_path / "split").exists()
     run_ok(args + ["--run-name", "same", "--resume-from", str(sink)])
     assert (tmp_path / "same" / "grid.csv").read_bytes() == written
 
@@ -329,32 +330,40 @@ def release(holder: subprocess.Popen) -> None:
     assert holder.wait(timeout=30) == 0
 
 
+def dir_bytes(path: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
 def test_gridsearch_on_a_sink_another_process_holds_exits_2(tmp_path, census_files, capsys):
     data, schema = census_files
     args = ["gridsearch", "--data", str(data), "--schema", str(schema),
             "--models", "logistic_regression", "--methods", "gini_impurity",
             "--n-values", "1", "--eps-min", "0.1", "--eps-max", "1.2", "--eps-steps", "3",
             "--workers", "1", "--out", str(tmp_path)]
-    (tmp_path / "g").mkdir()
-    holder = hold_lock(tmp_path / "g" / "grid.csv.lock")
+    run_dir = tmp_path / "g"
+    run_dir.mkdir()
+    (run_dir / "manifest.json").write_text('{"seed": 0}\n')  # the manifest of the run holding the lock
+    holder = hold_lock(run_dir / "grid.csv.lock")
     try:
+        before = dir_bytes(run_dir)
         capsys.readouterr()
-        assert run(args + ["--run-name", "g"]) == 2
+        assert run(args + ["--run-name", "g", "--seed", "3"]) == 2
         assert "another run is writing" in capsys.readouterr().err
-        assert not (tmp_path / "g" / "grid.csv").exists()
-        assert not evaluation.fingerprint_path(tmp_path / "g" / "grid.csv").exists()
+        assert dir_bytes(run_dir) == before  # no grid, no fingerprint, the holder's manifest
     finally:
         release(holder)
     run_ok(args + ["--run-name", "g"])
-    sink = tmp_path / "g" / "grid.csv"
-    written = sink.read_bytes()
-    holder = hold_lock(tmp_path / "g" / "grid.csv.lock")
+    sink = run_dir / "grid.csv"
+    before = dir_bytes(run_dir)
+    holder = hold_lock(run_dir / "grid.csv.lock")
     try:
         assert run(args + ["--run-name", "again", "--resume-from", str(sink)]) == 2
         assert "another run is writing" in capsys.readouterr().err
-        assert sink.read_bytes() == written
+        assert dir_bytes(run_dir) == before
+        assert not (tmp_path / "again").exists()
     finally:
         release(holder)
+    written = sink.read_bytes()
     run_ok(args + ["--run-name", "again", "--resume-from", str(sink)])
     assert sink.read_bytes() == written
 

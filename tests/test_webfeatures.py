@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from oracles import extract_features_reference
+from oracles import extract_features_reference, splice_points_reference
 
 from tabevade.errors import SchemaError
 from tabevade.synth import demo_pages
@@ -279,6 +279,8 @@ def test_tokenizer_and_one_pass_counts_match_the_stdlib_parser_and_the_reference
         assert events.elements == reference.elements, page.html
         assert "".join(events.script_text) == "".join(reference.script_text), page.html
         assert "".join(events.body_text) == "".join(reference.body_text), page.html
+        assert (events.head_end, events.body_end) == (reference.head_end, reference.body_end) \
+            == splice_points_reference(page.html), page.html
         assert [v.hex() for v in extract_features(page).values] == \
             [v.hex() for v in extract_features_reference(page).values], page.html
         accepted += _tokenize_plain(page.html) is not None

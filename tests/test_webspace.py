@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,9 @@ from tabevade.webfeatures import (
     extract_features,
     is_display_suppressed,
 )
+from oracles import splice_points_reference
 from test_webfeatures import _near_grammar_documents
-from tabevade import webspace
+from tabevade import webfeatures
 from tabevade.webspace import (
     CONTAINER_ATTR,
     InjectionPlan,
@@ -154,6 +156,13 @@ def test_inject_handles_pages_without_head_or_body():
     "<html><body>x|<!-- never closed > </body></html>",
     "<p>x|<!-- never closed",
     "<p>x|<script>var never_closed = 1;",
+    # end tags and pages outside plain markup
+    "<html><body>x|</BODY></html>",
+    "<html><body>x|</body ></html>",
+    "<html><body>x<body/>y|</body></html>",
+    "<html><body>a &amp; b|</body><body/></html>",
+    "<html><body>a &amp; b|</body></html>",
+    "<!DOCTYPE html><html><head><title>t</title></head><body>x|</body></html>",
 ])
 def test_inject_lands_before_the_last_real_end_tag(marked):
     before, after = marked.split("|")
@@ -164,16 +173,19 @@ def test_inject_lands_before_the_last_real_end_tag(marked):
 
 
 def test_inject_places_plain_pages_without_parsing(monkeypatch):
-    """Plain pages keep the last regex match, and it is where a parse would put the container."""
+    """Plain pages take their splice points from the tokenizer, where a parse would put them."""
     pages = [page for _, page, _ in demo_pages(20, 20, seed=3)] + [SAMPLE]
-    expected = [webspace._EndTagScanner(page.html) for page in pages]
+    expected = [splice_points_reference(page.html) for page in pages]
 
     def refuse(html):
         raise AssertionError("a plain page was parsed")
 
-    monkeypatch.setattr(webspace, "_EndTagScanner", refuse)
-    for page, scanner in zip(pages, expected):
-        assert webspace._splice_points(page.html) == (scanner.ends["head"], scanner.ends["body"])
+    monkeypatch.setattr(webfeatures, "_Collector", refuse)
+    for page, (head, body) in zip(pages, expected):
+        assert (page.events.head_end, page.events.body_end) == (head, body)
+        out = inject(page, InjectionPlan(additions={"href": 1}))
+        assert out.html.startswith(page.html[:body] + f"<div {CONTAINER_ATTR}=")
+        assert out.html.endswith("</div>" + page.html[body:])
 
 
 # end tags that are not real: in a comment, a script, an attribute value, an unclosed comment
@@ -190,9 +202,7 @@ _FAKE_END_TAGS = (
 def test_inject_splices_where_a_parse_would_on_near_grammar_pages():
     for i, page in enumerate(_near_grammar_documents(200, seed=5)):
         page = WebPage(url=page.url, html=_FAKE_END_TAGS[i % len(_FAKE_END_TAGS)](page.html))
-        scanner = webspace._EndTagScanner(page.html)
-        parsed = scanner.ends.get("head"), scanner.ends.get("body", scanner.ends.get("html", scanner.unfinished))
-        assert webspace._splice_points(page.html) == parsed, page.html
+        assert (page.events.head_end, page.events.body_end) == splice_points_reference(page.html), page.html
         before = extract_features(page)
         after = extract_features(inject(page, InjectionPlan(additions={"href": 2, "meta": 1})))
         assert (after["href"], after["meta"]) == (before["href"] + 2, before["meta"] + 1), page.html
@@ -307,6 +317,25 @@ def test_problem_space_flips_some_demo_pages():
         _, record = problem_space_attack(page, plan, model)
         flips += record.evaded
     assert flips >= 1
+
+
+# sha256 over "<name>\n<forged html>\n" for each page, in corpus order
+FORGED_PAGES_SHA256 = "54fc9ee56ee4dbe93eaa20f54ff14a3ad02c81aa055bfd521ba6e6865ddb5ad5"
+
+
+def test_forged_pages_match_the_golden_hash():
+    """The forged bytes depend on the plan alone, not on the model's scores or any BLAS."""
+    corpus = demo_pages(20, 20, seed=4)
+    ds = web_demo_dataset(corpus)
+    plan = build_plan(ds, AttackConfig(n=9, epsilon=6.0, feature_mask=frozenset(ds.schema.addable_indices())),
+                      seed=0)
+    model = fit("decision_tree", ds, seed=0)
+    digest = hashlib.sha256()
+    for name, page, _ in corpus:
+        forged, _ = problem_space_attack(page, plan, model)
+        assert forged.html != page.html, name
+        digest.update(f"{name}\n{forged.html}\n".encode())
+    assert digest.hexdigest() == FORGED_PAGES_SHA256
 
 
 def count_model_calls(monkeypatch, model):
