@@ -23,7 +23,7 @@ import numpy
 from . import __version__, synth
 from .attack import AttackConfig, build_plan, perturb_batch, select_features
 from .data import Dataset, atomic_write_text, format_number, load_dataset, load_schema, save_schema, split
-from .errors import ResumeError, TabevadeError
+from .errors import ExtractionError, ResumeError, TabevadeError
 from .evaluation import (
     CURVE_AXES,
     GridResult,
@@ -94,10 +94,17 @@ def _mask_indices(dataset: Dataset, names: str | None) -> frozenset[int] | None:
     return frozenset(dataset.schema.index_of(n.strip()) for n in names.split(",") if n.strip())
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ExtractionError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 def _page_url(path: Path) -> str:
     sidecar = path.with_name(path.name + ".url")
     if sidecar.exists():
-        return sidecar.read_text(encoding="utf-8").strip()
+        return _read_text(sidecar).strip()
     stem = unquote(path.stem)
     return stem if "://" in stem else f"http://{stem}"
 
@@ -109,7 +116,7 @@ def _page_paths(target: Path) -> list[Path]:
 
 
 def _read_page(path: Path) -> WebPage:
-    return WebPage(url=_page_url(path), html=path.read_text(encoding="utf-8"))
+    return WebPage(url=_page_url(path), html=_read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +248,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_gridsearch(args) -> int:
+    if args.workers < 1:  # refused before the run dir is made, as grid_search would refuse it
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     dataset = _load(args)
     train, test = split(dataset, args.train_fraction, args.seed)
     if args.n_values:

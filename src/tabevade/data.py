@@ -181,6 +181,8 @@ def schema_to_dict(schema: FeatureSchema) -> dict:
 def load_schema(path: Union[str, Path]) -> FeatureSchema:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"schema file {path} is not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"schema file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -295,7 +297,10 @@ def load_dataset(source: Union[str, Path, TextIO], schema: FeatureSchema) -> Dat
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
-            return load_dataset(handle, schema)
+            try:
+                return load_dataset(handle, schema)
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{source} is not UTF-8 text ({exc.reason})") from None
 
     reader = csv.reader(source)
     try:

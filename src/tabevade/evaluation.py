@@ -2,18 +2,16 @@
 max-success curves.
 
 Grid cells are evaluated against models fitted once per kind and rankings
-computed once per method.  Records can persist incrementally to a CSV sink
-so an interrupted search resumes.  A worker pool runs the fits and rankings
-in parallel, with no more processes than there are fits plus rankings;
-every cell is evaluated in the calling process.
+computed once per method.  Records can persist to a CSV sink so an
+interrupted search resumes.  A worker pool runs the fits and rankings in
+parallel, with no more processes than there are fits plus rankings; every
+cell is evaluated in the calling process.
 
 Once epsilon saturates the n selected features (each is clamped to the
 training range, and discrete ones round back toward the original), a
-larger epsilon perturbs to exactly the same rows.  So the grid first
-numbers the runs of consecutive (method, n, epsilon) triples whose
-perturbed rows are equal, and a cell in the same run as the cell just
-evaluated for its model kind reuses that cell's attack recall without
-perturbing or predicting.
+larger epsilon perturbs to exactly the same rows.  So the grid perturbs
+each pending (method, n, epsilon) triple once, and each model kind
+predicts once per run of consecutive triples with equal perturbed rows.
 """
 from __future__ import annotations
 
@@ -24,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 from typing import Callable, Union
 
@@ -267,27 +265,6 @@ def _check_fingerprint(sink: Path, fingerprint: dict) -> bool:
     return True
 
 
-def _perturbation_runs(spec: GridSpec, wanted: set, attacked: Callable[[str, int, float], np.ndarray]) -> dict:
-    """Number the runs of equal perturbations among the ``wanted`` (method, n,
-    epsilon) triples.
-
-    The triples are taken in spec order and perturbed once each; a triple
-    whose rows are exactly equal (``np.array_equal``) to the previous
-    triple's joins its run, any other starts the next.  Only the previous
-    matrix is held.  Two triples with the same run number therefore attack
-    with the same rows.
-    """
-    runs: dict[tuple, int] = {}
-    run, previous = -1, None
-    for triple in ((m, n, e) for m in spec.methods for n in spec.n_values for e in spec.epsilon_values):
-        if triple in wanted:
-            rows = attacked(*triple)
-            if previous is None or not np.array_equal(rows, previous):
-                run += 1
-            runs[triple], previous = run, rows
-    return runs
-
-
 def grid_search(
     train: Dataset,
     test: Dataset,
@@ -300,12 +277,12 @@ def grid_search(
 ) -> GridResult:
     """Evaluate the full (model, method, n, epsilon) cross product.
 
-    ``sink`` appends records as they complete and lets an interrupted run
-    resume: already-present cells are skipped, and only the model kinds and
-    ranking methods of the pending cells are fitted and ranked.  A fingerprint
-    of the inputs is kept beside the sink (see :func:`fingerprint_path`), and
-    resuming a sink whose fingerprint differs raises :class:`ResumeError`; a
-    sink without one resumes and gets one.  A new sink and its fingerprint are
+    ``sink`` appends each record once the pass below has ended, and lets an
+    interrupted run resume: already-present cells are skipped, and only the
+    model kinds and ranking methods of the pending cells are fitted and
+    ranked.  A fingerprint of the inputs is kept beside the sink (see
+    :func:`fingerprint_path`), and resuming a sink whose fingerprint differs
+    raises :class:`ResumeError`; a sink without one resumes and gets one.  A new sink and its fingerprint are
     written only once the fits and rankings have returned, so a run that fails
     there leaves nothing behind to resume.  From before the fingerprint
     check until the last cell, the run holds an exclusive ``flock`` on
@@ -315,16 +292,20 @@ def grid_search(
     a refused run never reaches it.  The fits and rankings run in up
     to ``workers`` processes, never more than there are of them; the cells
     are then evaluated here, in order, so results are identical for any
-    worker count.  A worker that dies raises :class:`TabevadeError`.
+    worker count.  A worker that dies raises :class:`TabevadeError`, and
+    ``workers`` below 1 raises :class:`ValueError` before anything is read
+    or written.
 
-    Before the first cell, every pending (method, n, epsilon) triple is
-    perturbed once, in spec order, and numbered by its run of exactly equal
-    perturbed rows (see :func:`_perturbation_runs`).  A cell whose model
-    kind and run match the cell just evaluated takes that cell's attack
-    recall; any other cell perturbs its triple again and predicts.  So each
-    model kind predicts once per run, and a resume that skips cells inside
-    a run still reuses only equal rows.
+    Before the first cell is written, one pass takes the pending (method, n,
+    epsilon) triples in spec order and perturbs each once; a triple whose
+    rows are not exactly equal (``np.array_equal``) to the previous triple's
+    starts a new run.  Each model kind with a pending cell at the triple
+    predicts once per run, on those rows, so a resume that skips cells inside
+    a run still reuses only equal rows.  The cells are then written, and
+    ``progress`` called, in order.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     with ExitStack() as stack:  # holds the sink's lock, then the sink, until the last cell is written
         done: dict[tuple, GridRecord] = {}
         fingerprinted = False
@@ -346,13 +327,7 @@ def grid_search(
         if started:
             started()
 
-        cells = [
-            (kind, method, n, epsilon)
-            for kind in spec.model_kinds
-            for method in spec.methods
-            for n in spec.n_values
-            for epsilon in spec.epsilon_values
-        ]
+        cells = list(product(spec.model_kinds, spec.methods, spec.n_values, spec.epsilon_values))
         pending = [c for c in cells if _cell_key(*c) not in done]
         kinds = [kind for kind in spec.model_kinds if any(c[0] == kind for c in pending)]
         methods = [method for method in spec.methods if any(c[1] == method for c in pending)]
@@ -381,20 +356,26 @@ def grid_search(
         baselines = {kind: recall(prepared["fit", kind], test.X, test.y) for kind in kinds}
         scaler, direction = fit_scaler(train), compute_direction(train)
         positives = test.take(test.rows_of_class(1))
-
-        def attacked(method: str, n: int, epsilon: float) -> np.ndarray:
+        recalls: dict[tuple, float] = {}  # each pending cell's attack recall
+        previous = None  # only the previous triple's rows are held
+        for method, n, epsilon in product(spec.methods, spec.n_values, spec.epsilon_values):
+            here = [kind for kind in kinds if _cell_key(kind, method, n, epsilon) not in done]
+            if not here:
+                continue
             config = AttackConfig(n=n, epsilon=epsilon, method=method)
             plan = AttackPlan(train.schema, prepared["rank_features", method], direction, config, scaler)
-            return perturb_batch(positives, plan)
+            rows = perturb_batch(positives, plan)
+            if previous is None or not np.array_equal(rows, previous):
+                run: dict[str, float] = {}  # the new run's attack recall per kind
+            previous = rows
+            for kind in here:
+                if kind not in run:
+                    preds = predict(prepared["fit", kind], rows)
+                    run[kind] = float(preds.mean()) if preds.size else 0.0
+                recalls[kind, method, n, epsilon] = run[kind]
 
-        runs = _perturbation_runs(spec, {c[1:] for c in pending}, attacked)
-        last = None  # (kind, run) of the cell just evaluated, and its attack recall
         for finished, (kind, method, n, epsilon) in enumerate(pending, start=len(done) + 1):
-            key = (kind, runs[method, n, epsilon])
-            if last is None or last[0] != key:
-                preds = predict(prepared["fit", kind], attacked(method, n, epsilon))
-                last = key, float(preds.mean()) if preds.size else 0.0
-            attack_recall = last[1]
+            attack_recall = recalls[kind, method, n, epsilon]
             record = GridRecord(kind, method, n, epsilon, baselines[kind], attack_recall,
                                 success_rate(baselines[kind], attack_recall))
             done[_cell_key(kind, method, n, epsilon)] = record

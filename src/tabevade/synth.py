@@ -234,9 +234,12 @@ def demo_pages(n_phishing: int = 20, n_benign: int = 20, seed: int = 0):
 
 
 def web_demo_dataset(corpus) -> Dataset:
-    """Extract every page into the 52-feature space and label it."""
+    """Extract every page into the 52-feature space and label it.
+
+    Each page is extracted from a copy, so the corpus pages cache no parse.
+    """
     schema = default_web_schema()
-    X = np.vstack([extract_features(page).values for _, page, _ in corpus])
+    X = np.vstack([extract_features(WebPage(page.url, page.html)).values for _, page, _ in corpus])
     y = np.array([label for _, _, label in corpus], dtype=int)
     return Dataset(X=X, y=y, schema=schema)
 

@@ -410,6 +410,41 @@ def test_gridsearch_with_a_repeated_value_exits_1(tmp_path, census_files, capsys
     assert not (tmp_path / "rep" / "grid.csv").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_gridsearch_with_fewer_than_one_worker_exits_1_and_leaves_no_run_dir(tmp_path, census_files, capsys, workers):
+    data, schema = census_files
+    code = run(["gridsearch", "--data", str(data), "--schema", str(schema),
+                "--models", "logistic_regression", "--methods", "gini_impurity",
+                "--n-values", "1", "--eps-min", "0.1", "--eps-max", "1.2", "--eps-steps", "3",
+                "--workers", workers, "--out", str(tmp_path / "runs"), "--run-name", "w"])
+    assert code == 1
+    assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_gridsearch_verbose_reports_cells_on_stderr(tmp_path, census_files, capsys):
+    data, schema = census_files
+    args = ["gridsearch", "--data", str(data), "--schema", str(schema),
+            "--models", "logistic_regression", "--methods", "gini_impurity",
+            "--n-values", "1,2", "--eps-min", "0.1", "--eps-max", "3.0", "--eps-steps", "30",
+            "--workers", "1", "--out", str(tmp_path)]
+    run_ok(args + ["--run-name", "quiet"])
+    assert capsys.readouterr().err == ""
+    run_ok(args + ["--run-name", "loud", "--verbose"])
+    assert capsys.readouterr().err.splitlines() == ["  50/60 cells", "  60/60 cells"]
+
+
+@pytest.mark.parametrize("broken", ["b.html", "b.html.url"])
+def test_extract_of_a_page_that_is_not_utf8_names_the_file(tmp_path, capsys, broken):
+    pages = tmp_path / "pages"
+    pages.mkdir()
+    (pages / "a.html").write_text("<html><body><p>fine</p></body></html>", encoding="utf-8")
+    (pages / "b.html").write_text("<html><body><p>fine</p></body></html>", encoding="utf-8")
+    (pages / broken).write_bytes(b"http://caf\xff.example/ <p>caf\xff</p>")
+    assert run(["extract", "--pages", str(pages), "--out", str(tmp_path), "--run-name", "x"]) == 1
+    assert f"error: {pages / broken} is not UTF-8 text" in capsys.readouterr().err
+
+
 def test_gridsearch_that_fails_in_a_fit_leaves_no_sink_and_reruns(tmp_path, census_files, monkeypatch, capsys):
     def broken_fit(kind, train, seed=0):
         raise FitError(f"{kind} failed")

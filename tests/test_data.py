@@ -75,6 +75,22 @@ def test_sidecar_rejects_unknown_keys(tmp_path):
 # ---------------------------------------------------------------------------
 # loading
 
+def test_load_of_a_csv_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"a,class\n1.0,1\n2.0\xff,0\n")
+    with pytest.raises(ParseError, match=f"{path} is not UTF-8 text"):
+        load_dataset(path, make_schema(FeatureSpec("a", "continuous")))
+    with pytest.raises(ParseError, match=f"{path} is not UTF-8 text"):
+        load_dataset(str(path), make_schema(FeatureSpec("a", "continuous")))
+
+
+def test_load_schema_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "schema.json"
+    path.write_bytes(b'{"target_column": "cl\xffass"}')
+    with pytest.raises(SchemaError, match=f"schema file {path} is not UTF-8 text"):
+        load_schema(path)
+
+
 def test_load_three_row_csv():
     schema = make_schema(FeatureSpec("age", "continuous"))
     csv_text = "age,class\n1.5,1\n2.5,0\n3.5,1\n"

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import multiprocessing
 import os
@@ -522,6 +523,52 @@ def test_grid_resume_of_one_run_per_kind_predicts_each_kind(tmp_path, monkeypatc
     predicts = counting(monkeypatch, "predict", 0)
     assert grid_search(train, test, SATURATING, seed=0, sink=sink).records == reference
     assert [model.kind for model in predicts] == list(SATURATING.model_kinds)
+
+
+def test_grid_perturbs_each_pending_triple_once(tmp_path, monkeypatch):
+    train, test = saturating_inputs()
+    triples = list(itertools.product(SATURATING.methods, SATURATING.n_values, SATURATING.epsilon_values))
+    plans = counting(monkeypatch, "perturb_batch", 1)
+    full = grid_search(train, test, SATURATING, seed=0)
+    assert [(p.config.method, p.config.n, p.config.epsilon) for p in plans] == triples
+    sink = tmp_path / "grid.csv"
+    GridResult(records=full.records[::2]).to_csv(sink)  # every other cell, so each run is cut into pieces
+    plans.clear()
+    assert grid_search(train, test, SATURATING, seed=0, sink=sink).records == full.records
+    pending = {(r.method, r.n, r.epsilon) for r in full.records[1::2]}
+    assert [(p.config.method, p.config.n, p.config.epsilon) for p in plans] == [t for t in triples if t in pending]
+
+
+def test_grid_progress_counts_each_pending_cell_in_order(tmp_path):
+    train, test = small_grid_inputs(seed=3)
+    spec = GridSpec(n_values=(1, 2), epsilon_values=(0.3, 0.9, 1.5), methods=("gini_impurity",),
+                    model_kinds=("logistic_regression", "decision_tree"))
+    full = grid_search(train, test, spec, seed=0)
+    sink = tmp_path / "grid.csv"
+    calls = []
+
+    def progress(finished, total):  # the cell just finished is the sink's last line
+        calls.append((finished, total, GridResult.from_csv(sink).records[-1]))
+
+    grid_search(train, test, spec, seed=0, sink=sink, progress=progress)
+    assert calls == [(i, spec.n_cells, r) for i, r in enumerate(full.records, start=1)]
+    sink.unlink()
+    GridResult(records=full.records[::2]).to_csv(sink)
+    calls.clear()
+    assert grid_search(train, test, spec, seed=0, sink=sink, progress=progress).records == full.records
+    done = len(full.records[::2])
+    assert calls == [(i, spec.n_cells, r) for i, r in enumerate(full.records[1::2], start=done + 1)]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_grid_refuses_fewer_than_one_worker_before_writing(tmp_path, workers):
+    train, test = small_grid_inputs(seed=3)
+    spec = GridSpec(n_values=(1,), epsilon_values=(0.5,), methods=("gini_impurity",),
+                    model_kinds=("logistic_regression",))
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        grid_search(train, test, spec, seed=0, sink=tmp_path / "grid.csv", workers=workers,
+                    started=lambda: pytest.fail("a refused run started"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_grid_sink_is_byte_identical_with_two_workers(tmp_path):

@@ -323,6 +323,15 @@ def test_problem_space_flips_some_demo_pages():
 FORGED_PAGES_SHA256 = "54fc9ee56ee4dbe93eaa20f54ff14a3ad02c81aa055bfd521ba6e6865ddb5ad5"
 
 
+def test_web_demo_dataset_leaves_no_parse_cached_on_the_corpus():
+    corpus = demo_pages(6, 6, seed=8)
+    ds = web_demo_dataset(corpus)
+    assert all("events" not in vars(page) for _, page, _ in corpus)
+    # the features the corpus pages themselves extract to
+    assert np.array_equal(ds.X, np.vstack([extract_features(page).values for _, page, _ in corpus]))
+    assert ds.y.tolist() == [label for _, _, label in corpus]
+
+
 def test_forged_pages_match_the_golden_hash():
     """The forged bytes depend on the plan alone, not on the model's scores or any BLAS."""
     corpus = demo_pages(20, 20, seed=4)
