@@ -22,7 +22,7 @@ from typing import Mapping, TextIO, Union
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, ShapeError, StratificationError
+from .errors import ParseError, SchemaError, ShapeError, StratificationError, TabevadeError
 
 # the process umask, read once (reading it means setting it)
 _UMASK = os.umask(0o022)
@@ -179,15 +179,19 @@ def schema_to_dict(schema: FeatureSchema) -> dict:
 
 
 def load_schema(path: Union[str, Path]) -> FeatureSchema:
+    """Read a schema file; the errors it raises name the file."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"schema file {path} is not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"schema file is not valid JSON: {exc}") from exc
+        raise SchemaError(f"schema file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise SchemaError("schema file must hold a JSON object")
-    return schema_from_dict(payload)
+        raise SchemaError(f"schema file {path} must hold a JSON object")
+    try:
+        return schema_from_dict(payload)
+    except TabevadeError as exc:
+        raise type(exc)(f"schema file {path}: {exc}") from exc
 
 
 def atomic_write_text(path: Union[str, Path], text: str, *, fsync: bool = True) -> None:
@@ -293,7 +297,8 @@ def load_dataset(source: Union[str, Path, TextIO], schema: FeatureSchema) -> Dat
     """Load a header-carrying CSV and expand categorical columns to one-hot.
 
     Row indices in errors are 1-based data-row positions (the header is row
-    0).  Columns in the CSV that the schema does not mention are ignored.
+    0), and errors on a path name the file.  Columns in the CSV that the
+    schema does not mention are ignored.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
@@ -301,6 +306,8 @@ def load_dataset(source: Union[str, Path, TextIO], schema: FeatureSchema) -> Dat
                 return load_dataset(handle, schema)
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{source} is not UTF-8 text ({exc.reason})") from None
+            except TabevadeError as exc:
+                raise type(exc)(f"{source}: {exc}") from exc
 
     reader = csv.reader(source)
     try:

@@ -16,7 +16,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from ..data import Dataset, ScalerState, atomic_write_text, fit_scaler, transform
-from ..errors import FitError, ShapeError
+from ..errors import FitError, SchemaError, ShapeError
 from . import boosting, forest, logistic, mlp, tree
 
 MODEL_KINDS = (
@@ -124,7 +124,7 @@ def load_model(path: Union[str, Path]) -> Model:
         params = payload["params"]
         if any("root" in tree for tree in params.get("trees", [params])):
             raise FitError("it holds nested trees saved before the flat tree layout; retrain the model")
-        return Model(
+        model = Model(
             kind=kind,
             scaler=ScalerState(
                 mins=np.asarray(payload["scaler"]["mins"], dtype=float),
@@ -134,7 +134,43 @@ def load_model(path: Union[str, Path]) -> Model:
             hyperparameters=dict(payload["hyperparameters"]),
             seed=int(payload["seed"]),
         )
+        _check_loaded(model)
+        return model
     except FitError as exc:
         raise FitError(f"model file {path}: {exc}") from exc
-    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError, SchemaError) as exc:
         raise FitError(f"model file {path} is malformed ({type(exc).__name__}: {exc})") from exc
+
+
+def _check_loaded(model: Model) -> None:
+    """Refuse a loaded model whose hyperparameters disagree with its fitted ones, whose
+    numbers are not finite, or whose arrays do not fit the scaler's columns."""
+    impl, f = model.impl, model.n_features
+    cls, defaults = _IMPLS[model.kind]
+    stated = cls(**model.hyperparameters)  # as a fit with them would hold them, so 1 and 1.0 agree
+    for name in defaults:
+        fitted = getattr(impl, name)
+        if isinstance(fitted, float) and not np.isfinite(fitted):
+            raise FitError(f"non-finite {name}")
+        if getattr(stated, name) != fitted:
+            raise FitError(f"hyperparameter {name!r} is {getattr(stated, name)!r} at the top level "
+                           f"but {fitted!r} in the fitted parameters")
+    arrays = [("scaler mins", model.scaler.mins, (f,)), ("scaler maxs", model.scaler.maxs, (f,))]
+    if model.kind == "logistic_regression":
+        arrays += [("weights", impl.weights, (f,)), ("bias", impl.bias, ())]
+    elif model.kind == "mlp":
+        h = impl.hidden
+        arrays += [("w1", impl.w1, (f, h)), ("b1", impl.b1, (h,)), ("w2", impl.w2, (h,)), ("b2", impl.b2, ())]
+    elif model.kind == "gradient_boosted_trees":
+        arrays += [("base_score", impl.base_score, ())]
+    for name, value, shape in arrays:
+        value = np.asarray(value, dtype=float)
+        if value.shape != shape:
+            raise FitError(f"{name} has shape {value.shape}, the scaler's {f} columns need {shape}")
+        if not np.isfinite(value).all():
+            raise FitError(f"non-finite {name}")
+    # tree arrays were checked against the trees' own width on load
+    trees = impl.trees if model.kind == "random_forest" else [impl]
+    widths = {getattr(tree, "n_features", f) for tree in trees}  # a linear model or MLP has no tree width
+    if widths != {f}:
+        raise FitError(f"trees are fitted on {sorted(widths)} features, the scaler on {f}")

@@ -23,10 +23,10 @@ from tabevade.webfeatures import (
     WebPage,
     _count_matches,
     _longest_token,
-    _parse_events,
     _ratio,
     _url_parts,
 )
+from tabevade.pageparse import _parse_events
 
 
 def gini(labels) -> float:
@@ -509,6 +509,19 @@ def extract_features_reference(page: WebPage) -> WebFeatureVector:
     }
     return WebFeatureVector(values=np.array([values[name] for name in WEB_FEATURE_NAMES], dtype=float))
 
+
+
+# ---------------------------------------------------------------------------
+# invisibility: an element is hidden from view by the hidden attribute, as an
+# <input type="hidden">, or by a CSS display/visibility declaration
+
+def _style_declares_hidden(attrs: dict[str, str]) -> bool:
+    style = attrs.get("style", "").replace(" ", "").lower()
+    return "display:none" in style or "visibility:hidden" in style
+
+
+def is_display_suppressed(attrs: dict[str, str]) -> bool:
+    return "hidden" in attrs or attrs.get("type", "").lower() == "hidden" or _style_declares_hidden(attrs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from oracles import (
     brute_force_auprc,
     brute_force_gini_gain,
     brute_force_info_gain_ratio,
+    is_display_suppressed,
 )
 from tabevade.attack import AttackConfig, build_plan
 from tabevade.data import Dataset, FeatureSchema, FeatureSpec, split
@@ -29,13 +30,8 @@ from tabevade.metrics import auprc, success_rate
 from tabevade.models import MODEL_KINDS, fit
 from tabevade.ranking import gini_gain, info_gain_ratio
 from tabevade.synth import census_like, demo_pages, gaussian_blobs, web_demo_dataset
-from tabevade.webfeatures import (
-    WEB_FEATURE_NAMES,
-    collect_events,
-    element_sequence,
-    extract_features,
-    is_display_suppressed,
-)
+from tabevade.pageparse import collect_events
+from tabevade.webfeatures import WEB_FEATURE_NAMES, element_sequence, extract_features
 from tabevade.webspace import CONTAINER_ATTR, InjectionPlan, inject, problem_space_attack
 
 from test_attack import check_invariants, random_plan_and_rows

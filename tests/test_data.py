@@ -91,6 +91,35 @@ def test_load_schema_that_is_not_utf8_names_the_file(tmp_path):
         load_schema(path)
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("a,class\n1,1\nzz,0\n", ParseError, "row 2: non-numeric value 'zz' in column 'a'"),
+    ("a,class\n1,2\n", ParseError, "row 1: unknown label '2'"),
+    ("b,class\n1,1\n", SchemaError, "CSV header lacks columns: ['a']"),
+    ("", ParseError, "CSV has no header row"),
+])
+def test_load_dataset_errors_name_the_file(tmp_path, text, error, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as info:
+        load_dataset(path, make_schema(FeatureSpec("a", "continuous")))
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"features": []}', "schema file {}: missing schema keys: "),
+    ('{"features": [', "schema file {} is not valid JSON: "),
+    ("[]", "schema file {} must hold a JSON object"),
+    ('{"target_column": "c", "positive_class_label": "1", "negative_class_label": "1", "features": []}',
+     "schema file {}: class labels must differ"),
+])
+def test_load_schema_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "schema.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load_schema(path)
+    assert str(info.value).startswith(message.format(path))
+
+
 def test_load_three_row_csv():
     schema = make_schema(FeatureSpec("age", "continuous"))
     csv_text = "age,class\n1.5,1\n2.5,0\n3.5,1\n"

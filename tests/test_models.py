@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -21,6 +22,7 @@ from tabevade.metrics import recall
 from tabevade.models import (
     MODEL_KINDS,
     Model,
+    _IMPLS,
     fit,
     load_model,
     predict,
@@ -384,6 +386,46 @@ def test_load_rejects_invalid_flat_arrays(tmp_path, edit, match):
     path, payload = saved(tmp_path)
     edit(payload["params"])
     assert_load_fails(path, payload, match)
+
+
+@pytest.mark.parametrize("kind, edit, match", [
+    ("logistic_regression", lambda p: p["params"]["weights"].pop(), "weights has shape"),
+    ("logistic_regression", lambda p: p["params"]["weights"].__setitem__(0, float("nan")), "non-finite weights"),
+    ("logistic_regression", lambda p: p["params"].update(bias=float("inf")), "non-finite bias"),
+    ("logistic_regression", lambda p: p["scaler"]["mins"].__setitem__(0, float("nan")), "non-finite scaler mins"),
+    ("logistic_regression", lambda p: p["scaler"]["maxs"].pop(), "malformed.*scaler min/max"),
+    ("mlp", lambda p: p["params"]["w2"].pop(), "w2 has shape"),
+    ("mlp", lambda p: p["params"]["w1"].pop(), "w1 has shape"),
+    ("mlp", lambda p: p["params"]["w1"][1].__setitem__(0, float("inf")), "non-finite w1"),
+    ("mlp", lambda p: p["params"].update(b2=float("nan")), "non-finite b2"),
+    ("gradient_boosted_trees", lambda p: p["params"].update(base_score=float("nan")), "non-finite base_score"),
+    ("gradient_boosted_trees", lambda p: p["params"].update(learning_rate=float("nan")), "non-finite learning_rate"),
+    ("gradient_boosted_trees", lambda p: p["params"].update(n_features=3), r"fitted on \[3\] features"),
+    ("decision_tree", lambda p: p["params"].update(n_features=3), r"fitted on \[3\] features"),
+    ("random_forest", lambda p: p["params"]["trees"][0].update(n_features=3), r"fitted on \[2, 3\] features"),
+])
+def test_load_rejects_non_finite_numbers_and_misshapen_weights(tmp_path, kind, edit, match):
+    path, payload = saved(tmp_path, kind)
+    edit(payload)
+    assert_load_fails(path, payload, match)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_load_refuses_hyperparameters_that_disagree_with_the_fitted_ones(tmp_path, kind):
+    path, payload = saved(tmp_path, kind)
+    name = "max_depth" if "max_depth" in payload["hyperparameters"] else "epochs"
+    payload["hyperparameters"][name] = float(payload["params"][name])  # equal as JSON numbers
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert load_model(path).hyperparameters[name] == payload["params"][name]
+    payload["hyperparameters"][name] = payload["params"][name] + 2
+    assert_load_fails(path, payload, f"hyperparameter '{name}'")
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_constructor_defaults_equal_the_kind_defaults(kind):
+    cls, defaults = _IMPLS[kind]
+    signature = inspect.signature(cls)
+    assert {name: parameter.default for name, parameter in signature.parameters.items()} == defaults
 
 
 # ---------------------------------------------------------------------------

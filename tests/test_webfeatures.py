@@ -13,13 +13,11 @@ from tabevade.webfeatures import (
     WEB_FEATURE_NAMES,
     WebFeatureVector,
     WebPage,
-    _parse_events,
-    _tokenize_plain,
-    collect_events,
     default_web_schema,
     element_sequence,
     extract_features,
 )
+from tabevade.pageparse import _parse_events, _tokenize_plain, collect_events
 from tabevade.webspace import InjectionPlan, inject
 
 

@@ -14,15 +14,14 @@ from tabevade.webfeatures import (
     WEB_FEATURE_NAMES,
     WebFeatureVector,
     WebPage,
-    collect_events,
     default_web_schema,
     element_sequence,
     extract_features,
-    is_display_suppressed,
 )
-from oracles import splice_points_reference
+from oracles import is_display_suppressed, splice_points_reference
 from test_webfeatures import _near_grammar_documents
-from tabevade import webfeatures
+from tabevade import pageparse
+from tabevade.pageparse import collect_events
 from tabevade.webspace import (
     CONTAINER_ATTR,
     InjectionPlan,
@@ -180,7 +179,7 @@ def test_inject_places_plain_pages_without_parsing(monkeypatch):
     def refuse(html):
         raise AssertionError("a plain page was parsed")
 
-    monkeypatch.setattr(webfeatures, "_Collector", refuse)
+    monkeypatch.setattr(pageparse, "_Collector", refuse)
     for page, (head, body) in zip(pages, expected):
         assert (page.events.head_end, page.events.body_end) == (head, body)
         out = inject(page, InjectionPlan(additions={"href": 1}))
