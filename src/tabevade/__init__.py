@@ -62,4 +62,4 @@ from .webfeatures import (
 )
 from .webspace import InjectionPlan, inject, plan_injection, problem_space_attack
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

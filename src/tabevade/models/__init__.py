@@ -9,6 +9,8 @@ ties going positive.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Union
@@ -34,6 +36,10 @@ _IMPLS = {
     "gradient_boosted_trees": (boosting.GradientBoostedTrees, boosting.DEFAULTS),
     "mlp": (mlp.MLP, mlp.DEFAULTS),
 }
+
+# the least value of each whole-number hyperparameter; an integer max_features counts too
+_COUNTS = {"epochs": 1, "batch_size": 1, "hidden": 1, "n_trees": 1, "min_leaf": 1, "max_features": 1, "max_depth": 0}
+_RATES = ("learning_rate", "l2")
 
 
 @dataclass(frozen=True)
@@ -62,12 +68,35 @@ def fit(kind: str, train: Dataset, hyperparameters: Mapping | None = None, seed:
         unknown = set(hyperparameters) - set(defaults)
         if unknown:
             raise FitError(f"unknown hyperparameters for {kind}: {sorted(unknown)}")
-        hp.update(hyperparameters)
+        hp.update({name: _checked(kind, name, value) for name, value in hyperparameters.items()})
     scaler = fit_scaler(train)
     Xs = transform(train.X, scaler)
     rng = np.random.default_rng(seed)
     impl = cls(**hp).fit(Xs, train.y, rng=rng)
     return Model(kind=kind, scaler=scaler, impl=impl, hyperparameters=hp, seed=seed)
+
+
+def _checked(kind: str, name: str, value):
+    """``value`` as the model holds it: a count as an int, a rate as a float; FitError if it is not one."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if name == "bootstrap":
+        if isinstance(value, bool):
+            return value
+        need = "true or false"
+    elif name == "max_features" and (value is None or value == "sqrt"):
+        return value
+    elif name in _COUNTS:
+        whole = real and (isinstance(value, numbers.Integral) or (math.isfinite(value) and value == int(value)))
+        if whole and value >= _COUNTS[name]:
+            return int(value)
+        need = f"a whole number of at least {_COUNTS[name]}"
+        if name == "max_features":
+            need = f"null, 'sqrt' or {need}"
+    else:  # a rate
+        if real and math.isfinite(value):
+            return float(value)
+        need = "a finite number"
+    raise FitError(f"{kind} hyperparameter {name!r} must be {need}, got {value!r}")
 
 
 def _scale_input(model: Model, X) -> np.ndarray:

@@ -5,11 +5,11 @@ import numpy as np
 
 from .logistic import sigmoid
 
-DEFAULTS = {"hidden": 64, "epochs": 200, "learning_rate": 1e-3, "batch_size": 32}
+DEFAULTS = {"hidden": 64, "epochs": 200, "learning_rate": 1e-3, "batch_size": 128}
 
 
 class MLP:
-    def __init__(self, hidden=64, epochs=200, learning_rate=1e-3, batch_size=32):
+    def __init__(self, hidden=64, epochs=200, learning_rate=1e-3, batch_size=128):
         self.hidden = int(hidden)
         self.epochs = int(epochs)
         self.learning_rate = float(learning_rate)

@@ -155,8 +155,9 @@ def traverse(tree: FlatTree, X: np.ndarray, reduce: Callable[[np.ndarray], np.nd
         row_base = np.arange(0, rows.size, n_cols)
         node = np.repeat(tree.roots[:, None], row_base.size, axis=1)
         for _ in range(tree.depth):
-            go_left = rows[row_base + tree.feature[node]] < tree.threshold[node]
-            node = tree.children[2 * node + go_left]
+            # take() reads what indexing reads, with less overhead per call
+            go_left = rows.take(row_base + tree.feature.take(node)) < tree.threshold.take(node)
+            node = tree.children.take(2 * node + go_left)
         out[start:start + block] = reduce(node)
     return out
 

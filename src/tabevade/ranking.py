@@ -16,7 +16,7 @@ import numpy as np
 from . import models as models_mod
 from .data import Dataset, fit_scaler, split, transform
 from .errors import RankingError
-from .metrics import recall
+from .metrics import label_recall
 from .models import Model, logistic, tree
 
 RANKING_METHODS = ("info_gain_ratio", "gini_impurity", "permutation", "rfe", "ffs")
@@ -153,9 +153,11 @@ def permutation_importance(
     """Per-feature mean drop in holdout recall over independent shuffles.
 
     Each shuffle permutes one column over all holdout rows, but only the
-    holdout positives are predicted: recall reads no other row, and every
-    model kind scores each row on its own, so the drops are those of
-    predicting the whole shuffled holdout.
+    holdout positives are predicted: recall reads no other row.  They are
+    predicted once unshuffled, and each shuffle predicts only the positives
+    whose value in the shuffled column changed.  Every model kind scores
+    each row on its own, so the drops are those of predicting the whole
+    shuffled holdout.
     """
     if not isinstance(probe_model, Model):
         raise RankingError("permutation importance needs a fitted probe model")
@@ -163,17 +165,22 @@ def permutation_importance(
         raise RankingError("repeats must be positive")
     rng = np.random.default_rng(seed)
     pos = np.flatnonzero(holdout.y == 1)
-    y_pos = holdout.y[pos]
-    base = recall(probe_model, holdout.X[pos], y_pos)
+    X_pos, y_pos = holdout.X[pos], holdout.y[pos]
+    base_labels = models_mod.predict(probe_model, X_pos)
+    base = label_recall(base_labels, y_pos)
     n = holdout.n_rows
     scores = np.zeros(holdout.n_features)
     for j in range(holdout.n_features):
         drops = 0.0
         for _ in range(repeats):
-            perm = rng.permutation(n)
-            shuffled = holdout.X[pos]
-            shuffled[:, j] = holdout.X[perm[pos], j]
-            drops += base - recall(probe_model, shuffled, y_pos)
+            column = holdout.X[rng.permutation(n)[pos], j]
+            moved = np.flatnonzero(column != X_pos[:, j])
+            if moved.size:
+                shuffled = X_pos[moved]
+                shuffled[:, j] = column[moved]
+                labels = base_labels.copy()
+                labels[moved] = models_mod.predict(probe_model, shuffled)
+                drops += base - label_recall(labels, y_pos)
         scores[j] = drops / repeats
     return scores
 

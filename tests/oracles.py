@@ -347,6 +347,39 @@ def mlp_adam_reference(X, y, hidden: int, epochs: int, learning_rate: float, bat
     return params[0], params[1], params[2], float(params[3][0])
 
 
+def permutation_importance_reference(train, holdout, probe_model, repeats: int = 5, seed: int = 0):
+    """Per-feature mean drop in holdout recall, each shuffle predicting every holdout positive.
+
+    The body ``ranking.permutation_importance`` had before it predicted only
+    the positives a shuffle moved.
+    """
+    import numpy as np
+
+    from tabevade.errors import RankingError
+    from tabevade.metrics import recall
+    from tabevade.models import Model
+
+    if not isinstance(probe_model, Model):
+        raise RankingError("permutation importance needs a fitted probe model")
+    if repeats < 1:
+        raise RankingError("repeats must be positive")
+    rng = np.random.default_rng(seed)
+    pos = np.flatnonzero(holdout.y == 1)
+    y_pos = holdout.y[pos]
+    base = recall(probe_model, holdout.X[pos], y_pos)
+    n = holdout.n_rows
+    scores = np.zeros(holdout.n_features)
+    for j in range(holdout.n_features):
+        drops = 0.0
+        for _ in range(repeats):
+            perm = rng.permutation(n)
+            shuffled = holdout.X[pos]
+            shuffled[:, j] = holdout.X[perm[pos], j]
+            drops += base - recall(probe_model, shuffled, y_pos)
+        scores[j] = drops / repeats
+    return scores
+
+
 def forest_node_draws(trees, X, y, rng, k: int, bootstrap: bool, max_depth: int, min_leaf: int):
     """``(tree, node, rows, features)`` for every node of a fitted forest, rebuilt from its streams.
 

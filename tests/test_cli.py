@@ -68,6 +68,15 @@ def test_synth_then_train(tmp_path, census_files):
 
 
 
+def test_train_with_a_negative_batch_size_exits_1_and_leaves_no_run_dir(tmp_path, census_files, capsys):
+    data, schema = census_files
+    code = run(["train", "--data", str(data), "--schema", str(schema), "--kind", "mlp",
+                "--hyper", "batch_size=-1", "--hyper", "epochs=1", "--out", str(tmp_path / "runs"), "--run-name", "t"])
+    assert code == 1
+    assert "mlp hyperparameter 'batch_size' must be a whole number of at least 1, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_manifest_records_the_interpreter_and_numpy(tmp_path):
     import numpy
 

@@ -19,10 +19,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-from tabevade.models import MODEL_KINDS, fit, save_model
+from tabevade.models import MODEL_KINDS, fit, load_model, predict_score, save_model
 from tabevade.synth import census_like
 
 FIXTURE = Path(__file__).with_name("golden_models.json")
+# the fixture's MLP as version 0.3.0 saved it, with the minibatches of 32 that were its default then
+MLP_0_3_0 = "80ac1ca4136dd0f15737d57c321c08482cf7e1447c0b270d76586f4044a0a15d"
 CASES = {
     "logistic_regression": {"epochs": 100},
     "decision_tree": {},
@@ -48,6 +50,17 @@ def test_saved_models_match_golden_fixture(tmp_path):
     actual = golden_hashes(tmp_path)
     for kind in MODEL_KINDS:
         assert actual[kind] == expected[kind], kind
+
+
+def test_an_mlp_on_the_old_default_batch_is_the_0_3_0_model(tmp_path):
+    train = census_like(n_rows=400, seed=11)
+    model = fit("mlp", train, hyperparameters={**CASES["mlp"], "batch_size": 32}, seed=5)
+    path = tmp_path / "mlp.json"
+    save_model(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MLP_0_3_0
+    loaded = load_model(path)
+    assert loaded.hyperparameters["batch_size"] == loaded.impl.batch_size == 32
+    assert predict_score(loaded, train.X).tobytes() == predict_score(model, train.X).tobytes()
 
 
 if __name__ == "__main__":

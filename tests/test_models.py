@@ -172,6 +172,49 @@ def test_fit_rejects_unknown_kind_and_hyper():
         fit("mlp", ds, hyperparameters={"bogus": 3}, seed=0)
 
 
+@pytest.mark.parametrize("kind, name, value", [
+    ("logistic_regression", "epochs", 5.5),
+    ("logistic_regression", "epochs", 0),
+    ("logistic_regression", "epochs", True),
+    ("logistic_regression", "l2", "x"),
+    ("mlp", "batch_size", -1),
+    ("mlp", "batch_size", 0),
+    ("mlp", "batch_size", "32"),
+    ("mlp", "hidden", 0),
+    ("mlp", "epochs", float("inf")),
+    ("mlp", "learning_rate", float("nan")),
+    ("random_forest", "n_trees", 0),
+    ("random_forest", "bootstrap", "no"),
+    ("random_forest", "bootstrap", 1),
+    ("random_forest", "max_features", 0),
+    ("random_forest", "max_features", 2.5),
+    ("random_forest", "max_features", "log2"),
+    ("decision_tree", "max_depth", -1),
+    ("decision_tree", "min_leaf", 0),
+    ("decision_tree", "max_features", False),
+    ("gradient_boosted_trees", "max_depth", 1.5),
+])
+def test_fit_refuses_a_hyperparameter_the_model_cannot_hold(kind, name, value):
+    with pytest.raises(FitError) as info:
+        fit(kind, separable_blobs(n=40), hyperparameters={name: value}, seed=0)
+    assert str(info.value).startswith(f"{kind} hyperparameter {name!r} must be ")
+    assert str(info.value).endswith(f", got {value!r}")
+
+
+def test_fit_keeps_the_hyperparameters_the_model_holds():
+    ds = separable_blobs(n=40)
+    model = fit("logistic_regression", ds, hyperparameters={"epochs": 5.0, "l2": 0}, seed=0)
+    assert model.hyperparameters == {"epochs": 5, "l2": 0.0, "learning_rate": 0.5}
+    assert type(model.hyperparameters["epochs"]) is int and type(model.hyperparameters["l2"]) is float
+    same = fit("logistic_regression", ds, hyperparameters={"epochs": 5, "l2": 0.0}, seed=0)
+    assert model.impl.epochs == 5 and np.array_equal(model.impl.weights, same.impl.weights)
+    forest = fit("random_forest", ds, hyperparameters={"n_trees": 2.0, "max_features": 1.0, "bootstrap": False,
+                                                       "max_depth": 0}, seed=0)
+    assert forest.hyperparameters == {"n_trees": 2, "max_depth": 0, "min_leaf": 2, "max_features": 1,
+                                      "bootstrap": False}
+    assert len(forest.impl.trees) == 2
+
+
 def test_predict_column_mismatch():
     model = fit("logistic_regression", separable_blobs(n=40), seed=0)
     with pytest.raises(ShapeError):

@@ -5,13 +5,14 @@ from oracles import (
     brute_force_gini_gain,
     brute_force_info_gain,
     brute_force_info_gain_ratio,
+    permutation_importance_reference,
 )
 import tabevade.models as models_module
 import tabevade.ranking as ranking_module
 from tabevade.data import Dataset, FeatureSchema, FeatureSpec, fit_scaler, split, transform
 from tabevade.errors import RankingError
 from tabevade.metrics import recall
-from tabevade.models import fit
+from tabevade.models import MODEL_KINDS, fit
 from tabevade.models import tree as tree_module
 from tabevade.models.tree import DecisionTree
 from tabevade.ranking import (
@@ -345,10 +346,33 @@ def test_permutation_predicts_only_holdout_positives(monkeypatch):
     monkeypatch.setattr(models_module, "predict_score", spy)
     permutation_importance(train, holdout, probe, repeats=2, seed=0)
     positives = holdout.X[holdout.y == 1]
-    assert len(seen) == 1 + 2 * holdout.n_features
-    for X in seen:
-        assert X.shape == positives.shape
-        assert np.sum(np.any(X != positives, axis=0)) <= 1  # at most the shuffled column differs
+    assert 1 < len(seen) <= 1 + 2 * holdout.n_features
+    assert np.array_equal(seen[0], positives)
+    # replay the shuffles: each call holds exactly the positives its shuffle moved, in order
+    rng = np.random.default_rng(0)
+    calls = iter(seen[1:])
+    for j in range(holdout.n_features):
+        for _ in range(2):
+            column = holdout.X[rng.permutation(holdout.n_rows)[holdout.y == 1], j]
+            moved = np.flatnonzero(column != positives[:, j])
+            if moved.size:
+                X = next(calls)
+                assert X.shape == (moved.size, holdout.n_features)
+                assert np.array_equal(np.delete(X, j, axis=1), np.delete(positives[moved], j, axis=1))
+                assert np.all(X[:, j] != positives[moved, j])
+    assert next(calls, None) is None
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_permutation_matches_every_positive_reference(kind):
+    fit_part, holdout = census_holdout(31)
+    hyperparameters = {"logistic_regression": {"epochs": 100}, "random_forest": {"n_trees": 10},
+                       "gradient_boosted_trees": {"n_trees": 20}, "mlp": {"epochs": 10}}.get(kind)
+    probe = fit(kind, fit_part, hyperparameters=hyperparameters, seed=3)
+    scores = permutation_importance(fit_part, holdout, probe, repeats=3, seed=4)
+    expected = permutation_importance_reference(fit_part, holdout, probe, repeats=3, seed=4)
+    assert [s.hex() for s in scores] == [s.hex() for s in expected]
+    assert np.any(scores != 0.0)
 
 
 @pytest.mark.parametrize("block", [1, 1 << 40])
