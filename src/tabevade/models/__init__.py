@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Union
@@ -39,7 +40,6 @@ _IMPLS = {
 
 # the least value of each whole-number hyperparameter; an integer max_features counts too
 _COUNTS = {"epochs": 1, "batch_size": 1, "hidden": 1, "n_trees": 1, "min_leaf": 1, "max_features": 1, "max_depth": 0}
-_RATES = ("learning_rate", "l2")
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def _checked(kind: str, name: str, value):
         if name == "max_features":
             need = f"null, 'sqrt' or {need}"
     else:  # a rate
-        if real and math.isfinite(value):
+        if real and abs(value) <= sys.float_info.max:  # also refuses nan, and ints no float holds
             return float(value)
         need = "a finite number"
     raise FitError(f"{kind} hyperparameter {name!r} must be {need}, got {value!r}")

@@ -183,6 +183,7 @@ def test_fit_rejects_unknown_kind_and_hyper():
     ("mlp", "hidden", 0),
     ("mlp", "epochs", float("inf")),
     ("mlp", "learning_rate", float("nan")),
+    ("mlp", "learning_rate", 10**400),
     ("random_forest", "n_trees", 0),
     ("random_forest", "bootstrap", "no"),
     ("random_forest", "bootstrap", 1),
