@@ -10,6 +10,7 @@ value afterwards so the realized movement never exceeds the budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,16 @@ class AttackPlan:
         if len(counts) != 1:
             raise ShapeError(f"plan components disagree on feature count: {sorted(counts)}")
 
+    @cached_property
+    def _selection(self) -> tuple[list[int], np.ndarray]:
+        """The selected columns and which of them are discrete, worked out at first use.
+
+        A plan that selects too few features raises SelectionError on every
+        use, since an exception is not cached.
+        """
+        selected = select_features(self)
+        return selected, self.schema.discrete_mask()[selected]
+
 
 def compute_direction(train: Dataset) -> DirectionVector:
     """Sign of (target-class mean - input-class mean) per feature.
@@ -138,7 +149,7 @@ def _perturb_rows(X: np.ndarray, plan: AttackPlan) -> np.ndarray:
     negative scaled sum) comes back unchanged, and so does a selected value
     whose clamp lands back on the original.
     """
-    selected = select_features(plan)
+    selected, discrete = plan._selection
     config, scaler = plan.config, plan.scaler
     scaled = transform(X, scaler)
     delta = (config.epsilon / config.n) * scaled.sum(axis=1, keepdims=True)
@@ -148,7 +159,7 @@ def _perturb_rows(X: np.ndarray, plan: AttackPlan) -> np.ndarray:
     mins = scaler.mins[selected]
     raw = moved * (scaler.maxs[selected] - mins) + mins
     # discrete features round toward the original: floor when growing, ceil when shrinking
-    raw = np.where(plan.schema.discrete_mask()[selected], np.floor(raw * signs) * signs, raw)
+    raw = np.where(discrete, np.floor(raw * signs) * signs, raw)
     live = delta > 0.0
     out = X.copy()
     out[:, selected] = np.where(live & (moved != before), raw, out[:, selected])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ import numpy
 from . import __version__, synth
 from .attack import AttackConfig, build_plan, perturb_batch, select_features
 from .data import Dataset, atomic_write_text, format_number, load_dataset, load_schema, save_schema, split
-from .errors import ExtractionError, ResumeError, TabevadeError
+from .errors import ExtractionError, ResumeError, ShapeError, TabevadeError
 from .evaluation import (
     CURVE_AXES,
     GridResult,
@@ -38,7 +39,7 @@ from .models import MODEL_KINDS, fit, load_model, save_model
 from .ranking import RANKING_METHODS, rank_features
 from .svgchart import bar_chart, line_chart
 from .webfeatures import WEB_FEATURE_NAMES, WebPage, default_web_schema, extract_features
-from .webspace import problem_space_attack
+from .webspace import check_problem_space_plan, problem_space_attack
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +113,8 @@ def _page_url(path: Path) -> str:
 def _page_paths(target: Path) -> list[Path]:
     if target.is_dir():
         return sorted(p for p in target.iterdir() if p.suffix in (".html", ".htm"))
+    if not target.exists():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(target))
     return [target]
 
 
@@ -369,16 +372,22 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_forge(args) -> int:
+    # every refusal comes before the run dir is made
+    paths = _page_paths(Path(args.pages))
     schema = load_schema(args.schema)
     dataset = load_dataset(args.data, schema)
     if dataset.schema.names != WEB_FEATURE_NAMES:
         raise TabevadeError("forge needs training data over the 52 page features (see `synth --dataset webpages`)")
     model = load_model(args.model) if args.model else fit(args.kind, dataset, seed=args.seed)
+    if model.n_features != dataset.n_features:
+        raise ShapeError(f"model expects {model.n_features} features, the data has {dataset.n_features}")
     mask = _mask_indices(dataset, args.features)
     if mask is None:
         mask = frozenset(dataset.schema.addable_indices())
     config = AttackConfig(n=args.n, epsilon=args.epsilon, method=args.method, feature_mask=mask)
     plan = build_plan(dataset, config, seed=args.seed)
+    check_problem_space_plan(plan)
+    select_features(plan)
 
     run = _run_dir(args, "forge")
     _write_manifest(run, args)
@@ -397,7 +406,7 @@ def _cmd_forge(args) -> int:
         ]
     ]
     flipped = 0
-    for path in _page_paths(Path(args.pages)):
+    for path in paths:
         page = _read_page(path)
         forged, record = problem_space_attack(page, plan, model)
         # forge_report.csv, written last and synced, vouches for the pages

@@ -20,19 +20,46 @@ every other CPython it finds).  So extraction is a pure function of
 ``html.parser``, whose handling of raw-text elements and comments has
 changed between CPython releases.  The module imports only the standard
 library and ``.errors``, so it loads without numpy.
+
+Attribute maps are read-only (``_AttrMap``).  The tokenizer parses each
+distinct attribute string once, in a cache of the last 256 strings, and
+every element with that string shares the one map; pages repeat their
+attribute strings heavily, and ``inject`` builds its markup from a few
+templates.
 """
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from html.parser import HTMLParser
 from typing import NamedTuple
 
 from .errors import ExtractionError
 
 
+class _AttrMap(dict):
+    """An element's attributes, which every mutator refuses: maps are shared between elements."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("attribute maps are shared and read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):  # unpickling and copying would otherwise rebuild the map item by item
+        return _AttrMap, (dict(self),)
+
+
+_NO_ATTRS = _AttrMap()
+
+
 class PageEvents(NamedTuple):
     """Start tags in document order, with the text a page's rules read and
-    the offsets where injection splices markup in."""
+    the offsets where injection splices markup in.
+
+    The attribute maps are read-only, and elements with the same attribute
+    text may share one map: copy a map with ``dict(attrs)`` to change it."""
 
     elements: list[tuple[str, dict[str, str], bool]]  # (tag, attrs, in_head)
     script_text: list[str]  # inside script/style/title
@@ -76,7 +103,7 @@ class _Collector(HTMLParser):
             key = key.lower()
             if key not in attr_map:
                 attr_map[key] = value if value is not None else ""
-        self.elements.append((tag, attr_map, self._head_depth > 0 or tag == "head"))
+        self.elements.append((tag, _AttrMap(attr_map), self._head_depth > 0 or tag == "head"))
         return tag
 
     def handle_starttag(self, tag, attrs):
@@ -132,13 +159,15 @@ _PLAIN_TOKEN_RE = re.compile(
 _SPLICE_END_RE = re.compile(r"</(head|body|html)>", re.IGNORECASE)
 
 
-def _plain_attrs(text: str) -> dict[str, str]:
+@lru_cache(maxsize=256)
+def _plain_attrs(text: str) -> _AttrMap:
+    """The map of one start tag's attribute text; equal texts get the same map."""
     attrs: dict[str, str] = {}
     for name, value in _ATTR_RE.findall(text):
         name = name.lower()
         if name not in attrs:  # the first of duplicate attributes wins, as in _Collector
             attrs[name] = value[1:-1] if value[:1] in ('"', "'") else value
-    return attrs
+    return _AttrMap(attrs)
 
 
 def _tokenize_plain(html: str) -> PageEvents | None:
@@ -158,7 +187,7 @@ def _tokenize_plain(html: str) -> PageEvents | None:
             tag = tag.lower()
             if tag in _NOT_PLAIN_START:
                 return None
-            elements.append((tag, _plain_attrs(attrs) if attrs else {}, head_depth > 0 or tag == "head"))
+            elements.append((tag, _plain_attrs(attrs) if attrs else _NO_ATTRS, head_depth > 0 or tag == "head"))
             if tag == "head" and not close:
                 head_depth += 1
         elif end_tag:
@@ -168,7 +197,7 @@ def _tokenize_plain(html: str) -> PageEvents | None:
             tag = raw_tag.lower()
             if raw_end.lower() != tag:
                 return None
-            elements.append((tag, _plain_attrs(raw_attrs) if raw_attrs else {}, head_depth > 0))
+            elements.append((tag, _plain_attrs(raw_attrs) if raw_attrs else _NO_ATTRS, head_depth > 0))
             if raw_text:
                 if tag in _SKIP_TEXT_ELEMENTS:
                     script_text.append(raw_text)

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .attack import AttackPlan, perturb
-from .errors import InfeasibleInjectionError, UnsupportedFeatureError
+from .errors import InfeasibleInjectionError, SchemaError, UnsupportedFeatureError
 from .models import Model, labels, predict_score
 from .webfeatures import WEB_FEATURE_NAMES, WebFeatureVector, WebPage, extract_features
 
@@ -70,12 +72,18 @@ def plan_injection(
     """Difference the vectors into additions; non-addable moves are infeasible.
 
     Negative deltas on addable features floor to 0 (that part of the
-    perturbation is simply lost; nothing is ever removed).
+    perturbation is simply lost; nothing is ever removed).  ``schema`` is
+    a schema over the 52 page features in table order; only the features
+    that moved are looked at, in that order.
     """
+    if schema.names != WEB_FEATURE_NAMES:
+        raise SchemaError("injection plans need a schema over the 52 page features, in table order")
+    moved = adversarial.values - original.values
     additions: dict[str, int] = {}
-    for spec in schema.features:
+    for i in np.flatnonzero(moved):
+        spec = schema.features[i]
         name = spec.name
-        delta = adversarial[name] - original[name]
+        delta = float(moved[i])
         if spec.addable:
             if delta > 0:
                 additions[name] = int(round(delta))
@@ -141,6 +149,19 @@ class ProblemSpaceRecord:
     evaded: bool
 
 
+def check_problem_space_plan(plan: AttackPlan) -> None:
+    """Refuse a plan that is not over the 52 page features or may move a feature no addition realizes."""
+    if plan.schema.names != WEB_FEATURE_NAMES:
+        raise InfeasibleInjectionError(
+            "problem-space attacks need a plan built over the 52 page features"
+        )
+    addable = set(plan.schema.addable_indices())
+    if plan.config.feature_mask is None or not plan.config.feature_mask <= addable:
+        raise InfeasibleInjectionError(
+            "problem-space attacks need config.feature_mask restricted to addable features"
+        )
+
+
 def problem_space_attack(
     page: WebPage, plan: AttackPlan, model: Model
 ) -> tuple[WebPage, ProblemSpaceRecord]:
@@ -152,15 +173,7 @@ def problem_space_attack(
     and the re-extracted vector once each, and each label is drawn from
     its score as :func:`~tabevade.models.predict` draws it.
     """
-    if plan.schema.names != WEB_FEATURE_NAMES:
-        raise InfeasibleInjectionError(
-            "problem-space attacks need a plan built over the 52 page features"
-        )
-    addable = set(plan.schema.addable_indices())
-    if plan.config.feature_mask is None or not set(plan.config.feature_mask) <= addable:
-        raise InfeasibleInjectionError(
-            "problem-space attacks need config.feature_mask restricted to addable features"
-        )
+    check_problem_space_plan(plan)
     original = extract_features(page)
     adversarial = WebFeatureVector(values=perturb(original.values, plan))
     injection = plan_injection(original, adversarial, plan.schema)

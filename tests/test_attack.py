@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import perturb_reference
 
+import tabevade.attack as attack
 from tabevade.attack import (
     AttackConfig,
     AttackPlan,
@@ -411,3 +412,31 @@ def test_zero_budget_leaves_an_unseen_category_alone():
     assert perturb(row, plan).tobytes() == row.tobytes()
     batch = perturb_batch(Dataset(X=row[None], y=np.ones(1, dtype=int), schema=plan.schema), plan)
     assert batch.tobytes() == row[None].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the plan's selection
+
+def test_a_plan_selects_its_features_once(monkeypatch):
+    calls = []
+
+    def counting(plan):
+        calls.append(plan)
+        return select_features(plan)
+
+    monkeypatch.setattr(attack, "select_features", counting)
+    plan, rows = random_plan_and_rows(seed=3, n_rows=50)
+    for row in rows:
+        perturb(row, plan)
+    perturb_batch(Dataset(X=rows, y=np.ones(len(rows), dtype=int), schema=plan.schema), plan)
+    assert len(calls) == 1 and calls[0] is plan
+
+
+def test_a_plan_that_selects_too_few_features_refuses_every_perturb():
+    plan = manual_plan(
+        ["continuous"] * 4, order=[0, 1, 2, 3], signs=[1, 1, 1, 0],
+        mins=[0] * 4, maxs=[1] * 4, n=5, epsilon=0.5,
+    )
+    for _ in range(3):
+        with pytest.raises(SelectionError, match="n=5.*3"):
+            perturb(np.array([0.1, 0.2, 0.3, 0.4]), plan)

@@ -476,3 +476,35 @@ def test_gridsearch_that_fails_in_a_fit_leaves_no_sink_and_reruns(tmp_path, cens
     run_ok(args + ["--run-name", "g"])
     assert (tmp_path / "g" / "grid.csv").read_bytes() == done.read_bytes()
     assert len(read_csv(tmp_path / "g" / "grid.csv")) == 1 + 2 * 2 * 3
+
+
+@pytest.fixture(scope="module")
+def web_corpus(tmp_path_factory):
+    base = tmp_path_factory.mktemp("web")
+    run_ok(["synth", "--dataset", "webpages", "--seed", "4", "--out", str(base), "--run-name", "w"])
+    census = base / "census"
+    census.mkdir()
+    rows = census_like_rows(n_rows=300, seed=1)
+    (census / "data.csv").write_text("\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8")
+    save_schema(census_like_schema(), census / "schema.json")
+    run_ok(["train", "--data", str(census / "data.csv"), "--schema", str(census / "schema.json"),
+            "--kind", "logistic_regression", "--out", str(base), "--run-name", "census_model"])
+    return base
+
+
+@pytest.mark.parametrize("case, extra, message", [
+    ("census model", ["--model", "{base}/census_model/model.json"], "model expects 37 features, the data has 52"),
+    ("n past the eligible", ["--n", "20"], "attack wants n=20 features but only 9 are eligible"),
+    ("unaddable feature", ["--features", "url_len,href"], "restricted to addable features"),
+    ("missing pages", ["--pages", "{base}/nowhere"], "No such file or directory"),
+])
+def test_refused_forge_exits_1_and_leaves_no_run_dir(tmp_path, web_corpus, capsys, case, extra, message):
+    base = web_corpus / "w"
+    argv = ["forge", "--pages", str(base / "pages"), "--data", str(base / "data.csv"),
+            "--schema", str(base / "schema.json"), "--kind", "logistic_regression",
+            "--n", "9", "--epsilon", "6.0", "--out", str(tmp_path / "runs"), "--run-name", "refused"]
+    argv += [arg.format(base=web_corpus) for arg in extra]  # argparse keeps the last of a repeated option
+    capsys.readouterr()
+    assert run(argv) == 1, case
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()

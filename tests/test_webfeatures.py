@@ -1,3 +1,6 @@
+import copy
+import json
+import pickle
 import random
 import re
 
@@ -5,6 +8,7 @@ import numpy as np
 import pytest
 from oracles import extract_features_reference, splice_points_reference
 
+from tabevade import pageparse
 from tabevade.errors import SchemaError
 from tabevade.synth import demo_pages
 from tabevade.webfeatures import (
@@ -313,3 +317,57 @@ def test_demo_pages_and_their_injected_forms_take_the_tokenizer(seed):
 def test_pages_with_version_dependent_parses_take_the_stdlib_parser(html):
     assert _tokenize_plain(html) is None
     assert collect_events(html) == _parse_events(html)
+
+
+# ---------------------------------------------------------------------------
+# the attribute cache
+
+def test_a_cold_and_a_warm_attribute_cache_give_equal_events():
+    pages = [page for _, page, _ in demo_pages(5, 5, seed=11)]
+    htmls = [html for page in pages for html in (page.html, inject(page, ALL_ADDITIONS).html)]
+    pageparse._plain_attrs.cache_clear()
+    cold = [collect_events(html) for html in htmls]
+    warm = [collect_events(html) for html in htmls]
+    assert pageparse._plain_attrs.cache_info().hits > 0
+    assert cold == warm == [_parse_events(html) for html in htmls]
+
+
+@pytest.mark.parametrize("parse", [_tokenize_plain, _parse_events])
+def test_attribute_maps_from_both_parsers_refuse_mutation(parse):
+    events = parse('<html><head></head><body><a href="#x" id="y">a</a><br></body></html>')
+    assert events is not None
+    maps = [attrs for _, attrs, _ in events.elements]
+    assert maps[-2] == {"href": "#x", "id": "y"} and json.dumps(maps[-2]) == '{"href": "#x", "id": "y"}'
+    mutations = [
+        lambda m: m.__setitem__("href", "#z"),
+        lambda m: m.__delitem__("href"),
+        lambda m: m.update(href="#z"),
+        lambda m: m.setdefault("rel", "z"),
+        lambda m: m.pop("href", None),
+        lambda m: m.popitem(),
+        lambda m: m.clear(),
+        lambda m: m.__ior__({"rel": "z"}),
+    ]
+    for attrs in maps:
+        before = dict(attrs)
+        for mutate in mutations:
+            with pytest.raises(TypeError):
+                mutate(attrs)
+        assert attrs == before
+    assert copy.deepcopy(maps) == maps and pickle.loads(pickle.dumps(maps)) == maps
+
+
+def test_elements_with_equal_attribute_text_share_one_map():
+    events = _tokenize_plain('<p class="a" id="b">x</p><div class="a" id="b"></div><p class="a"></p><br><hr>')
+    (_, first, _), (_, second, _), (_, other, _), (_, none, _), (_, none_again, _) = events.elements
+    assert first is second and first == {"class": "a", "id": "b"}
+    assert other is not first and other == {"class": "a"}
+    assert none is none_again and none == {}
+
+
+def test_the_attribute_cache_stays_bounded():
+    pageparse._plain_attrs.cache_clear()
+    for k in range(1000):
+        assert _tokenize_plain(f'<p id="page{k}" class="c{k}">x</p>') is not None
+    info = pageparse._plain_attrs.cache_info()
+    assert info.misses == 1000 and info.currsize <= 256

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 from tabevade import synth
 from tabevade.attack import AttackConfig, build_plan
-from tabevade.errors import InfeasibleInjectionError, UnsupportedFeatureError
+from tabevade.errors import InfeasibleInjectionError, SchemaError, UnsupportedFeatureError
 from tabevade.models import fit, predict
 from tabevade.synth import demo_pages, web_demo_dataset, write_page_corpus
 from tabevade.webfeatures import (
@@ -78,6 +79,23 @@ def test_plan_injection_negative_addable_delta_floors_to_zero():
     adversarial = vector_with(original, href=0.0)
     plan = plan_injection(original, adversarial, SCHEMA)
     assert "href" not in plan.additions
+
+
+def test_plan_injection_names_the_first_infeasible_move_in_table_order():
+    original = extract_features(SAMPLE)
+    adversarial = vector_with(original, no_dash=original["no_dash"] + 1, href=original["href"] + 2,
+                              url_len=original["url_len"] + 4)
+    with pytest.raises(InfeasibleInjectionError, match="'url_len' changed by \\+4"):
+        plan_injection(original, adversarial, SCHEMA)
+
+
+def test_plan_injection_refuses_a_schema_over_other_features_or_order():
+    original = extract_features(SAMPLE)
+    adversarial = vector_with(original, href=original["href"] + 1)
+    reordered = dataclasses.replace(SCHEMA, features=SCHEMA.features[::-1])
+    for schema in (synth.census_like_schema(), reordered):
+        with pytest.raises(SchemaError, match="52 page features, in table order"):
+            plan_injection(original, adversarial, schema)
 
 
 def test_injection_plan_rejects_negative_counts():
