@@ -105,30 +105,26 @@ def compute_direction(train: Dataset) -> DirectionVector:
     return DirectionVector(signs=signs)
 
 
-def select_features(plan: AttackPlan) -> list[int]:
-    """Top-n eligible entries of the ranking.
+def eligible_features(order, n: int, schema: FeatureSchema, direction: DirectionVector, scaler: ScalerState,
+                      feature_mask: frozenset[int] | None = None) -> list[int]:
+    """The entries of ``order`` an attack may move, refusing with SelectionError when fewer than ``n``.
 
     Features drop out when their direction is 0, the schema marks them
-    immutable, their training range is constant, or the config mask
+    immutable, their training range is constant, or ``feature_mask``
     excludes them.
     """
+    movable = (direction.signs != 0) & schema.mutable_mask() & ~scaler.constant_mask()
+    eligible = [i for i in order if movable[i] and (feature_mask is None or i in feature_mask)]
+    if len(eligible) < n:
+        raise SelectionError(f"attack wants n={n} features but only {len(eligible)} are eligible")
+    return eligible
+
+
+def select_features(plan: AttackPlan) -> list[int]:
+    """Top-n eligible entries of the ranking (see `eligible_features`)."""
     config = plan.config
-    mutable = plan.schema.mutable_mask()
-    constant = plan.scaler.constant_mask()
-    signs = plan.direction.signs
-    eligible = [
-        i
-        for i in plan.ranking.order
-        if signs[i] != 0
-        and mutable[i]
-        and not constant[i]
-        and (config.feature_mask is None or i in config.feature_mask)
-    ]
-    if len(eligible) < config.n:
-        raise SelectionError(
-            f"attack wants n={config.n} features but only {len(eligible)} are eligible"
-        )
-    return eligible[: config.n]
+    return eligible_features(plan.ranking.order, config.n, plan.schema, plan.direction, plan.scaler,
+                             config.feature_mask)[: config.n]
 
 
 def build_plan(train: Dataset, config: AttackConfig, seed: int = 0) -> AttackPlan:

@@ -1,9 +1,10 @@
 """Command-line entry point wiring every module.
 
 Subcommands: synth, train, rank, attack, evaluate, gridsearch, curves,
-extract, forge.  Every run writes into a fresh run directory (timestamped
-unless --run-name pins it) containing a manifest.json with the resolved
-configuration.  Output files are written atomically (temp file + rename).
+extract, forge.  Every run writes into a run directory (timestamped unless
+--run-name pins it), made after the command's last check, holding a
+manifest.json with the resolved configuration.  Output files are written
+atomically (temp file + rename).
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage error (a bad
 command line, or a grid resume against other data or flags than the sink's).
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import io
 import json
 import os
 import sys
@@ -23,7 +25,7 @@ import numpy
 
 from . import __version__, synth
 from .attack import AttackConfig, build_plan, perturb_batch, select_features
-from .data import Dataset, atomic_write_text, format_number, load_dataset, load_schema, save_schema, split
+from .data import Dataset, atomic_write_text, format_number, load_dataset, load_schema, save_dataset_csv, save_schema, split
 from .errors import ExtractionError, ResumeError, ShapeError, TabevadeError
 from .evaluation import (
     CURVE_AXES,
@@ -45,23 +47,23 @@ from .webspace import check_problem_space_plan, problem_space_attack
 # ---------------------------------------------------------------------------
 # small helpers
 
-def _run_dir(args, command: str, create: bool = True) -> Path:
-    name = args.run_name or f"{command}-{time.strftime('%Y%m%d-%H%M%S')}"
-    run = Path(args.out) / name
-    if create:
-        run.mkdir(parents=True, exist_ok=True)
-    return run
+def _run_path(args) -> Path:
+    return Path(args.out) / (args.run_name or f"{args.command}-{time.strftime('%Y%m%d-%H%M%S')}")
 
 
-def _write_manifest(run: Path, args) -> None:
+def _run_dir(args, run: Path | None = None) -> Path:
+    """Make the run directory (``run``, else one named by `_run_path`) and write its manifest.json.
+
+    Each command calls this once, after its last refusal, so a refused run leaves no directory.
+    """
+    run = run or _run_path(args)
+    run.mkdir(parents=True, exist_ok=True)
     payload = {k: v for k, v in vars(args).items() if k != "func"}
     payload["version"] = __version__
     payload["python"] = ".".join(str(part) for part in sys.version_info[:3])
     payload["numpy"] = numpy.__version__
-    for key, value in payload.items():
-        if isinstance(value, Path):
-            payload[key] = str(value)
     atomic_write_text(run / "manifest.json", json.dumps(payload, indent=2, default=str) + "\n")
+    return run
 
 
 def _load(args) -> Dataset:
@@ -69,8 +71,6 @@ def _load(args) -> Dataset:
 
 
 def _csv_text(rows) -> str:
-    import io
-
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
@@ -126,11 +126,8 @@ def _read_page(path: Path) -> WebPage:
 # subcommands
 
 def _cmd_synth(args) -> int:
-    run = _run_dir(args, "synth")
-    _write_manifest(run, args)
+    run = _run_dir(args)
     if args.dataset == "blobs":
-        from .data import save_dataset_csv
-
         dataset = synth.gaussian_blobs(n_rows=args.rows, seed=args.seed)
         save_dataset_csv(dataset, run / "data.csv")
         save_schema(dataset.schema, run / "schema.json")
@@ -141,8 +138,6 @@ def _cmd_synth(args) -> int:
     else:
         corpus = synth.demo_pages(seed=args.seed)
         synth.write_page_corpus(corpus, run / "pages")
-        from .data import save_dataset_csv
-
         save_dataset_csv(synth.web_demo_dataset(corpus), run / "data.csv")
         save_schema(default_web_schema(), run / "schema.json")
     print(f"wrote {run}")
@@ -153,8 +148,7 @@ def _cmd_train(args) -> int:
     dataset = _load(args)
     train, test = split(dataset, args.train_fraction, args.seed)
     model = fit(args.kind, train, hyperparameters=_parse_hyper(args.hyper), seed=args.seed)
-    run = _run_dir(args, "train")
-    _write_manifest(run, args)
+    run = _run_dir(args)
     save_model(model, run / "model.json")
     report = {
         "kind": args.kind,
@@ -176,8 +170,7 @@ def _cmd_rank(args) -> int:
         rows.append(
             [dataset.schema.names[index], args.method, format_number(ranking.scores[index]), str(position)]
         )
-    run = _run_dir(args, "rank")
-    _write_manifest(run, args)
+    run = _run_dir(args)
     atomic_write_text(run / "rank.csv", _csv_text(rows))
     print(f"wrote {run / 'rank.csv'}")
     return 0
@@ -210,8 +203,7 @@ def _cmd_attack(args) -> int:
                 [str(r), schema.names[i], format_number(before), format_number(after), format_number(after - before)]
             )
 
-    run = _run_dir(args, "attack")
-    _write_manifest(run, args)
+    run = _run_dir(args)
     atomic_write_text(run / "adversarial.csv", _csv_text(adversarial_rows))
     atomic_write_text(run / "deltas.csv", _csv_text(delta_rows))
     print(f"perturbed {perturbed.shape[0]} rows -> {run}")
@@ -229,8 +221,7 @@ def _cmd_evaluate(args) -> int:
                           feature_mask=_mask_indices(dataset, args.features))
     plan = build_plan(train, config, seed=args.seed)
     report = evaluate_attack(model, test, plan)
-    run = _run_dir(args, "evaluate")
-    _write_manifest(run, args)
+    run = _run_dir(args)
     payload = {
         "model": report.model_kind,
         "baseline_recall": report.baseline_recall,
@@ -251,7 +242,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_gridsearch(args) -> int:
-    if args.workers < 1:  # refused before the run dir is made, as grid_search would refuse it
+    if args.workers < 1:  # refused before the data is read, naming the flag
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     dataset = _load(args)
     train, test = split(dataset, args.train_fraction, args.seed)
@@ -265,26 +256,22 @@ def _cmd_gridsearch(args) -> int:
         methods=tuple(args.methods.split(",")),
         model_kinds=tuple(args.models.split(",")),
     )
-    # a resume continues an earlier sink in place, so its run dir waits until the sink is ours
-    run = _run_dir(args, "gridsearch", create=not args.resume_from)
+    run = _run_path(args)  # named once, so the sink's directory and the manifest's share a timestamp
     sink = Path(args.resume_from) if args.resume_from else run / "grid.csv"
+    if args.resume_from and not sink.parent.is_dir():  # grid_search would make it and start a new grid
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(sink.parent))
     if not args.resume_from and sink.exists():
-        raise ResumeError(
-            f"{sink} already exists; continue it with --resume-from {sink}, "
-            "or pick a new --run-name"
-        )
+        raise ResumeError(f"{sink} already exists; continue it with --resume-from {sink}, or pick a new --run-name")
     total = spec.n_cells
-
-    def started() -> None:  # a run refused for the sink's lock or fingerprint writes nothing
-        run.mkdir(parents=True, exist_ok=True)
-        _write_manifest(run, args)
 
     def progress(done: int, _total: int) -> None:
         if args.verbose and (done % 50 == 0 or done == total):
             print(f"  {done}/{total} cells", file=sys.stderr)
 
+    # grid_search makes a new sink's directory once the grid passes its checks, and calls
+    # started once it holds the sink's lock, so a refused run writes nothing
     result = grid_search(train, test, spec, seed=args.seed, sink=sink, workers=args.workers,
-                         progress=progress, started=started)
+                         progress=progress, started=lambda: _run_dir(args, run))
     if sink != run / "grid.csv":
         result.to_csv(run / "grid.csv")
     print(f"evaluated {len(result.records)} cells -> {run / 'grid.csv'}")
@@ -292,11 +279,7 @@ def _cmd_gridsearch(args) -> int:
 
 
 def emit_report(grid: GridResult, out_dir: Path) -> list[Path]:
-    """Per-model curve CSVs + SVG charts + a best-cell summary table."""
-    if not grid.records:
-        raise TabevadeError("grid holds no records")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Per-model curve CSVs + SVG charts + a best-cell summary table, in the existing ``out_dir``."""
     written: list[Path] = []
     models = sorted({r.model for r in grid.records})
     summary = [["model", "baseline_recall", "attack_recall", "success_rate", "n", "epsilon", "method"]]
@@ -329,17 +312,9 @@ def emit_report(grid: GridResult, out_dir: Path) -> list[Path]:
             csv_path = out_dir / f"curve_{model}_{axis}.csv"
             atomic_write_text(csv_path, _csv_text(rows))
             written.append(csv_path)
-            title = f"{model}: max success rate by {axis}"
-            if axis == "method":
-                svg = bar_chart(
-                    [(str(p.axis_value), p.success_rate) for p in curve],
-                    title, axis, "max success rate",
-                )
-            else:
-                svg = line_chart(
-                    [(float(p.axis_value), p.success_rate) for p in curve],
-                    title, axis, "max success rate",
-                )
+            chart, key = (bar_chart, str) if axis == "method" else (line_chart, float)
+            svg = chart([(key(p.axis_value), p.success_rate) for p in curve],
+                        f"{model}: max success rate by {axis}", axis, "max success rate")
             svg_path = out_dir / f"curve_{model}_{axis}.svg"
             atomic_write_text(svg_path, svg)
             written.append(svg_path)
@@ -351,8 +326,9 @@ def emit_report(grid: GridResult, out_dir: Path) -> list[Path]:
 
 def _cmd_curves(args) -> int:
     grid = GridResult.from_csv(args.grid)
-    run = _run_dir(args, "curves")
-    _write_manifest(run, args)
+    if not grid.records:
+        raise TabevadeError("grid holds no records")
+    run = _run_dir(args)
     written = emit_report(grid, run)
     print(f"wrote {len(written)} files -> {run}")
     return 0
@@ -364,15 +340,13 @@ def _cmd_extract(args) -> int:
     for path in paths:
         vector = extract_features(_read_page(path))
         rows.append([path.name, *[format_number(v) for v in vector.values]])
-    run = _run_dir(args, "extract")
-    _write_manifest(run, args)
+    run = _run_dir(args)
     atomic_write_text(run / "features.csv", _csv_text(rows))
     print(f"extracted {len(paths)} pages -> {run / 'features.csv'}")
     return 0
 
 
 def _cmd_forge(args) -> int:
-    # every refusal comes before the run dir is made
     paths = _page_paths(Path(args.pages))
     schema = load_schema(args.schema)
     dataset = load_dataset(args.data, schema)
@@ -388,9 +362,7 @@ def _cmd_forge(args) -> int:
     plan = build_plan(dataset, config, seed=args.seed)
     check_problem_space_plan(plan)
     select_features(plan)
-
-    run = _run_dir(args, "forge")
-    _write_manifest(run, args)
+    run = _run_dir(args)
     page_dir = run / "pages"
     page_dir.mkdir(parents=True, exist_ok=True)
     rows = [
@@ -451,6 +423,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True, help="CSV dataset with header row")
         p.add_argument("--schema", required=True, help="JSON schema sidecar")
 
+    def model_args(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--model", default=None, help="saved model file (otherwise --kind fits one)")
+        p.add_argument("--kind", choices=MODEL_KINDS, default="random_forest")
+
+    def attack_args(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--method", choices=RANKING_METHODS, default="gini_impurity")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--epsilon", type=float, required=True)
+        p.add_argument("--features", default=None, help="comma-separated allow-list of feature names")
+
     p = sub.add_parser("synth", help="generate synthetic demo data")
     p.add_argument("--dataset", choices=("blobs", "census", "webpages"), default="census")
     p.add_argument("--rows", type=int, default=3000, help="row count (blobs/census; the webpage corpus is fixed at 20+20)")
@@ -473,22 +455,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="perturb the input-class rows of a dataset")
     data_args(p)
-    p.add_argument("--method", choices=RANKING_METHODS, default="gini_impurity")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--features", default=None, help="comma-separated allow-list of feature names")
+    attack_args(p)
     p.add_argument("--onehot-consistency", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_attack)
 
     p = sub.add_parser("evaluate", help="train/test split, attack the test rows, report metrics")
     data_args(p)
-    p.add_argument("--model", default=None, help="saved model file (otherwise --kind fits one)")
-    p.add_argument("--kind", choices=MODEL_KINDS, default="random_forest")
-    p.add_argument("--method", choices=RANKING_METHODS, default="gini_impurity")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--features", default=None)
+    model_args(p)
+    attack_args(p)
     p.add_argument("--train-fraction", type=float, default=0.8)
     common(p)
     p.set_defaults(func=_cmd_evaluate)
@@ -525,12 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forge", help="inverse-map an attack into invisible HTML additions")
     p.add_argument("--pages", required=True)
     data_args(p)
-    p.add_argument("--model", default=None, help="saved model file (otherwise --kind fits one)")
-    p.add_argument("--kind", choices=MODEL_KINDS, default="random_forest")
-    p.add_argument("--method", choices=RANKING_METHODS, default="gini_impurity")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--features", default=None, help="restrict further than the addable set")
+    model_args(p)
+    attack_args(p)
     common(p)
     p.set_defaults(func=_cmd_forge)
 

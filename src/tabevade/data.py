@@ -15,7 +15,6 @@ import io
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, TextIO, Union
@@ -23,10 +22,6 @@ from typing import Mapping, TextIO, Union
 import numpy as np
 
 from .errors import ParseError, SchemaError, ShapeError, StratificationError, TabevadeError
-
-# the process umask, read once (reading it means setting it)
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
 
 FEATURE_KINDS = ("continuous", "discrete", "categorical", "onehot")
 
@@ -197,18 +192,20 @@ def load_schema(path: Union[str, Path]) -> FeatureSchema:
 def atomic_write_text(path: Union[str, Path], text: str, *, fsync: bool = True) -> None:
     """Write-then-rename so readers never observe a partial file.
 
-    The text goes, untranslated, to a unique temp file beside ``path``, so
-    concurrent writers never share one, and replaces ``path`` once written.
+    The text goes, untranslated, to a temp file beside ``path`` under a
+    random name, created exclusively (so concurrent writers never share one)
+    with the mode a plain ``open`` gives under the umask in force, and
+    replaces ``path`` once written.
     With ``fsync`` (the default) it reaches the disk first, so a crash
     leaves the old file or the new one; bulk outputs that a later, synced
     file vouches for may skip that, as it costs a journal commit per file.
     The temp file is removed when anything fails.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    handle = open(tmp, "x", encoding="utf-8", newline="")  # before the try: a name taken is not ours to unlink
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            os.chmod(tmp, 0o666 & ~_UMASK)  # mkstemp makes it 0600; match a plain open()
+        with handle:
             handle.write(text)
             if fsync:
                 handle.flush()

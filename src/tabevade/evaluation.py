@@ -28,7 +28,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .attack import AttackConfig, AttackPlan, compute_direction, perturb_batch
+from .attack import AttackConfig, AttackPlan, compute_direction, eligible_features, perturb_batch
 from .data import Dataset, atomic_write_text, fit_scaler, format_number, schema_to_dict
 from .errors import MetricError, ResumeError, TabevadeError
 from .metrics import auprc, label_recall, recall, success_rate
@@ -292,9 +292,11 @@ def grid_search(
     a refused run never reaches it.  The fits and rankings run in up
     to ``workers`` processes, never more than there are of them; the cells
     are then evaluated here, in order, so results are identical for any
-    worker count.  A worker that dies raises :class:`TabevadeError`, and
-    ``workers`` below 1 raises :class:`ValueError` before anything is read
-    or written.
+    worker count.  A worker that dies raises :class:`TabevadeError`.
+    Before anything is fitted, ranked, read or written, ``workers`` below 1
+    raises :class:`ValueError`, and an n above the count of features that
+    :func:`~tabevade.attack.eligible_features` allows raises
+    :class:`SelectionError`; only then is a missing sink directory made.
 
     Before the first cell is written, one pass takes the pending (method, n,
     epsilon) triples in spec order and perturbs each once; a triple whose
@@ -306,11 +308,14 @@ def grid_search(
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    scaler, direction = fit_scaler(train), compute_direction(train)
+    eligible_features(range(train.n_features), max(spec.n_values), train.schema, direction, scaler)
     with ExitStack() as stack:  # holds the sink's lock, then the sink, until the last cell is written
         done: dict[tuple, GridRecord] = {}
         fingerprinted = False
         if sink is not None:
             import fcntl  # POSIX only; only a grid with a sink takes the lock
+            Path(sink).parent.mkdir(parents=True, exist_ok=True)
             lock = stack.enter_context(open(f"{sink}.lock", "a", encoding="utf-8"))  # holds nothing, stays
             try:
                 fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)  # released when the file closes
@@ -354,7 +359,6 @@ def grid_search(
                 sink_writer.writerow(GRID_COLUMNS)
                 handle.flush()
         baselines = {kind: recall(prepared["fit", kind], test.X, test.y) for kind in kinds}
-        scaler, direction = fit_scaler(train), compute_direction(train)
         positives = test.take(test.rows_of_class(1))
         recalls: dict[tuple, float] = {}  # each pending cell's attack recall
         previous = None  # only the previous triple's rows are held

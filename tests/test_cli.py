@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -419,6 +420,41 @@ def test_gridsearch_with_a_repeated_value_exits_1(tmp_path, census_files, capsys
     assert not (tmp_path / "rep" / "grid.csv").exists()
 
 
+def test_gridsearch_with_an_n_past_the_eligible_features_exits_1_before_any_work(
+        tmp_path, census_files, count_calls, capsys):
+    data, schema = census_files
+    args = ["gridsearch", "--data", str(data), "--schema", str(schema),
+            "--models", "logistic_regression", "--methods", "gini_impurity", "--eps-steps", "3",
+            "--workers", "1", "--out", str(tmp_path / "runs"), "--run-name", "g"]
+    calls = count_calls(evaluation, "fit", "rank_features")
+    assert run(args + ["--n-values", "1,40"]) == 1
+    assert "attack wants n=40 features but only 37 are eligible" in capsys.readouterr().err
+    assert calls == {}
+    assert not (tmp_path / "runs").exists()
+    run_ok(args + ["--n-values", "1,37"])  # the refusal left nothing in the way of a rerun
+    assert calls == {"fit": 1, "rank_features": 1}
+
+
+def test_gridsearch_resume_from_a_missing_directory_exits_1(tmp_path, census_files, capsys):
+    data, schema = census_files
+    missing = tmp_path / "nowhere" / "grid.csv"
+    code = run(["gridsearch", "--data", str(data), "--schema", str(schema),
+                "--models", "logistic_regression", "--methods", "gini_impurity",
+                "--n-values", "1", "--eps-steps", "3", "--workers", "1",
+                "--resume-from", str(missing), "--out", str(tmp_path / "runs"), "--run-name", "r"])
+    assert code == 1
+    assert "No such file or directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "schema.json"]
+
+
+def test_curves_on_a_header_only_grid_exits_1_and_leaves_no_run_dir(tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    grid.write_text(",".join(evaluation.GRID_COLUMNS) + "\n", encoding="utf-8")
+    assert run(["curves", "--grid", str(grid), "--out", str(tmp_path / "runs"), "--run-name", "c"]) == 1
+    assert "grid holds no records" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_gridsearch_with_fewer_than_one_worker_exits_1_and_leaves_no_run_dir(tmp_path, census_files, capsys, workers):
     data, schema = census_files
@@ -508,3 +544,33 @@ def test_refused_forge_exits_1_and_leaves_no_run_dir(tmp_path, web_corpus, capsy
     assert run(argv) == 1, case
     assert message in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "rank", "attack", "evaluate", "gridsearch", "curves",
+                                     "extract", "forge"])
+def test_every_command_without_a_run_name_makes_one_timestamped_run_dir(tmp_path, census_files, web_corpus,
+                                                                        command):
+    data, schema = census_files
+    census = ["--data", str(data), "--schema", str(schema)]
+    web = web_corpus / "w"
+    grid = tmp_path / "grid.csv"
+    evaluation.GridResult(records=(evaluation.GridRecord("logistic_regression", "gini_impurity", 1, 0.5,
+                                                         0.8, 0.4, 0.5),)).to_csv(grid)
+    argv = {
+        "synth": ["--dataset", "blobs", "--rows", "20"],
+        "train": census + ["--kind", "logistic_regression"],
+        "rank": census + ["--method", "gini_impurity"],
+        "attack": census + ["--n", "1", "--epsilon", "0.5"],
+        "evaluate": census + ["--kind", "logistic_regression", "--n", "1", "--epsilon", "0.5"],
+        "gridsearch": census + ["--models", "logistic_regression", "--n-values", "1", "--eps-steps", "2",
+                                "--workers", "1"],
+        "curves": ["--grid", str(grid)],
+        "extract": ["--pages", str(web / "pages")],
+        "forge": ["--pages", str(web / "pages"), "--data", str(web / "data.csv"), "--schema", str(web / "schema.json"),
+                  "--kind", "logistic_regression", "--n", "9", "--epsilon", "6.0"],
+    }[command]
+    out = tmp_path / "runs"
+    run_ok([command, *argv, "--out", str(out)])
+    [made] = out.iterdir()
+    assert re.fullmatch(rf"{command}-\d{{8}}-\d{{6}}", made.name)
+    assert json.loads((made / "manifest.json").read_text(encoding="utf-8"))["command"] == command

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -336,3 +338,16 @@ def test_atomic_write_removes_its_temp_file_on_failure(tmp_path):
         atomic_write_text(target, "text")
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
     assert list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask", [0o077, 0o022], ids=["077", "022"])
+def test_atomic_write_takes_the_mode_a_plain_open_gives(tmp_path, umask):
+    previous = os.umask(umask)  # set after import, as a caller of the package would
+    try:
+        atomic_write_text(tmp_path / "atomic", "x")
+        with open(tmp_path / "plain", "w", encoding="utf-8") as handle:
+            handle.write("x")
+    finally:
+        os.umask(previous)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("atomic", "plain")}
+    assert modes == {0o666 & ~umask}

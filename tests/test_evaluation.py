@@ -10,7 +10,7 @@ import pytest
 from oracles import brute_force_auprc, confusion_recall, grid_reference
 from tabevade.attack import AttackConfig, AttackPlan, build_plan, compute_direction, perturb_batch
 from tabevade.data import Dataset, FeatureSchema, FeatureSpec, fit_scaler, split
-from tabevade.errors import FitError, MetricError, ResumeError, TabevadeError
+from tabevade.errors import FitError, MetricError, ResumeError, SelectionError, TabevadeError
 import tabevade
 from tabevade import evaluation
 from tabevade.evaluation import (
@@ -569,6 +569,27 @@ def test_grid_refuses_fewer_than_one_worker_before_writing(tmp_path, workers):
         grid_search(train, test, spec, seed=0, sink=tmp_path / "grid.csv", workers=workers,
                     started=lambda: pytest.fail("a refused run started"))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_with_an_n_past_the_eligible_features_refuses_before_any_work(tmp_path, count_calls):
+    calls = count_calls(evaluation, "fit", "rank_features")
+    train, test = small_grid_inputs()
+    spec = GridSpec(n_values=(1, 38), epsilon_values=(0.5,), methods=("gini_impurity",),
+                    model_kinds=("logistic_regression",))
+    for sink in (tmp_path / "grid.csv", tmp_path / "run" / "grid.csv"):
+        with pytest.raises(SelectionError, match="attack wants n=38 features but only 37 are eligible"):
+            grid_search(train, test, spec, seed=0, sink=sink, workers=1,
+                        started=lambda: pytest.fail("a refused run started"))
+    assert calls == {}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_makes_a_missing_sink_directory(tmp_path):
+    train, test = small_grid_inputs()
+    spec = GridSpec(n_values=(1,), epsilon_values=(0.5,), methods=("gini_impurity",),
+                    model_kinds=("logistic_regression",))
+    sink = tmp_path / "a" / "b" / "grid.csv"
+    assert grid_search(train, test, spec, seed=0, sink=sink) == GridResult.from_csv(sink)
 
 
 def test_grid_sink_is_byte_identical_with_two_workers(tmp_path):
