@@ -258,8 +258,8 @@ def _cmd_gridsearch(args) -> int:
     )
     run = _run_path(args)  # named once, so the sink's directory and the manifest's share a timestamp
     sink = Path(args.resume_from) if args.resume_from else run / "grid.csv"
-    if args.resume_from and not sink.parent.is_dir():  # grid_search would make it and start a new grid
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(sink.parent))
+    if args.resume_from and not sink.is_file():  # grid_search would start a new grid there
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(sink))
     if not args.resume_from and sink.exists():
         raise ResumeError(f"{sink} already exists; continue it with --resume-from {sink}, or pick a new --run-name")
     total = spec.n_cells

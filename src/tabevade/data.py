@@ -123,7 +123,7 @@ class FeatureSchema:
 # schema sidecar (JSON, strict)
 
 _SCHEMA_KEYS = {"target_column", "positive_class_label", "negative_class_label", "features"}
-_FEATURE_KEYS = {"name", "kind", "group", "mutable", "addable"}
+_FEATURE_TYPES = {"name": str, "kind": str, "group": str, "mutable": bool, "addable": bool}
 
 
 def schema_from_dict(payload: Mapping) -> FeatureSchema:
@@ -136,20 +136,16 @@ def schema_from_dict(payload: Mapping) -> FeatureSchema:
         raise SchemaError(f"missing schema keys: {sorted(missing)}")
     specs = []
     for entry in payload["features"]:
-        extra = set(entry) - _FEATURE_KEYS
+        extra = set(entry) - set(_FEATURE_TYPES)
         if extra:
             raise SchemaError(f"unknown feature keys: {sorted(extra)}")
         if "name" not in entry or "kind" not in entry:
             raise SchemaError("every feature needs at least 'name' and 'kind'")
-        specs.append(
-            FeatureSpec(
-                name=str(entry["name"]),
-                kind=str(entry["kind"]),
-                group=entry.get("group"),
-                mutable=bool(entry.get("mutable", True)),
-                addable=bool(entry.get("addable", False)),
-            )
-        )
+        for key, value in entry.items():
+            if not isinstance(value, _FEATURE_TYPES[key]):  # no coercion: "false" is not false
+                need = "a string" if _FEATURE_TYPES[key] is str else "true or false"
+                raise SchemaError(f"feature {entry['name']!r}: {key!r} must be {need}, got {value!r}")
+        specs.append(FeatureSpec(**entry))
     return FeatureSchema(
         features=tuple(specs),
         target_column=str(payload["target_column"]),

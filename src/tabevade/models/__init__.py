@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Union
 
@@ -22,14 +22,6 @@ from ..data import Dataset, ScalerState, atomic_write_text, fit_scaler, transfor
 from ..errors import FitError, SchemaError, ShapeError
 from . import boosting, forest, logistic, mlp, tree
 
-MODEL_KINDS = (
-    "logistic_regression",
-    "decision_tree",
-    "random_forest",
-    "gradient_boosted_trees",
-    "mlp",
-)
-
 _IMPLS = {
     "logistic_regression": (logistic.LogisticRegression, logistic.DEFAULTS),
     "decision_tree": (tree.DecisionTree, tree.DEFAULTS),
@@ -37,6 +29,7 @@ _IMPLS = {
     "gradient_boosted_trees": (boosting.GradientBoostedTrees, boosting.DEFAULTS),
     "mlp": (mlp.MLP, mlp.DEFAULTS),
 }
+MODEL_KINDS = tuple(_IMPLS)
 
 # the least value of each whole-number hyperparameter; an integer max_features counts too
 _COUNTS = {"epochs": 1, "batch_size": 1, "hidden": 1, "n_trees": 1, "min_leaf": 1, "max_features": 1, "max_depth": 0}
@@ -47,8 +40,12 @@ class Model:
     kind: str
     scaler: ScalerState
     impl: object
-    hyperparameters: dict = field(default_factory=dict)
     seed: int = 0
+
+    @property
+    def hyperparameters(self) -> dict:
+        """The hyperparameters the fitted model holds, in its kind's ``DEFAULTS`` order."""
+        return {name: getattr(self.impl, name) for name in _IMPLS[self.kind][1]}
 
     @property
     def n_features(self) -> int:
@@ -62,18 +59,20 @@ def fit(kind: str, train: Dataset, hyperparameters: Mapping | None = None, seed:
         raise FitError("cannot fit on an empty dataset")
     if np.unique(train.y).size < 2:
         raise FitError("training data holds a single class; nothing to learn")
-    cls, defaults = _IMPLS[kind]
-    hp = dict(defaults)
-    if hyperparameters:
-        unknown = set(hyperparameters) - set(defaults)
-        if unknown:
-            raise FitError(f"unknown hyperparameters for {kind}: {sorted(unknown)}")
-        hp.update({name: _checked(kind, name, value) for name, value in hyperparameters.items()})
+    hp = _hyperparameters(kind, hyperparameters or {})
     scaler = fit_scaler(train)
     Xs = transform(train.X, scaler)
     rng = np.random.default_rng(seed)
-    impl = cls(**hp).fit(Xs, train.y, rng=rng)
-    return Model(kind=kind, scaler=scaler, impl=impl, hyperparameters=hp, seed=seed)
+    impl = _IMPLS[kind][0](**hp).fit(Xs, train.y, rng=rng)
+    return Model(kind=kind, scaler=scaler, impl=impl, seed=seed)
+
+
+def _hyperparameters(kind: str, given: Mapping) -> dict:
+    """``given`` as the model would hold it (see :func:`_checked`); FitError on an unknown name."""
+    unknown = set(given) - set(_IMPLS[kind][1])
+    if unknown:
+        raise FitError(f"unknown hyperparameters for {kind}: {sorted(unknown)}")
+    return {name: _checked(kind, name, value) for name, value in given.items()}
 
 
 def _checked(kind: str, name: str, value):
@@ -149,7 +148,7 @@ def load_model(path: Union[str, Path]) -> Model:
         kind = payload["kind"]
         if kind not in _IMPLS:
             raise FitError(f"unknown model kind {kind!r}")
-        cls, _ = _IMPLS[kind]
+        stated = _hyperparameters(kind, payload["hyperparameters"])
         params = payload["params"]
         if any("root" in tree for tree in params.get("trees", [params])):
             raise FitError("it holds nested trees saved before the flat tree layout; retrain the model")
@@ -159,11 +158,10 @@ def load_model(path: Union[str, Path]) -> Model:
                 mins=np.asarray(payload["scaler"]["mins"], dtype=float),
                 maxs=np.asarray(payload["scaler"]["maxs"], dtype=float),
             ),
-            impl=cls.from_dict(params),
-            hyperparameters=dict(payload["hyperparameters"]),
+            impl=_IMPLS[kind][0].from_dict(params),
             seed=int(payload["seed"]),
         )
-        _check_loaded(model)
+        _check_loaded(model, stated)
         return model
     except FitError as exc:
         raise FitError(f"model file {path}: {exc}") from exc
@@ -171,18 +169,18 @@ def load_model(path: Union[str, Path]) -> Model:
         raise FitError(f"model file {path} is malformed ({type(exc).__name__}: {exc})") from exc
 
 
-def _check_loaded(model: Model) -> None:
-    """Refuse a loaded model whose hyperparameters disagree with its fitted ones, whose
-    numbers are not finite, or whose arrays do not fit the scaler's columns."""
+def _check_loaded(model: Model, stated: dict) -> None:
+    """Refuse a loaded model whose fitted hyperparameters are not finite or disagree with the
+    checked top-level ones ``stated`` (a name left out means its default, as in :func:`fit`),
+    or whose arrays do not fit the scaler's columns."""
     impl, f = model.impl, model.n_features
-    cls, defaults = _IMPLS[model.kind]
-    stated = cls(**model.hyperparameters)  # as a fit with them would hold them, so 1 and 1.0 agree
-    for name in defaults:
-        fitted = getattr(impl, name)
-        if isinstance(fitted, float) and not np.isfinite(fitted):
+    defaults = _IMPLS[model.kind][1]
+    for name, fitted in model.hyperparameters.items():
+        if isinstance(fitted, float) and not math.isfinite(fitted):
             raise FitError(f"non-finite {name}")
-        if getattr(stated, name) != fitted:
-            raise FitError(f"hyperparameter {name!r} is {getattr(stated, name)!r} at the top level "
+        given = stated.get(name, defaults[name])
+        if given != fitted:
+            raise FitError(f"hyperparameter {name!r} is {given!r} at the top level "
                            f"but {fitted!r} in the fitted parameters")
     arrays = [("scaler mins", model.scaler.mins, (f,)), ("scaler maxs", model.scaler.maxs, (f,))]
     if model.kind == "logistic_regression":

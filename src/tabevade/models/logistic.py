@@ -52,16 +52,14 @@ class LogisticRegression:
 
     def to_dict(self) -> dict:
         return {
-            "epochs": self.epochs,
-            "l2": self.l2,
-            "learning_rate": self.learning_rate,
+            **{name: getattr(self, name) for name in DEFAULTS},
             "weights": list(map(float, self.weights)),
             "bias": self.bias,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LogisticRegression":
-        model = cls(payload["epochs"], payload["l2"], payload["learning_rate"])
+        model = cls(**{name: payload[name] for name in DEFAULTS})
         model.weights = np.asarray(payload["weights"], dtype=float)
         model.bias = float(payload["bias"])
         return model

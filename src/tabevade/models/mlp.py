@@ -70,10 +70,7 @@ class MLP:
 
     def to_dict(self) -> dict:
         return {
-            "hidden": self.hidden,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
+            **{name: getattr(self, name) for name in DEFAULTS},
             "w1": [list(map(float, row)) for row in self.w1],
             "b1": list(map(float, self.b1)),
             "w2": list(map(float, self.w2)),
@@ -82,7 +79,7 @@ class MLP:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MLP":
-        model = cls(payload["hidden"], payload["epochs"], payload["learning_rate"], payload["batch_size"])
+        model = cls(**{name: payload[name] for name in DEFAULTS})
         model.w1 = np.asarray(payload["w1"], dtype=float)
         model.b1 = np.asarray(payload["b1"], dtype=float)
         model.w2 = np.asarray(payload["w2"], dtype=float)

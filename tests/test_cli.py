@@ -447,6 +447,20 @@ def test_gridsearch_resume_from_a_missing_directory_exits_1(tmp_path, census_fil
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "schema.json"]
 
 
+def test_gridsearch_resume_from_a_missing_sink_in_an_existing_directory_exits_1(tmp_path, census_files, capsys):
+    data, schema = census_files
+    (tmp_path / "typo").mkdir()
+    code = run(["gridsearch", "--data", str(data), "--schema", str(schema),
+                "--models", "logistic_regression", "--methods", "gini_impurity",
+                "--n-values", "1", "--eps-steps", "3", "--workers", "1",
+                "--resume-from", str(tmp_path / "typo" / "gird.csv"),
+                "--out", str(tmp_path / "runs"), "--run-name", "r"])
+    assert code == 1
+    assert "No such file or directory" in capsys.readouterr().err
+    assert list((tmp_path / "typo").iterdir()) == []
+    assert not (tmp_path / "runs").exists()
+
+
 def test_curves_on_a_header_only_grid_exits_1_and_leaves_no_run_dir(tmp_path, capsys):
     grid = tmp_path / "grid.csv"
     grid.write_text(",".join(evaluation.GRID_COLUMNS) + "\n", encoding="utf-8")

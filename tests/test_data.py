@@ -113,6 +113,21 @@ def test_load_dataset_errors_name_the_file(tmp_path, text, error, message):
     ("[]", "schema file {} must hold a JSON object"),
     ('{"target_column": "c", "positive_class_label": "1", "negative_class_label": "1", "features": []}',
      "schema file {}: class labels must differ"),
+    ('{"target_column": "c", "positive_class_label": "1", "negative_class_label": "0",'
+     ' "features": [{"name": "a", "kind": "continuous", "mutable": "false"}]}',
+     "schema file {}: feature 'a': 'mutable' must be true or false, got 'false'"),
+    ('{"target_column": "c", "positive_class_label": "1", "negative_class_label": "0",'
+     ' "features": [{"name": "a", "kind": "continuous", "addable": 1}]}',
+     "schema file {}: feature 'a': 'addable' must be true or false, got 1"),
+    ('{"target_column": "c", "positive_class_label": "1", "negative_class_label": "0",'
+     ' "features": [{"name": 7, "kind": "continuous"}]}',
+     "schema file {}: feature 7: 'name' must be a string, got 7"),
+    ('{"target_column": "c", "positive_class_label": "1", "negative_class_label": "0",'
+     ' "features": [{"name": "a", "kind": ["continuous"]}]}',
+     "schema file {}: feature 'a': 'kind' must be a string, got ['continuous']"),
+    ('{"target_column": "c", "positive_class_label": "1", "negative_class_label": "0",'
+     ' "features": [{"name": "a", "kind": "onehot", "group": 2}]}',
+     "schema file {}: feature 'a': 'group' must be a string, got 2"),
 ])
 def test_load_schema_errors_name_the_file(tmp_path, text, message):
     path = tmp_path / "schema.json"

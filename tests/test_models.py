@@ -447,6 +447,14 @@ def test_load_rejects_invalid_flat_arrays(tmp_path, edit, match):
     ("gradient_boosted_trees", lambda p: p["params"].update(n_features=3), r"fitted on \[3\] features"),
     ("decision_tree", lambda p: p["params"].update(n_features=3), r"fitted on \[3\] features"),
     ("random_forest", lambda p: p["params"]["trees"][0].update(n_features=3), r"fitted on \[2, 3\] features"),
+    # a value fit refuses, in both places, is refused with fit's message
+    ("logistic_regression", lambda p: [p[key].update(epochs=5.5) for key in ("hyperparameters", "params")],
+     "logistic_regression hyperparameter 'epochs' must be a whole number of at least 1, got 5.5"),
+    ("random_forest", lambda p: [p[key].update(bootstrap="no") for key in ("hyperparameters", "params")],
+     "random_forest hyperparameter 'bootstrap' must be true or false, got 'no'"),
+    ("decision_tree", lambda p: [p[key].update(max_depth=3.7) for key in ("hyperparameters", "params")],
+     "decision_tree hyperparameter 'max_depth' must be a whole number of at least 0, got 3.7"),
+    ("mlp", lambda p: p["hyperparameters"].update(bogus=3), r"unknown hyperparameters for mlp: \['bogus'\]"),
 ])
 def test_load_rejects_non_finite_numbers_and_misshapen_weights(tmp_path, kind, edit, match):
     path, payload = saved(tmp_path, kind)
