@@ -11,9 +11,7 @@ command line, or a grid resume against other data or flags than the sink's).
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
-import io
 import json
 import os
 import sys
@@ -25,7 +23,8 @@ import numpy
 
 from . import __version__, synth
 from .attack import AttackConfig, build_plan, perturb_batch, select_features
-from .data import Dataset, atomic_write_text, format_number, load_dataset, load_schema, save_dataset_csv, save_schema, split
+from .data import (Dataset, atomic_write_text, csv_text, format_number, load_dataset, load_schema, save_dataset_csv,
+                   save_schema, split)
 from .errors import ExtractionError, ResumeError, ShapeError, TabevadeError
 from .evaluation import (
     CURVE_AXES,
@@ -68,12 +67,6 @@ def _run_dir(args, run: Path | None = None) -> Path:
 
 def _load(args) -> Dataset:
     return load_dataset(args.data, load_schema(args.schema))
-
-
-def _csv_text(rows) -> str:
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
-    return buffer.getvalue()
 
 
 def _parse_hyper(pairs: list[str]) -> dict:
@@ -133,7 +126,7 @@ def _cmd_synth(args) -> int:
         save_schema(dataset.schema, run / "schema.json")
     elif args.dataset == "census":
         rows = synth.census_like_rows(n_rows=args.rows, seed=args.seed)
-        atomic_write_text(run / "data.csv", _csv_text(rows))
+        atomic_write_text(run / "data.csv", csv_text(rows))
         save_schema(synth.census_like_schema(), run / "schema.json")
     else:
         corpus = synth.demo_pages(seed=args.seed)
@@ -171,7 +164,7 @@ def _cmd_rank(args) -> int:
             [dataset.schema.names[index], args.method, format_number(ranking.scores[index]), str(position)]
         )
     run = _run_dir(args)
-    atomic_write_text(run / "rank.csv", _csv_text(rows))
+    atomic_write_text(run / "rank.csv", csv_text(rows))
     print(f"wrote {run / 'rank.csv'}")
     return 0
 
@@ -204,8 +197,8 @@ def _cmd_attack(args) -> int:
             )
 
     run = _run_dir(args)
-    atomic_write_text(run / "adversarial.csv", _csv_text(adversarial_rows))
-    atomic_write_text(run / "deltas.csv", _csv_text(delta_rows))
+    atomic_write_text(run / "adversarial.csv", csv_text(adversarial_rows))
+    atomic_write_text(run / "deltas.csv", csv_text(delta_rows))
     print(f"perturbed {perturbed.shape[0]} rows -> {run}")
     return 0
 
@@ -310,7 +303,7 @@ def emit_report(grid: GridResult, out_dir: Path) -> list[Path]:
                     ]
                 )
             csv_path = out_dir / f"curve_{model}_{axis}.csv"
-            atomic_write_text(csv_path, _csv_text(rows))
+            atomic_write_text(csv_path, csv_text(rows))
             written.append(csv_path)
             chart, key = (bar_chart, str) if axis == "method" else (line_chart, float)
             svg = chart([(key(p.axis_value), p.success_rate) for p in curve],
@@ -319,7 +312,7 @@ def emit_report(grid: GridResult, out_dir: Path) -> list[Path]:
             atomic_write_text(svg_path, svg)
             written.append(svg_path)
     summary_path = out_dir / "summary.csv"
-    atomic_write_text(summary_path, _csv_text(summary))
+    atomic_write_text(summary_path, csv_text(summary))
     written.append(summary_path)
     return written
 
@@ -341,7 +334,7 @@ def _cmd_extract(args) -> int:
         vector = extract_features(_read_page(path))
         rows.append([path.name, *[format_number(v) for v in vector.values]])
     run = _run_dir(args)
-    atomic_write_text(run / "features.csv", _csv_text(rows))
+    atomic_write_text(run / "features.csv", csv_text(rows))
     print(f"extracted {len(paths)} pages -> {run / 'features.csv'}")
     return 0
 
@@ -398,7 +391,7 @@ def _cmd_forge(args) -> int:
             ]
         )
         flipped += int(record.evaded)
-    atomic_write_text(run / "forge_report.csv", _csv_text(rows))
+    atomic_write_text(run / "forge_report.csv", csv_text(rows))
     print(f"forged {len(rows) - 1} pages, {flipped} evaded -> {run}")
     return 0
 

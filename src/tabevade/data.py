@@ -134,6 +134,11 @@ def schema_from_dict(payload: Mapping) -> FeatureSchema:
     missing = _SCHEMA_KEYS - set(payload)
     if missing:
         raise SchemaError(f"missing schema keys: {sorted(missing)}")
+    for key in ("target_column", "positive_class_label", "negative_class_label"):
+        if not isinstance(payload[key], str):
+            raise SchemaError(f"{key!r} must be a string, got {payload[key]!r}")
+    if not isinstance(payload["features"], list) or not all(isinstance(entry, dict) for entry in payload["features"]):
+        raise SchemaError(f"'features' must be a list of objects, got {payload['features']!r}")
     specs = []
     for entry in payload["features"]:
         extra = set(entry) - set(_FEATURE_TYPES)
@@ -148,9 +153,9 @@ def schema_from_dict(payload: Mapping) -> FeatureSchema:
         specs.append(FeatureSpec(**entry))
     return FeatureSchema(
         features=tuple(specs),
-        target_column=str(payload["target_column"]),
-        positive_class_label=str(payload["positive_class_label"]),
-        negative_class_label=str(payload["negative_class_label"]),
+        target_column=payload["target_column"],
+        positive_class_label=payload["positive_class_label"],
+        negative_class_label=payload["negative_class_label"],
     )
 
 
@@ -322,7 +327,7 @@ def load_dataset(source: Union[str, Path, TextIO], schema: FeatureSchema) -> Dat
     for row_idx, row in enumerate(reader, start=1):
         if not row or all(not c.strip() for c in row):
             continue  # blank line
-        if len(row) < len(header):
+        if len(row) != len(header):
             raise ParseError(f"row {row_idx}: expected {len(header)} cells, got {len(row)}")
         label_cell = row[label_pos].strip()
         if label_cell == schema.positive_class_label:
@@ -378,16 +383,19 @@ def load_dataset(source: Union[str, Path, TextIO], schema: FeatureSchema) -> Dat
     return Dataset(X=X, y=np.asarray(labels, dtype=int), schema=out_schema)
 
 
+def csv_text(rows, lineterminator: str = "\n") -> str:
+    """``rows`` as CSV text, each line ended by ``lineterminator``: CRLF in grid.csv and labels.csv, LF elsewhere."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator=lineterminator).writerows(rows)
+    return buffer.getvalue()
+
+
 def save_dataset_csv(dataset: Dataset, path: Union[str, Path]) -> None:
     """Write the (expanded) dataset back out as CSV with a label column."""
     schema = dataset.schema
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([*schema.names, schema.target_column])
     labels = np.where(dataset.y == 1, schema.positive_class_label, schema.negative_class_label)
-    for row, label in zip(dataset.X, labels):
-        writer.writerow([format_number(v) for v in row] + [label])
-    atomic_write_text(path, buffer.getvalue())
+    rows = [[format_number(v) for v in row] + [label] for row, label in zip(dataset.X, labels)]
+    atomic_write_text(path, csv_text([[*schema.names, schema.target_column], *rows]))
 
 
 def format_number(value: float) -> str:

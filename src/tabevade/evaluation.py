@@ -16,7 +16,6 @@ predicts once per run of consecutive triples with equal perturbed rows.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -29,7 +28,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .attack import AttackConfig, AttackPlan, compute_direction, eligible_features, perturb_batch
-from .data import Dataset, atomic_write_text, fit_scaler, format_number, schema_to_dict
+from .data import Dataset, atomic_write_text, csv_text, fit_scaler, format_number, schema_to_dict
 from .errors import MetricError, ResumeError, TabevadeError
 from .metrics import auprc, label_recall, recall, success_rate
 from .models import MODEL_KINDS, Model, fit, labels, predict, predict_score
@@ -143,11 +142,7 @@ class GridResult:
     records: tuple[GridRecord, ...]
 
     def to_csv(self, path: Union[str, Path]) -> None:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(GRID_COLUMNS)
-        writer.writerows(_record_row(r) for r in self.records)
-        atomic_write_text(path, buffer.getvalue())
+        atomic_write_text(path, csv_text([GRID_COLUMNS, *map(_record_row, self.records)], "\r\n"))
 
     @staticmethod
     def from_csv(path: Union[str, Path]) -> "GridResult":
@@ -354,9 +349,8 @@ def grid_search(
             if not fingerprinted:
                 atomic_write_text(fingerprint_path(sink), json.dumps(fingerprint, indent=2) + "\n")
             handle = stack.enter_context(open(sink, "a", encoding="utf-8", newline=""))
-            sink_writer = csv.writer(handle)
             if handle.tell() == 0:
-                sink_writer.writerow(GRID_COLUMNS)
+                handle.write(csv_text([GRID_COLUMNS], "\r\n"))
                 handle.flush()
         baselines = {kind: recall(prepared["fit", kind], test.X, test.y) for kind in kinds}
         positives = test.take(test.rows_of_class(1))
@@ -384,7 +378,7 @@ def grid_search(
                                 success_rate(baselines[kind], attack_recall))
             done[_cell_key(kind, method, n, epsilon)] = record
             if sink is not None:
-                sink_writer.writerow(_record_row(record))
+                handle.write(csv_text([_record_row(record)], "\r\n"))
                 handle.flush()
             if progress:
                 progress(finished, len(cells))

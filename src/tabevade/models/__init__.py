@@ -161,23 +161,26 @@ def load_model(path: Union[str, Path]) -> Model:
             impl=_IMPLS[kind][0].from_dict(params),
             seed=int(payload["seed"]),
         )
-        _check_loaded(model, stated)
+        _check_loaded(model, stated, params)
         return model
     except FitError as exc:
         raise FitError(f"model file {path}: {exc}") from exc
-    except (AttributeError, KeyError, IndexError, TypeError, ValueError, SchemaError) as exc:
+    except (AttributeError, KeyError, IndexError, OverflowError, TypeError, ValueError, SchemaError) as exc:
         raise FitError(f"model file {path} is malformed ({type(exc).__name__}: {exc})") from exc
 
 
-def _check_loaded(model: Model, stated: dict) -> None:
-    """Refuse a loaded model whose fitted hyperparameters are not finite or disagree with the
-    checked top-level ones ``stated`` (a name left out means its default, as in :func:`fit`),
-    or whose arrays do not fit the scaler's columns."""
+def _check_loaded(model: Model, stated: dict, params: Mapping) -> None:
+    """Refuse a loaded model whose fitted hyperparameters are not finite, fail :func:`_checked`
+    as written in ``params``, or disagree with the checked top-level ones ``stated`` (a name left
+    out means its default, as in :func:`fit`), or whose arrays do not fit the scaler's columns.
+    The model keeps each fitted hyperparameter as :func:`_checked` converts it."""
     impl, f = model.impl, model.n_features
     defaults = _IMPLS[model.kind][1]
     for name, fitted in model.hyperparameters.items():
         if isinstance(fitted, float) and not math.isfinite(fitted):
             raise FitError(f"non-finite {name}")
+        fitted = _checked(model.kind, name, params[name])
+        setattr(impl, name, fitted)
         given = stated.get(name, defaults[name])
         if given != fitted:
             raise FitError(f"hyperparameter {name!r} is {given!r} at the top level "

@@ -6,13 +6,12 @@ demos, tests and the acceptance suite are reproducible offline.
 """
 from __future__ import annotations
 
-import csv
 import io
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, FeatureSchema, FeatureSpec, atomic_write_text, format_number, load_dataset
+from .data import Dataset, FeatureSchema, FeatureSpec, atomic_write_text, csv_text, format_number, load_dataset
 from .webfeatures import WebPage, default_web_schema, extract_features
 
 
@@ -37,108 +36,68 @@ def gaussian_blobs(n_rows: int = 400, seed: int = 0, separation: float = 2.5) ->
 # ---------------------------------------------------------------------------
 # census-style tabular data (14 raw columns, 6 numeric + 8 categorical)
 
-_CENSUS_CATEGORIES = {
-    "employer_type": ("private", "public", "self_employed", "nonprofit"),
-    "education_level": ("basic", "secondary", "college", "graduate", "postgraduate"),
-    "marital_status": ("married", "single", "divorced", "widowed"),
-    "occupation": ("management", "professional", "clerical", "service", "trade"),
-    "household_role": ("head", "partner", "child", "other"),
-    "work_schedule": ("full_time", "part_time"),
-    "home_region": ("north", "south", "east", "west"),
-    "income_source": ("salary", "business", "mixed"),
-}
+# the raw columns in CSV order, with their kinds
+_CENSUS_COLUMNS = (
+    ("age", "discrete"),
+    ("employer_type", "categorical"),
+    ("weight_index", "continuous"),
+    ("education_level", "categorical"),
+    ("education_years", "discrete"),
+    ("marital_status", "categorical"),
+    ("occupation", "categorical"),
+    ("household_role", "categorical"),
+    ("home_region", "categorical"),
+    ("work_schedule", "categorical"),
+    ("capital_gain", "continuous"),
+    ("capital_loss", "continuous"),
+    ("hours_per_week", "discrete"),
+    ("income_source", "categorical"),
+)
 
-# per-class category weights: first tuple = high earners, second = low
-_CENSUS_WEIGHTS = {
-    "employer_type": ((0.55, 0.2, 0.2, 0.05), (0.7, 0.15, 0.05, 0.1)),
-    "education_level": ((0.02, 0.13, 0.35, 0.35, 0.15), (0.2, 0.45, 0.25, 0.08, 0.02)),
-    "marital_status": ((0.75, 0.1, 0.1, 0.05), (0.3, 0.45, 0.15, 0.1)),
-    "occupation": ((0.35, 0.35, 0.1, 0.1, 0.1), (0.08, 0.12, 0.25, 0.35, 0.2)),
-    "household_role": ((0.6, 0.25, 0.05, 0.1), (0.3, 0.2, 0.3, 0.2)),
-    "work_schedule": ((0.92, 0.08), (0.7, 0.3)),
-    "home_region": ((0.3, 0.2, 0.25, 0.25), (0.25, 0.3, 0.25, 0.2)),
-    "income_source": ((0.6, 0.25, 0.15), (0.85, 0.05, 0.1)),
+# in draw order, each categorical column's values and their weights for high earners, then for low ones
+_CENSUS_CATEGORIES = {
+    "employer_type": (("private", "public", "self_employed", "nonprofit"),
+                      (0.55, 0.2, 0.2, 0.05), (0.7, 0.15, 0.05, 0.1)),
+    "education_level": (("basic", "secondary", "college", "graduate", "postgraduate"),
+                        (0.02, 0.13, 0.35, 0.35, 0.15), (0.2, 0.45, 0.25, 0.08, 0.02)),
+    "marital_status": (("married", "single", "divorced", "widowed"), (0.75, 0.1, 0.1, 0.05), (0.3, 0.45, 0.15, 0.1)),
+    "occupation": (("management", "professional", "clerical", "service", "trade"),
+                   (0.35, 0.35, 0.1, 0.1, 0.1), (0.08, 0.12, 0.25, 0.35, 0.2)),
+    "household_role": (("head", "partner", "child", "other"), (0.6, 0.25, 0.05, 0.1), (0.3, 0.2, 0.3, 0.2)),
+    "work_schedule": (("full_time", "part_time"), (0.92, 0.08), (0.7, 0.3)),
+    "home_region": (("north", "south", "east", "west"), (0.3, 0.2, 0.25, 0.25), (0.25, 0.3, 0.25, 0.2)),
+    "income_source": (("salary", "business", "mixed"), (0.6, 0.25, 0.15), (0.85, 0.05, 0.1)),
 }
 
 
 def census_like_rows(n_rows: int = 3000, seed: int = 0):
     """Raw CSV rows (header included) for the census-style dataset, 30% of them "high"."""
     rng = np.random.default_rng(seed)
-    header = [
-        "age",
-        "employer_type",
-        "weight_index",
-        "education_level",
-        "education_years",
-        "marital_status",
-        "occupation",
-        "household_role",
-        "home_region",
-        "work_schedule",
-        "capital_gain",
-        "capital_loss",
-        "hours_per_week",
-        "income_source",
-        "income",
-    ]
-    rows = [header]
+    schema = census_like_schema()
+    rows = [[*schema.names, schema.target_column]]
     for _ in range(n_rows):
         high = rng.random() < 0.3
-        label = "high" if high else "low"
-        age = int(np.clip(round(rng.normal(45 if high else 35, 9 if high else 11)), 18, 90))
-        education_years = int(np.clip(round(rng.normal(13.5 if high else 9.5, 2.0 if high else 2.4)), 1, 18))
-        hours = int(np.clip(round(rng.normal(46 if high else 36, 7 if high else 9)), 5, 90))
-        capital_gain = float(round(max(0.0, rng.normal(6000, 4000)) if (high and rng.random() < 0.45) else max(0.0, rng.normal(150, 350)), 2))
-        capital_loss = float(round(max(0.0, rng.normal(1200, 700)) if (high and rng.random() < 0.12) else 0.0, 2))
-        weight_index = float(round(rng.normal(100.0, 15.0), 3))  # uninformative noise
-        cats = {}
-        for column, values in _CENSUS_CATEGORIES.items():
-            weights = _CENSUS_WEIGHTS[column][0 if high else 1]
-            cats[column] = values[rng.choice(len(values), p=weights)]
-        rows.append(
-            [
-                str(age),
-                cats["employer_type"],
-                format_number(weight_index),
-                cats["education_level"],
-                str(education_years),
-                cats["marital_status"],
-                cats["occupation"],
-                cats["household_role"],
-                cats["home_region"],
-                cats["work_schedule"],
-                format_number(capital_gain),
-                format_number(capital_loss),
-                str(hours),
-                cats["income_source"],
-                label,
-            ]
-        )
+        cells = {  # drawn in this order, then placed by name
+            "age": str(int(np.clip(round(rng.normal(45 if high else 35, 9 if high else 11)), 18, 90))),
+            "education_years": str(int(np.clip(round(rng.normal(13.5 if high else 9.5, 2.0 if high else 2.4)), 1, 18))),
+            "hours_per_week": str(int(np.clip(round(rng.normal(46 if high else 36, 7 if high else 9)), 5, 90))),
+            "capital_gain": format_number(round(max(0.0, rng.normal(6000, 4000)) if (high and rng.random() < 0.45)
+                                                else max(0.0, rng.normal(150, 350)), 2)),
+            "capital_loss": format_number(round(max(0.0, rng.normal(1200, 700)) if (high and rng.random() < 0.12)
+                                                else 0.0, 2)),
+            "weight_index": format_number(round(rng.normal(100.0, 15.0), 3)),  # uninformative noise
+        }
+        for column, (values, *weights) in _CENSUS_CATEGORIES.items():
+            cells[column] = values[rng.choice(len(values), p=weights[0 if high else 1])]
+        label = schema.positive_class_label if high else schema.negative_class_label
+        rows.append([*(cells[name] for name in schema.names), label])
     return rows
 
 
 def census_like_schema() -> FeatureSchema:
     """Raw (pre-expansion) schema for the census-style CSV."""
-    def spec(name: str, kind: str) -> FeatureSpec:
-        return FeatureSpec(name=name, kind=kind, mutable=True, addable=False)
-
     return FeatureSchema(
-        features=(
-            spec("age", "discrete"),
-            spec("employer_type", "categorical"),
-            spec("weight_index", "continuous"),
-            spec("education_level", "categorical"),
-            spec("education_years", "discrete"),
-            spec("marital_status", "categorical"),
-            spec("occupation", "categorical"),
-            spec("household_role", "categorical"),
-            spec("home_region", "categorical"),
-            spec("work_schedule", "categorical"),
-            spec("capital_gain", "continuous"),
-            spec("capital_loss", "continuous"),
-            spec("hours_per_week", "discrete"),
-            spec("income_source", "categorical"),
-        ),
+        features=tuple(FeatureSpec(name, kind) for name, kind in _CENSUS_COLUMNS),
         target_column="income",
         positive_class_label="high",
         negative_class_label="low",
@@ -147,13 +106,7 @@ def census_like_schema() -> FeatureSchema:
 
 def census_like(n_rows: int = 3000, seed: int = 0) -> Dataset:
     """The census-style dataset loaded and one-hot expanded."""
-    import io
-
-    rows = census_like_rows(n_rows=n_rows, seed=seed)
-    buffer = io.StringIO()
-    csv.writer(buffer).writerows(rows)
-    buffer.seek(0)
-    return load_dataset(buffer, census_like_schema())
+    return load_dataset(io.StringIO(csv_text(census_like_rows(n_rows=n_rows, seed=seed))), census_like_schema())
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +205,9 @@ def write_page_corpus(corpus, out_dir) -> None:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    labels = io.StringIO()
-    writer = csv.writer(labels)
-    writer.writerow(["page", "label"])
+    labels = [["page", "label"]]
     for name, page, label in corpus:
         atomic_write_text(out / f"{name}.html", page.html, fsync=False)
         atomic_write_text(out / f"{name}.html.url", page.url + "\n", fsync=False)
-        writer.writerow([f"{name}.html", "phishing" if label == 1 else "legitimate"])
-    atomic_write_text(out / "labels.csv", labels.getvalue())
+        labels.append([f"{name}.html", "phishing" if label == 1 else "legitimate"])
+    atomic_write_text(out / "labels.csv", csv_text(labels, "\r\n"))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -588,3 +589,51 @@ def test_every_command_without_a_run_name_makes_one_timestamped_run_dir(tmp_path
     [made] = out.iterdir()
     assert re.fullmatch(rf"{command}-\d{{8}}-\d{{6}}", made.name)
     assert json.loads((made / "manifest.json").read_text(encoding="utf-8"))["command"] == command
+
+
+# sha256 of every CSV the runs below write, line endings included: CRLF in grid.csv and labels.csv, LF elsewhere
+GOLDEN_CSV_SHA256 = {
+    "attack/adversarial.csv": "ea7dd0726675b9650613efaf18a0e48b3f8af908af9e57e5a2e92473982e35c5",
+    "attack/deltas.csv": "05cb113844fef7a07d576ddf275b25e266aad122eb8bf29ac2077d83b459d483",
+    "curves/curve_decision_tree_epsilon.csv": "d09287183f9fab10eba65d6231e2cd763dc4cb129ad6a8d51151985c2a26ef65",
+    "curves/curve_decision_tree_method.csv": "692ec0d4bb152e513e1628e2fb64d10a91ae49e554d22acc79558ba303f52701",
+    "curves/curve_decision_tree_n.csv": "78bc2a9501a8d72605af42e49634954e9bcf646c87cdfd5cd3ae2eaf94ddfa94",
+    "curves/curve_logistic_regression_epsilon.csv": "595dc889edc3734ecba0a51a89c648d7b4a186d34829080573710631695b5257",
+    "curves/curve_logistic_regression_method.csv": "2ac8b222e36d208554879ed376bb2cb9fdf76b45bc86db1be20092b6adb0c279",
+    "curves/curve_logistic_regression_n.csv": "f763e75f1722ff04c7124a4abadd08780306e6fe75d22beff38c17e3d8ce8ec5",
+    "curves/summary.csv": "6f0d00db5cf9807b3a3a60f76507ec638a081df515164211b44f3cfb09ac6c84",
+    "extract/features.csv": "142463bf9bfa750e5d4caac10bbd4c7028e63b07daa50ef12e6ed7e23e2e24ec",
+    "forge/forge_report.csv": "730f3c60b014a39833106ec2d00a1fa41948df12d05711b64c6c623e5bba0286",
+    "grid/grid.csv": "b041e594d19822b86f787772c02571d14c0778d68035f0e57e047779bf1b1353",
+    "rank/rank.csv": "d1c82611f42b60cb56035fec165e28448f6c3d1662d1b6c60daf4c9495be1616",
+    "resumed/grid.csv": "b041e594d19822b86f787772c02571d14c0778d68035f0e57e047779bf1b1353",
+    "synth/data.csv": "236d391530d03edd7f1875c8e1129516174b52775068989df678387768e3e577",
+    "web/data.csv": "b211cb742fde2a1105667d1e29bb406e51fb9fce53f7589fda0d569862fd431f",
+    "web/pages/labels.csv": "499b5e27e254e2e6c7a390879ed43491634e57d292a03f143c9c24708d22e161",
+}
+
+
+def test_every_csv_output_keeps_its_bytes(tmp_path, census_files, web_corpus):
+    data, schema = census_files
+    census = ["--data", str(data), "--schema", str(schema)]
+    web = web_corpus / "w"
+    out = tmp_path / "runs"
+    grid = ["gridsearch", *census, "--models", "logistic_regression,decision_tree", "--methods", "gini_impurity",
+            "--n-values", "1,3", "--eps-min", "0.1", "--eps-max", "1.0", "--eps-steps", "3", "--workers", "1"]
+    for name, argv in [
+        ("synth", ["synth", "--dataset", "census", "--rows", "40", "--seed", "3"]),
+        ("rank", ["rank", *census, "--method", "gini_impurity"]),
+        ("attack", ["attack", *census, "--n", "3", "--epsilon", "0.8"]),
+        ("grid", grid),
+        ("resumed", [*grid, "--resume-from", str(out / "grid" / "grid.csv")]),  # GridResult.to_csv's copy
+        ("curves", ["curves", "--grid", str(out / "grid" / "grid.csv")]),
+        ("extract", ["extract", "--pages", str(web / "pages")]),
+        ("forge", ["forge", "--pages", str(web / "pages"), "--data", str(web / "data.csv"),
+                   "--schema", str(web / "schema.json"), "--kind", "logistic_regression", "--n", "9",
+                   "--epsilon", "6.0"]),
+    ]:
+        run_ok([*argv, "--out", str(out), "--run-name", name])
+    paths = {path.relative_to(out).as_posix(): path for path in out.rglob("*.csv")}
+    paths.update({"web/data.csv": web / "data.csv", "web/pages/labels.csv": web / "pages" / "labels.csv"})
+    written = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in sorted(paths.items())}
+    assert written == GOLDEN_CSV_SHA256

@@ -98,6 +98,7 @@ def test_load_schema_that_is_not_utf8_names_the_file(tmp_path):
     ("a,class\n1,2\n", ParseError, "row 1: unknown label '2'"),
     ("b,class\n1,1\n", SchemaError, "CSV header lacks columns: ['a']"),
     ("", ParseError, "CSV has no header row"),
+    ("class,a,c\n1,2,y\n0,3,x,y\n", ParseError, "row 2: expected 3 cells, got 4"),
 ])
 def test_load_dataset_errors_name_the_file(tmp_path, text, error, message):
     path = tmp_path / "data.csv"
@@ -128,6 +129,16 @@ def test_load_dataset_errors_name_the_file(tmp_path, text, error, message):
     ('{"target_column": "c", "positive_class_label": "1", "negative_class_label": "0",'
      ' "features": [{"name": "a", "kind": "onehot", "group": 2}]}',
      "schema file {}: feature 'a': 'group' must be a string, got 2"),
+    ('{"target_column": "c", "positive_class_label": "1", "negative_class_label": "0", "features": 5}',
+     "schema file {}: 'features' must be a list of objects, got 5"),
+    ('{"target_column": "c", "positive_class_label": "1", "negative_class_label": "0", "features": [5]}',
+     "schema file {}: 'features' must be a list of objects, got [5]"),
+    ('{"target_column": "c", "positive_class_label": "1", "negative_class_label": "0", "features": null}',
+     "schema file {}: 'features' must be a list of objects, got None"),
+    ('{"target_column": ["x"], "positive_class_label": "1", "negative_class_label": "0", "features": []}',
+     "schema file {}: 'target_column' must be a string, got ['x']"),
+    ('{"target_column": "c", "positive_class_label": null, "negative_class_label": "0", "features": []}',
+     "schema file {}: 'positive_class_label' must be a string, got None"),
 ])
 def test_load_schema_errors_name_the_file(tmp_path, text, message):
     path = tmp_path / "schema.json"

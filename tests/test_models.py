@@ -455,6 +455,13 @@ def test_load_rejects_invalid_flat_arrays(tmp_path, edit, match):
     ("decision_tree", lambda p: [p[key].update(max_depth=3.7) for key in ("hyperparameters", "params")],
      "decision_tree hyperparameter 'max_depth' must be a whole number of at least 0, got 3.7"),
     ("mlp", lambda p: p["hyperparameters"].update(bogus=3), r"unknown hyperparameters for mlp: \['bogus'\]"),
+    # a value fit refuses in the fitted parameters alone is refused too, though it passes the comparison
+    ("decision_tree", lambda p: [p["hyperparameters"].update(max_features=1), p["params"].update(max_features=True)],
+     "model file .*: decision_tree hyperparameter 'max_features' must be null, 'sqrt' or a whole number of at least 1, "
+     "got True"),
+    ("random_forest", lambda p: p["params"].update(bootstrap="no"),
+     "model file .*: random_forest hyperparameter 'bootstrap' must be true or false, got 'no'"),
+    ("decision_tree", lambda p: p["params"].update(max_depth=float("inf")), r"malformed \(OverflowError"),
 ])
 def test_load_rejects_non_finite_numbers_and_misshapen_weights(tmp_path, kind, edit, match):
     path, payload = saved(tmp_path, kind)
@@ -471,6 +478,14 @@ def test_load_refuses_hyperparameters_that_disagree_with_the_fitted_ones(tmp_pat
     assert load_model(path).hyperparameters[name] == payload["params"][name]
     payload["hyperparameters"][name] = payload["params"][name] + 2
     assert_load_fails(path, payload, f"hyperparameter '{name}'")
+
+
+def test_load_keeps_a_fitted_hyperparameter_as_fit_would(tmp_path):
+    path, payload = saved(tmp_path)
+    payload["hyperparameters"]["max_features"], payload["params"]["max_features"] = 2, 2.0
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    loaded = load_model(path).hyperparameters["max_features"]
+    assert loaded == 2 and type(loaded) is int
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
