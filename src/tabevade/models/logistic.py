@@ -17,16 +17,19 @@ def descend(X: np.ndarray, y: np.ndarray, epochs: int, l2: float, learning_rate:
     together; returns weights (C, k) and biases (C,).  Slice c gets the
     bits a fit on ``X[c]`` alone gets, provided every slice has the memory
     layout that lone matrix would have: the stacked products run the same
-    BLAS kernel per slice.
+    BLAS kernel per slice.  With one column, ``X @ w`` is one multiply per
+    row, so a broadcast product gives its bits without numpy's slow
+    stacked-matmul loop for an inner dimension of 1.
     """
     C, n, k = X.shape
     Xt = X.transpose(0, 2, 1)
+    times = np.multiply if k == 1 else np.matmul
     # labels copied to every slice: the per-epoch error is then a same-shape subtraction
     Y = np.ascontiguousarray(np.broadcast_to(y[:, None], (C, n, 1)))
     w = np.zeros((C, k, 1))
     b = np.zeros((C, 1, 1))
     for _ in range(epochs):
-        err = sigmoid(X @ w + b) - Y
+        err = sigmoid(times(X, w) + b) - Y
         w -= learning_rate * (Xt @ err / n + l2 * w)
         b -= learning_rate * (err.sum(axis=1, keepdims=True) / n)
     return w[:, :, 0], b[:, 0, 0]

@@ -13,7 +13,9 @@ and costs only the groups its samples fill; a boosted tree's level has at
 most a few nodes, so :mod:`boosting` sums residuals per (node, value)
 instead, over the same :func:`code_values`, :func:`_partition` and
 :func:`_preorder`.  The fitted tree also exposes impurity-decrease feature
-importances, which recursive feature elimination uses.
+importances, which recursive feature elimination uses; it keeps one
+:class:`Growth` across its steps and regrows only the levels that an
+eliminated feature can change.
 """
 from __future__ import annotations
 
@@ -203,52 +205,109 @@ def grow_trees(X, y, columns, rows, streams, k: int, max_depth: int, min_leaf: i
     positive counts, which :func:`gini_cost` turns into costs.  The nodes are
     renumbered to preorder at the end.  ``importances`` are each feature's
     impurity decrease times node size, summed in preorder and normalised to
-    sum 1 (all zeros for a tree that never splits).
+    sum 1 (:func:`shares`).
     """
-    n, d = X.shape
-    n_trees = len(streams)
-    tree = np.arange(n_trees)  # per node of the level: its tree, sample count and positive count
-    sizes = np.full(n_trees, n)
-    ones = y[rows].reshape(n_trees, n).sum(axis=1)
-    levels = []  # per level: its nodes' (tree, feature, threshold, value, n_samples, gain)
-    links = []  # per level: the ids of its split nodes and of their left children
-    count = 0  # nodes numbered so far, level by level
-    for depth in itertools.count():
-        m = tree.size
-        value = ones / np.maximum(sizes, 1)  # only a tree fitted on no rows has an empty node
-        p0 = (sizes - ones) / np.maximum(sizes, 1)
-        impurity = 1.0 - (p0 * p0 + value * value)
-        is_searched = (sizes > 0) & (sizes >= 2 * min_leaf) & (impurity != 0.0)
-        searched = np.flatnonzero(is_searched)
-        feature, threshold, gain = np.zeros(m, dtype=np.intp), np.zeros(m), np.zeros(m)  # set below at splits
-        levels.append((tree, feature, threshold, value, sizes, gain))
-        if depth >= max_depth or searched.size == 0 or d == 0:
-            break
-        rows = rows[np.repeat(is_searched, sizes)]
-        if k < d:
-            counts = np.bincount(tree[searched], minlength=n_trees).tolist()
-            keys = np.concatenate([g.random((c, d)) for g, c in zip(streams, counts) if c])
-            drawn = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :k], axis=1)
-        else:
-            drawn = np.broadcast_to(np.arange(d), (searched.size, d))
-        cost, best, cut = cheapest_splits(rows, sizes[searched], ones[searched], drawn, columns, min_leaf)
-        split = np.isfinite(cost)
-        if not split.any():
-            break
-        parents = searched[split]
-        feature[parents], threshold[parents] = best[split], cut[split]
-        gain[parents] = sizes[parents] * np.maximum(impurity[parents] - cost[split], 0.0)
-        links.append((count + parents, count + m + 2 * np.arange(parents.size)))
-        count += m
-        rows, sizes, ones = _partition(X, y, rows[np.repeat(split, sizes[searched])], sizes[parents],
-                                       feature[parents], threshold[parents])
-        tree = np.repeat(tree[parents], 2)
-    grown = []
-    for flat, gain in _preorder(levels, links, n_trees):
-        importances = np.bincount(flat.feature, weights=gain, minlength=d)  # summed in preorder
-        total = importances.sum()
-        grown.append((flat, importances / total if total > 0 else importances))
-    return grown
+    growth = Growth(y, rows, len(streams))
+    del rows  # the growth drops the samples level by level
+    growth.grow(X, y, columns, streams, k, max_depth, min_leaf)
+    return [(flat, shares(gains)) for flat, gains in growth.trees(X.shape[1])]
+
+
+def shares(gains: np.ndarray) -> np.ndarray:
+    """Feature importances from summed gains: each feature's share of the total (all zeros for no split)."""
+    total = gains.sum()
+    return gains / total if total > 0 else gains
+
+
+class Growth:
+    """Gini trees grown together level by level (:func:`grow_trees`), kept so that they can regrow from a level.
+
+    Per level j, ``levels[j]`` holds its nodes' (tree, feature, threshold,
+    value, n_samples, gain), ``links[j]``, once the level splits, the ids
+    of its split nodes and of their left children, and ``fronts[j]`` its
+    nodes' trees, their samples node after node, and their sample and
+    positive counts.  A growth that is not ``resumable`` keeps only the
+    front it grows next, so that each level's samples go once split.  A
+    resumable one keeps every front, and in ``leads[j]`` which features led
+    some node's choice at level j (:func:`leaders`), so that :meth:`drop`
+    can forget a column and leave only the levels it can change to regrow.
+    """
+
+    def __init__(self, y, rows, n_trees: int, resumable: bool = False):
+        n = rows.size // n_trees
+        self.n_trees = n_trees
+        self.fronts = [(np.arange(n_trees), rows, np.full(n_trees, n), y[rows].reshape(n_trees, n).sum(axis=1))]
+        self.levels, self.links, self.leads = [], [], []
+        self.resumable = resumable
+        self.grown = False
+
+    def grow(self, X, y, columns, streams, k: int, max_depth: int, min_leaf: int) -> None:
+        """Grow from the last front until no node splits, as :func:`grow_trees` documents."""
+        n_trees, d = self.n_trees, X.shape[1]
+        count = sum(level[0].size for level in self.levels)  # nodes numbered so far, level by level
+        for depth in itertools.count(len(self.levels)):
+            tree, rows, sizes, ones = self.fronts[-1] if self.resumable else self.fronts.pop()
+            m = tree.size
+            value = ones / np.maximum(sizes, 1)  # only a tree fitted on no rows has an empty node
+            p0 = (sizes - ones) / np.maximum(sizes, 1)
+            impurity = 1.0 - (p0 * p0 + value * value)
+            is_searched = (sizes > 0) & (sizes >= 2 * min_leaf) & (impurity != 0.0)
+            searched = np.flatnonzero(is_searched)
+            feature, threshold, gain = np.zeros(m, dtype=np.intp), np.zeros(m), np.zeros(m)  # set below at splits
+            self.levels.append((tree, feature, threshold, value, sizes, gain))
+            if depth >= max_depth or searched.size == 0 or d == 0:
+                break
+            rows = rows[np.repeat(is_searched, sizes)]
+            if k < d:
+                counts = np.bincount(tree[searched], minlength=n_trees).tolist()
+                keys = np.concatenate([g.random((c, d)) for g, c in zip(streams, counts) if c])
+                drawn = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :k], axis=1)
+            else:
+                drawn = np.broadcast_to(np.arange(d), (searched.size, d))
+            pair_cost, pair_threshold = pair_costs(rows, sizes[searched], ones[searched], drawn, columns, min_leaf)
+            leads = leaders(pair_cost)
+            cost, best, cut = pick_features(pair_cost, pair_threshold, drawn, leads)
+            split = np.isfinite(cost)
+            if not split.any():
+                break
+            parents = searched[split]
+            feature[parents], threshold[parents] = best[split], cut[split]
+            gain[parents] = sizes[parents] * np.maximum(impurity[parents] - cost[split], 0.0)
+            self.links.append((count + parents, count + m + 2 * np.arange(parents.size)))
+            count += m
+            self.fronts.append((np.repeat(tree[parents], 2),
+                                *_partition(X, y, rows[np.repeat(split, sizes[searched])], sizes[parents],
+                                            feature[parents], threshold[parents])))
+            if self.resumable:
+                self.leads.append(np.bincount(drawn[leads], minlength=d) > 0)
+        self.grown = True
+
+    def drop(self, column: int) -> None:
+        """Forget ``column`` of a resumable growth's matrix, whose later columns each move down one.
+
+        The trees must draw no features (k equal to d).  Only a feature
+        that led some node's choice can change that choice when it goes.
+        So the levels above the shallowest one where ``column`` led keep
+        every node's choice, partition, gain and node id, and the next
+        :meth:`grow` regrows the rest on the remaining columns; a column
+        that never led leaves the trees grown.
+        """
+        led = [j for j, lead in enumerate(self.leads) if lead[column]]
+        if led:
+            del self.levels[led[0]:], self.links[led[0]:], self.leads[led[0]:], self.fronts[led[0] + 1:]
+            self.grown = False
+        for level in self.levels:
+            level[1][level[1] > column] -= 1
+        self.leads = [np.delete(lead, column) for lead in self.leads]
+
+    def trees(self, d: int) -> list[tuple[FlatTree, np.ndarray]]:
+        """One preorder ``(FlatTree, gains)`` pair per tree.
+
+        ``gains`` holds each of the d features' impurity decrease times node
+        size, summed in preorder.
+        """
+        return [(flat, np.bincount(flat.feature, weights=gain, minlength=d))
+                for flat, gain in _preorder(self.levels, self.links, self.n_trees)]
 
 
 def _int_type(bound: int):
@@ -259,13 +318,22 @@ def _int_type(bound: int):
 def cheapest_splits(rows, sizes, ones, drawn, columns, min_leaf: int):
     """Each node's cheapest ``(cost, feature, threshold)`` over its drawn features, as three arrays.
 
+    :func:`pick_features` over :func:`pair_costs`.  A node without a valid
+    split gets cost ``inf``, feature 0 and threshold 0.0.
+    """
+    return pick_features(*pair_costs(rows, sizes, ones, drawn, columns, min_leaf), drawn)
+
+
+def pair_costs(rows, sizes, ones, drawn, columns, min_leaf: int):
+    """Each (node, drawn feature) pair's first cheapest split, as (nodes x slots) ``(cost, threshold)`` arrays.
+
     ``rows`` holds the samples of every node (duplicates included), node
     after node; node i has ``sizes[i]`` samples, ``ones[i]`` of them
     positive, and draws the ascending features ``drawn[i]``.  ``columns`` is
-    :func:`code_columns` of the training data.  A node without a valid
-    split gets cost ``inf``, feature 0 and threshold 0.0.  Each sort costs
-    at most ``_PAIR_BLOCK`` (feature, sample) pairs: whole nodes at once,
-    or a lone larger node a slice of its drawn features at a time.
+    :func:`code_columns` of the training data.  A pair without a valid
+    boundary costs ``inf``.  Each sort costs at most ``_PAIR_BLOCK``
+    (feature, sample) pairs: whole nodes at once, or a lone larger node a
+    slice of its drawn features at a time.
     """
     n_nodes, k = drawn.shape
     pair_cost, pair_threshold = np.full((n_nodes, k), np.inf), np.zeros((n_nodes, k))
@@ -282,26 +350,41 @@ def cheapest_splits(rows, sizes, ones, drawn, columns, min_leaf: int):
                 node, slots, costs, thresholds = found
                 pair_cost[start + node, slot + slots], pair_threshold[start + node, slot + slots] = costs, thresholds
         start = stop
-    return pick_features(pair_cost, pair_threshold, drawn)
+    return pair_cost, pair_threshold
 
 
-def pick_features(pair_cost, pair_threshold, features):
+def leaders(pair_cost) -> np.ndarray:
+    """Which slots lead each node's choice, as a (nodes x slots) mask of the ``pair_cost`` array.
+
+    In slot order the first finite cost leads, then each one cheaper than
+    the last leader by more than 1e-15, and the node picks its last leader.
+    A feature that never leads changes no pick: without it, every node's
+    leaders, and so its pick, stay as they are.
+    """
+    best = np.minimum.accumulate(pair_cost, axis=1)[:, :-1]
+    leads = pair_cost < np.inf
+    leads[:, 1:] = pair_cost[:, 1:] < best
+    # without the margin, a feature cheaper than all before leads; nodes where the margin refuses one take the loop
+    for node in np.flatnonzero((leads[:, 1:] & ~(pair_cost[:, 1:] < best - 1e-15)).any(axis=1)).tolist():
+        cheapest = np.inf
+        for at, cost in enumerate(pair_cost[node].tolist()):
+            leads[node, at] = cost < cheapest - 1e-15
+            if leads[node, at]:
+                cheapest = cost
+    return leads
+
+
+def pick_features(pair_cost, pair_threshold, features, leads=None):
     """Each node's ``(cost, feature, threshold)`` from the cheapest split of each of its ascending ``features``.
 
     The (nodes x slots) arrays give each feature's cost (``inf`` without a split) and threshold.  In feature
     order only a feature cheaper than the best by more than 1e-15 replaces it, so near ties keep the lower
-    index.  A node without a split gets cost ``inf``, feature 0 and threshold 0.0.
+    index: each node takes its last of ``leads``, :func:`leaders` of ``pair_cost`` unless the caller has it.
+    A node without a split gets cost ``inf``, feature 0 and threshold 0.0.
     """
+    leads = leaders(pair_cost) if leads is None else leads
     nodes = np.arange(pair_cost.shape[0])
-    # without the margin the first cheapest feature wins; nodes where it refuses an improvement take the loop
-    slot = pair_cost.argmin(axis=1)
-    best = np.minimum.accumulate(pair_cost, axis=1)[:, :-1]
-    refused = (pair_cost[:, 1:] < best) & ~(pair_cost[:, 1:] < best - 1e-15)
-    for node in np.flatnonzero(refused.any(axis=1)).tolist():
-        cheapest = np.inf
-        for at, cost in enumerate(pair_cost[node].tolist()):
-            if cost < cheapest - 1e-15:
-                cheapest, slot[node] = cost, at
+    slot = pair_cost.shape[1] - 1 - leads[:, ::-1].argmax(axis=1)  # a node with no leader reads an inf cost
     cost = pair_cost[nodes, slot]
     split = np.isfinite(cost)
     return cost, np.where(split, features[nodes, slot], 0), np.where(split, pair_threshold[nodes, slot], 0.0)

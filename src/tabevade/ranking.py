@@ -202,28 +202,46 @@ def _by_position(order: list[int], method: str) -> FeatureRanking:
 def rfe_rank(train: Dataset, seed: int = 0) -> FeatureRanking:
     """Recursive elimination: repeatedly drop the least important feature.
 
-    Importances come from a decision tree refitted on the survivors.  The
-    last survivor ranks first.  Among equally unimportant features the
-    highest index is eliminated first, so the lower index wins the rank.
-    Each refit grows on the surviving columns of one coding of the scaled
-    matrix, the tree ``DecisionTree(**tree.DEFAULTS)`` grows on them alone;
-    it draws nothing, so ``seed`` changes nothing.
+    Importances come from a decision tree grown on the survivors
+    (:func:`rfe_steps`).  The last survivor ranks first.  Among equally
+    unimportant features the highest index is eliminated first, so the
+    lower index wins the rank.  The tree draws nothing, so ``seed`` changes
+    nothing.
     """
     X, y = _class_arrays(train)
     if X.shape[1] < 2:
         raise RankingError("RFE needs at least 2 features")
-    Xs = transform(X, fit_scaler(train))
+    eliminated = [worst for _, _, worst in rfe_steps(transform(X, fit_scaler(train)), y)]
+    return _by_position(sorted(set(range(X.shape[1])) - set(eliminated)) + eliminated[::-1], "rfe")
+
+
+def rfe_steps(Xs: np.ndarray, y: np.ndarray):
+    """Each elimination step on the scaled matrix ``Xs``: its survivors, their tree and the feature it drops.
+
+    Yields ``(remaining, FlatTree, worst)``.  Each step's tree is the one
+    ``DecisionTree(**tree.DEFAULTS)`` grows on ``Xs[:, remaining]`` alone,
+    its features numbered by position in ``remaining``, and ``worst`` is
+    the survivor with the smallest importance.  The tree is not refitted:
+    dropping a feature that led no node's choice leaves every node as it
+    is, so the last tree stays, and otherwise it regrows from the
+    shallowest level where that feature led (:meth:`tree.Growth.drop`).
+    Every growth reads the surviving columns of one coding of ``Xs``.
+    """
     keyed, distinct, offsets, span = tree.code_columns(Xs, y)
-    remaining = list(range(X.shape[1]))
-    eliminated: list[int] = []
+    remaining = list(range(Xs.shape[1]))
+    growth = tree.Growth(y, np.arange(y.size), 1, resumable=True)
     while len(remaining) > 1:
-        # a bare tree on scaled columns: part of a one-hot group is no valid Dataset for models.fit
-        columns = (keyed[:, remaining], distinct, offsets[remaining], span)
-        [(_, imps)] = tree.grow_trees(Xs[:, remaining], y, columns, np.arange(y.size), [None], len(remaining),
-                                      tree.DEFAULTS["max_depth"], tree.DEFAULTS["min_leaf"])
+        if not growth.grown:
+            # a bare tree on scaled columns: part of a one-hot group is no valid Dataset for models.fit
+            columns = (keyed[:, remaining], distinct, offsets[remaining], span)
+            growth.grow(Xs[:, remaining], y, columns, [None], len(remaining), tree.DEFAULTS["max_depth"],
+                        tree.DEFAULTS["min_leaf"])
+        [(flat, gains)] = growth.trees(len(remaining))
+        imps = tree.shares(gains)
         worst = max(range(len(remaining)), key=lambda k: (-imps[k], remaining[k]))
-        eliminated.append(remaining.pop(worst))
-    return _by_position(remaining + eliminated[::-1], "rfe")
+        yield list(remaining), flat, remaining[worst]
+        growth.drop(worst)
+        remaining.pop(worst)
 
 
 def ffs_rank(train: Dataset, seed: int = 0) -> FeatureRanking:

@@ -347,6 +347,45 @@ def mlp_adam_reference(X, y, hidden: int, epochs: int, learning_rate: float, bat
     return params[0], params[1], params[2], float(params[3][0])
 
 
+def logistic_descend_reference(X, y, epochs: int, l2: float, learning_rate: float):
+    """Weights (C, k) and biases (C,) of the stacked logistic descent, every product a ``np.matmul``.
+
+    The epoch loop before one-column stacks took a broadcast multiply:
+    ``X @ w`` for every k, so the two must agree bit for bit.
+    """
+    import numpy as np
+
+    C, n, k = X.shape
+    Xt = X.transpose(0, 2, 1)
+    Y = np.ascontiguousarray(np.broadcast_to(y[:, None], (C, n, 1)))
+    w = np.zeros((C, k, 1))
+    b = np.zeros((C, 1, 1))
+    for _ in range(epochs):
+        err = 0.5 * (1.0 + np.tanh(0.5 * (X @ w + b))) - Y
+        w -= learning_rate * (Xt @ err / n + l2 * w)
+        b -= learning_rate * (err.sum(axis=1, keepdims=True) / n)
+    return w[:, :, 0], b[:, 0, 0]
+
+
+def rfe_reference(Xs, y) -> list[tuple[list[int], dict, int]]:
+    """Recursive elimination refitting a tree at every step, as ``(survivors, tree arrays, eliminated)`` per step.
+
+    Each step fits ``DecisionTree(**tree.DEFAULTS)`` on ``Xs[:, survivors]``
+    alone, so its tree numbers features by survivor position, and drops the
+    survivor with the smallest importance, the highest index among equals.
+    """
+    from tabevade.models.tree import DEFAULTS, DecisionTree
+
+    remaining = list(range(Xs.shape[1]))
+    steps = []
+    while len(remaining) > 1:
+        model = DecisionTree(**DEFAULTS).fit(Xs[:, remaining], y)
+        worst = max(range(len(remaining)), key=lambda k: (-model.importances[k], remaining[k]))
+        steps.append((list(remaining), model.flat.to_dict(), remaining[worst]))
+        remaining.pop(worst)
+    return steps
+
+
 def permutation_importance_reference(train, holdout, probe_model, repeats: int = 5, seed: int = 0):
     """Per-feature mean drop in holdout recall, each shuffle predicting every holdout positive.
 

@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     forest_node_draws,
     gini,
+    logistic_descend_reference,
     mlp_adam_reference,
     mse_split_reference,
     node_split_reference,
@@ -547,6 +548,66 @@ def test_pick_features_replaces_the_best_only_when_cheaper_by_more_than_1e_15():
             assert (found[0][i], found[1][i], found[2][i]) == best, (trial, i)
 
 
+def test_leaders_mark_each_feature_that_takes_over_a_nodes_pick():
+    inf = np.inf
+    pair_cost = np.array([
+        [0.5, 0.3, 0.4, 0.1],  # 0.3 leads, then 0.1 overtakes it
+        [0.3, 0.3 - 5e-16, 0.2, 0.2],  # the margin refuses 0.3 - 5e-16; an equal later cost does not lead
+        [0.3, 0.3 - 5e-16, 0.3 - 1.2e-15, inf],  # past the refused cost, the best to beat is still 0.3
+        [inf, inf, inf, inf],  # no split: no leader
+        [inf, 0.7, inf, 0.7],
+    ])
+    leads = tree_module.leaders(pair_cost)
+    assert leads.tolist() == [[True, True, False, True], [True, False, True, False], [True, False, True, False],
+                              [False] * 4, [False, True, False, False]]
+    # each node picks its last leader
+    features = np.tile(np.arange(10, 14), (5, 1))
+    cost, feature, threshold = tree_module.pick_features(pair_cost, np.arange(20.0).reshape(5, 4), features)
+    assert feature.tolist() == [13, 12, 12, 0, 11] and threshold.tolist() == [3.0, 6.0, 10.0, 0.0, 17.0]
+    assert cost.tolist() == [0.1, 0.2, 0.3 - 1.2e-15, inf, 0.7]
+
+
+def test_growth_drop_regrows_from_the_first_level_the_dropped_feature_led():
+    # at the root the noisy column leads, then the label copy overtakes it; the constant column never leads
+    y = np.array([0, 0, 0, 1, 1, 1, 0, 1])
+    X = np.column_stack([[0.0, 1, 2, 3, 4, 5, 1.5, 0.5], y, np.ones(8)]).astype(float)
+
+    def grown(X):
+        growth = tree_module.Growth(y, np.arange(8), 1, resumable=True)
+        growth.grow(X, y, code_columns(X, y), [None], X.shape[1], 12, 1)
+        return growth
+
+    growth = grown(X)
+    assert [lead.tolist() for lead in growth.leads] == [[True, True, False]]
+    before = growth.trees(3)[0][0].to_dict()
+    growth.drop(2)  # led nowhere: the trees stay grown
+    assert growth.grown and growth.trees(2)[0][0].to_dict() == before
+    growth.drop(0)  # led at the root: everything regrows
+    assert not growth.grown and growth.levels == [] and len(growth.fronts) == 1
+    growth.grow(X[:, 1:2], y, code_columns(X[:, 1:2], y), [None], 1, 12, 1)
+    [(flat, gains)] = growth.trees(1)
+    assert flat.to_dict() == grown(X[:, 1:2]).trees(1)[0][0].to_dict()
+    assert flat.feature.tolist() == [0, 0, 0] and gains.tolist() == [4.0]
+
+
+def test_growth_drop_regrows_after_an_overtaken_leader_goes(monkeypatch):
+    # the root costs 0.3, 0.3 - 5e-16 and 0.3 - 1.2e-15: column 0 leads, the margin refuses column 1, and
+    # column 2 overtakes column 0 and splits.  Without column 0 the margin refuses column 2 instead, so
+    # the root splits on column 1, though column 0 never split anything
+    costs = np.array([0.3, 0.3 - 5e-16, 0.3 - 1.2e-15])
+    y = np.array([0, 1, 0, 1])
+    X = np.repeat(y[:, None], 3, axis=1).astype(float)
+    monkeypatch.setattr(tree_module, "pair_costs", lambda rows, sizes, ones, drawn, columns, min_leaf: (
+        np.tile(columns, (sizes.size, 1)), np.full(drawn.shape, 0.5)))
+    growth = tree_module.Growth(y, np.arange(4), 1, resumable=True)
+    growth.grow(X, y, costs, [None], 3, 1, 1)
+    assert growth.trees(3)[0][0].feature.tolist() == [2, 0, 0]
+    growth.drop(0)
+    assert not growth.grown
+    growth.grow(X[:, 1:], y, costs[1:], [None], 2, 1, 1)
+    assert growth.trees(2)[0][0].feature.tolist() == [0, 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # several nodes searched at once against the per-node loop
 
@@ -894,3 +955,19 @@ def test_stacked_descent_matches_one_fit_per_slice(k, n_stacked):
         assert hexes(w[c]) == hexes(lone.weights)
         assert b[c].hex() == lone.bias.hex()
         assert hexes(scores[c]) == hexes(lone.predict_scores(Hs[:, cols[c]]))
+
+
+@pytest.mark.parametrize("n_stacked", [1, 7])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_descent_takes_the_bits_of_the_all_matmul_epoch_loop(k, n_stacked):
+    # signed zeros and negative cells: a one-column stack multiplies where the loop took X @ w
+    rng = np.random.default_rng(30 + k)
+    Xs = rng.normal(size=(300, 9))
+    Xs[::7, :3] = 0.0
+    Xs[1::11, 3:6] = -0.0
+    y = (Xs[:, 0] + 0.3 * rng.normal(size=300) > 0.2).astype(float)
+    cols = np.array([rng.choice(9, size=k, replace=False) for _ in range(n_stacked)])
+    X = np.ascontiguousarray(Xs.T)[cols].transpose(0, 2, 1)
+    w, b = descend(X, y, **LOGISTIC_DEFAULTS)
+    w_ref, b_ref = logistic_descend_reference(X, y, **LOGISTIC_DEFAULTS)
+    assert hexes(w) == hexes(w_ref) and hexes(b) == hexes(b_ref)

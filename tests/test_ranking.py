@@ -6,6 +6,7 @@ from oracles import (
     brute_force_info_gain,
     brute_force_info_gain_ratio,
     permutation_importance_reference,
+    rfe_reference,
 )
 import tabevade.models as models_module
 import tabevade.ranking as ranking_module
@@ -242,28 +243,39 @@ def test_rfe_ranking_is_full_permutation():
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-def test_rfe_coded_once_ranks_as_a_decision_tree_refitted_on_the_survivors(seed, monkeypatch):
+def test_rfe_coded_once_ranks_as_a_decision_tree_refitted_on_the_survivors(seed):
     # one-hot groups, ties and a constant column: one coding of the scaled matrix must serve every refit
     ds = census_like(n_rows=300, seed=seed)
     Xs = transform(ds.X, fit_scaler(ds))
     remaining = list(range(ds.n_features))
-    eliminated, expected = [], []  # the old loop: a DecisionTree fitted on Xs[:, remaining] per step
+    eliminated = []  # the old loop: a DecisionTree fitted on Xs[:, remaining] per step
     while len(remaining) > 1:
         imps = DecisionTree(**tree_module.DEFAULTS).fit(Xs[:, remaining], ds.y, rng=np.random.default_rng(0)).importances
-        expected.append(imps.tolist())
         worst = max(range(len(remaining)), key=lambda k: (-imps[k], remaining[k]))
         eliminated.append(remaining.pop(worst))
-    seen = []
-    grow = tree_module.grow_trees
-
-    def recorded(*args):
-        [(flat, imps)] = grow(*args)
-        seen.append(imps.tolist())
-        return [(flat, imps)]
-
-    monkeypatch.setattr(tree_module, "grow_trees", recorded)
     assert rfe_rank(ds, seed=seed).order == tuple(remaining + eliminated[::-1])
-    assert seen == expected
+
+
+@pytest.mark.parametrize("rows, seed", [(300, 0), (300, 3), (3000, 41)])
+def test_every_rfe_step_holds_the_tree_a_refit_on_the_survivors_grows(rows, seed, monkeypatch):
+    # kept, resumed or regrown from the root, a step's tree is the one fitted on the survivors alone
+    ds = census_like(n_rows=rows, seed=seed)
+    if rows > 300:
+        ds, _ = split(ds, 0.7, seed)  # the census grid's 2100-row training split
+    Xs = transform(ds.X, fit_scaler(ds))
+    expected = rfe_reference(Xs, ds.y)
+    starts = []  # the level each growth starts from
+    grow = tree_module.Growth.grow
+
+    def recorded(growth, *args):
+        starts.append(len(growth.levels))
+        grow(growth, *args)
+
+    monkeypatch.setattr(tree_module.Growth, "grow", recorded)
+    steps = [(remaining, flat.to_dict(), worst) for remaining, flat, worst in ranking_module.rfe_steps(Xs, ds.y)]
+    assert steps == expected
+    # some steps keep the last tree, and some regrow only below a kept level
+    assert len(starts) < len(steps) and max(starts) > 0
 
 
 def test_ffs_selects_predictive_feature_first():
