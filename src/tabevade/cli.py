@@ -6,7 +6,8 @@ extract, forge.  Every run writes into a run directory (timestamped unless
 manifest.json with the resolved configuration.  Output files are written
 atomically (temp file + rename).
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage error (a bad
-command line, or a grid resume against other data or flags than the sink's).
+command line, a grid resume against other data or flags than the sink's,
+or a --run-name that already holds a grid or a forge's output).
 """
 from __future__ import annotations
 
@@ -340,6 +341,9 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_forge(args) -> int:
+    run = _run_path(args)
+    if (run / "forge_report.csv").exists() or (run / "pages").exists():
+        raise ResumeError(f"{run} already holds the pages or report of a forge; pick a new --run-name")
     paths = _page_paths(Path(args.pages))
     schema = load_schema(args.schema)
     dataset = load_dataset(args.data, schema)
@@ -355,7 +359,7 @@ def _cmd_forge(args) -> int:
     plan = build_plan(dataset, config, seed=args.seed)
     check_problem_space_plan(plan)
     select_features(plan)
-    run = _run_dir(args)
+    _run_dir(args, run)
     page_dir = run / "pages"
     page_dir.mkdir(parents=True, exist_ok=True)
     rows = [

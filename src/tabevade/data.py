@@ -16,6 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, TextIO, Union
 
@@ -274,21 +275,93 @@ class Dataset:
         return Dataset(self.X[indices].copy(), self.y[indices].copy(), self.schema)
 
 
-def _parse_numeric(cell: str, spec: FeatureSpec, row: int) -> float:
+_BLOCK_ROWS = 1024  # data rows parsed at once; only the pending block's cells are held as text
+
+
+def _cell_error(cell: str, spec: FeatureSpec, row: int) -> ParseError:
+    """What is wrong with ``cell``, a cell of ``spec``'s column in data row ``row`` that failed its check."""
     text = cell.strip()
     if not text:
-        raise ParseError(f"row {row}: missing value in column {spec.name!r}")
+        return ParseError(f"row {row}: missing value in column {spec.name!r}")
     try:
         value = float(text)
     except ValueError:
-        raise ParseError(f"row {row}: non-numeric value {cell!r} in column {spec.name!r}") from None
+        return ParseError(f"row {row}: non-numeric value {cell!r} in column {spec.name!r}")
     if not math.isfinite(value):
-        raise ParseError(f"row {row}: non-finite value {cell!r} in column {spec.name!r}")
+        return ParseError(f"row {row}: non-finite value {cell!r} in column {spec.name!r}")
     if spec.is_discrete and value != math.floor(value):
-        raise ParseError(f"row {row}: non-integer value {cell!r} in discrete column {spec.name!r}")
-    if spec.kind == "onehot" and value not in (0.0, 1.0):
-        raise ParseError(f"row {row}: one-hot column {spec.name!r} holds {cell!r}, expected 0 or 1")
-    return value
+        return ParseError(f"row {row}: non-integer value {cell!r} in discrete column {spec.name!r}")
+    return ParseError(f"row {row}: one-hot column {spec.name!r} holds {cell!r}, expected 0 or 1")
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _row_blocks(reader, width: int, label_pos: int, labels: Mapping[str, int]):
+    """Yield the data rows of ``reader`` as (rows, their 1-based numbers, their labels) blocks of at most
+    ``_BLOCK_ROWS``, skipping blank lines.  A row of another width than the header's, a row with an unknown
+    label, or a failure to read the next row ends the last block, and is raised once that block has been
+    yielded, so the cells of the rows before it are checked first."""
+    rows: list[list[str]] = []
+    numbers: list[int] = []
+    ys: list[int] = []
+    problem = None
+    try:
+        for number, row in enumerate(reader, start=1):
+            if not "".join(row).strip():
+                continue  # blank line
+            if len(row) != width:
+                problem = ParseError(f"row {number}: expected {width} cells, got {len(row)}")
+                break
+            label = row[label_pos].strip()
+            if label not in labels:
+                problem = ParseError(f"row {number}: unknown label {label!r}")
+                break
+            rows.append(row)
+            numbers.append(number)
+            ys.append(labels[label])
+            if len(rows) == _BLOCK_ROWS:
+                yield rows, numbers, ys
+                rows, numbers, ys = [], [], []
+    except (csv.Error, UnicodeDecodeError) as exc:
+        problem = exc
+    yield rows, numbers, ys
+    if problem is not None:
+        raise problem
+
+
+def _parse_block(rows: list[list[str]], numbers: list[int], specs: tuple[FeatureSpec, ...],
+                 cells_of: list[int]) -> list:
+    """The block's cells of each feature in schema order: floats for a numeric one, stripped text for a
+    categorical one; ``cells_of[j]`` is the CSV position of feature ``j``.  A cell that fails its check
+    raises the ParseError of the first such cell in row-major order (row, then schema order)."""
+    by_position = list(zip(*rows))
+    columns: list = [list(map(str.strip, by_position[position])) for position in cells_of]
+    bad = np.zeros((len(specs), len(rows)), dtype=bool)
+    for j, column in enumerate(columns):
+        if "" in column:
+            bad[j] = [not cell for cell in column]
+    numeric = [j for j, spec in enumerate(specs) if spec.kind != "categorical"]
+    try:
+        values = np.array([columns[j] for j in numeric], dtype=float)  # float() of each stripped cell
+    except ValueError:  # some cell is no number: it reads as NaN, which the checks below flag
+        values = np.array([[_float_or_nan(cell) for cell in columns[j]] for j in numeric])
+    values = values.reshape(len(numeric), len(rows))
+    discrete = np.array([specs[j].is_discrete for j in numeric], dtype=bool)[:, None]
+    onehot = np.array([specs[j].kind == "onehot" for j in numeric], dtype=bool)[:, None]
+    bad[numeric] |= (~np.isfinite(values) | (discrete & (values != np.floor(values)))
+                     | (onehot & (values != 0.0) & (values != 1.0)))
+    for j, column in zip(numeric, values):
+        columns[j] = column
+    if bad.any():
+        r = int(np.argmax(bad.any(axis=0)))
+        j = int(np.argmax(bad[:, r]))
+        raise _cell_error(rows[r][cells_of[j]], specs[j], numbers[r])
+    return columns
 
 
 def load_dataset(source: Union[str, Path, TextIO], schema: FeatureSchema) -> Dataset:
@@ -296,7 +369,9 @@ def load_dataset(source: Union[str, Path, TextIO], schema: FeatureSchema) -> Dat
 
     Row indices in errors are 1-based data-row positions (the header is row
     0), and errors on a path name the file.  Columns in the CSV that the
-    schema does not mention are ignored.
+    schema does not mention are ignored.  When several cells are bad, the
+    error names the first in row-major order, and a row of the wrong width
+    or with an unknown label counts as bad before its cells.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
@@ -321,47 +396,34 @@ def load_dataset(source: Union[str, Path, TextIO], schema: FeatureSchema) -> Dat
     if missing:
         raise SchemaError(f"CSV header lacks columns: {missing}")
 
-    label_pos = positions[schema.target_column]
-    columns: list[list] = [[] for _ in schema.features]
+    cells_of = [positions[name] for name in schema.names]
+    labels_of = {schema.positive_class_label: 1, schema.negative_class_label: 0}
+    blocks: list[list] = [[] for _ in schema.features]  # each feature's parsed blocks
     labels: list[int] = []
-    for row_idx, row in enumerate(reader, start=1):
-        if not row or all(not c.strip() for c in row):
-            continue  # blank line
-        if len(row) != len(header):
-            raise ParseError(f"row {row_idx}: expected {len(header)} cells, got {len(row)}")
-        label_cell = row[label_pos].strip()
-        if label_cell == schema.positive_class_label:
-            labels.append(1)
-        elif label_cell == schema.negative_class_label:
-            labels.append(0)
-        else:
-            raise ParseError(f"row {row_idx}: unknown label {label_cell!r}")
-        for j, spec in enumerate(schema.features):
-            cell = row[positions[spec.name]]
-            if spec.kind == "categorical":
-                text = cell.strip()
-                if not text:
-                    raise ParseError(f"row {row_idx}: missing value in column {spec.name!r}")
-                columns[j].append(text)
-            else:
-                columns[j].append(_parse_numeric(cell, spec, row_idx))
+    for rows, numbers, ys in _row_blocks(reader, len(header), positions[schema.target_column], labels_of):
+        if rows:
+            for parts, column in zip(blocks, _parse_block(rows, numbers, schema.features, cells_of)):
+                parts.append(column)
+            labels.extend(ys)
 
     expanded_specs: list[FeatureSpec] = []
     expanded_cols: list[np.ndarray] = []
     n = len(labels)
-    for j, spec in enumerate(schema.features):
+    for spec, parts in zip(schema.features, blocks):
         if spec.kind != "categorical":
             expanded_specs.append(spec)
-            expanded_cols.append(np.asarray(columns[j], dtype=float))
+            expanded_cols.append(np.concatenate(parts) if parts else np.zeros(0))
             continue
-        values = sorted(set(columns[j]))
+        column = list(chain.from_iterable(parts))
+        values = sorted(set(column))
         if len(values) < 2:
             raise SchemaError(
                 f"categorical column {spec.name!r} has {len(values)} distinct value(s); "
                 "one-hot groups need at least 2"
             )
-        raw = np.asarray(columns[j], dtype=object)
-        for value in values:
+        code_of = {value: code for code, value in enumerate(values)}
+        codes = np.fromiter(map(code_of.__getitem__, column), dtype=np.intp, count=len(column))
+        for code, value in enumerate(values):
             expanded_specs.append(
                 FeatureSpec(
                     name=f"{spec.name}={value}",
@@ -371,7 +433,7 @@ def load_dataset(source: Union[str, Path, TextIO], schema: FeatureSchema) -> Dat
                     addable=spec.addable,
                 )
             )
-            expanded_cols.append((raw == value).astype(float))
+            expanded_cols.append((codes == code).astype(float))
 
     X = np.column_stack(expanded_cols) if expanded_cols else np.zeros((n, 0))
     out_schema = FeatureSchema(

@@ -38,7 +38,8 @@ class MetricError(TabevadeError):
 
 
 class ResumeError(TabevadeError):
-    """A grid sink was written for other data or flags than the resume gives."""
+    """A grid sink was written for other data or flags than the resume gives, or a run would write over
+    the output of an earlier one."""
 
 
 class InfeasibleInjectionError(TabevadeError):

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import product, repeat
@@ -334,6 +332,9 @@ def grid_search(
 
         tasks = [("fit", kind) for kind in kinds] + [("rank_features", method) for method in methods]
         if workers > 1 and tasks:
+            # loads concurrent.futures, some 17 ms that only a parallel grid should pay
+            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
             try:
                 with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
                     results = list(pool.map(_prepare, tasks, repeat(train), repeat(seed)))

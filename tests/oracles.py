@@ -668,3 +668,100 @@ def grid_reference(train, test, spec, seed):
                     records.append(GridRecord(kind, method, n, epsilon, baseline, attack,
                                               success_rate(baseline, attack)))
     return tuple(records)
+
+
+def _parse_numeric_reference(cell: str, spec, row: int) -> float:
+    from tabevade.errors import ParseError
+
+    text = cell.strip()
+    if not text:
+        raise ParseError(f"row {row}: missing value in column {spec.name!r}")
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"row {row}: non-numeric value {cell!r} in column {spec.name!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"row {row}: non-finite value {cell!r} in column {spec.name!r}")
+    if spec.is_discrete and value != math.floor(value):
+        raise ParseError(f"row {row}: non-integer value {cell!r} in discrete column {spec.name!r}")
+    if spec.kind == "onehot" and value not in (0.0, 1.0):
+        raise ParseError(f"row {row}: one-hot column {spec.name!r} holds {cell!r}, expected 0 or 1")
+    return value
+
+
+def load_dataset_reference(source, schema):
+    """``load_dataset`` on a text stream, one row and one cell at a time.
+
+    Each row's width is checked, then its label, then its cells in schema
+    order, each through ``float`` on its own; the first failure raises.
+    """
+    import csv
+
+    import numpy as np
+
+    from tabevade.data import Dataset, FeatureSchema, FeatureSpec
+    from tabevade.errors import ParseError, SchemaError
+
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("CSV has no header row") from None
+    header = [h.strip() for h in header]
+    positions: dict[str, int] = {}
+    for idx, name in enumerate(header):
+        positions.setdefault(name, idx)
+
+    missing = [n for n in (*schema.names, schema.target_column) if n not in positions]
+    if missing:
+        raise SchemaError(f"CSV header lacks columns: {missing}")
+
+    label_pos = positions[schema.target_column]
+    columns: list[list] = [[] for _ in schema.features]
+    labels: list[int] = []
+    for row_idx, row in enumerate(reader, start=1):
+        if not row or all(not c.strip() for c in row):
+            continue  # blank line
+        if len(row) != len(header):
+            raise ParseError(f"row {row_idx}: expected {len(header)} cells, got {len(row)}")
+        label_cell = row[label_pos].strip()
+        if label_cell == schema.positive_class_label:
+            labels.append(1)
+        elif label_cell == schema.negative_class_label:
+            labels.append(0)
+        else:
+            raise ParseError(f"row {row_idx}: unknown label {label_cell!r}")
+        for j, spec in enumerate(schema.features):
+            cell = row[positions[spec.name]]
+            if spec.kind == "categorical":
+                text = cell.strip()
+                if not text:
+                    raise ParseError(f"row {row_idx}: missing value in column {spec.name!r}")
+                columns[j].append(text)
+            else:
+                columns[j].append(_parse_numeric_reference(cell, spec, row_idx))
+
+    expanded_specs = []
+    expanded_cols = []
+    n = len(labels)
+    for j, spec in enumerate(schema.features):
+        if spec.kind != "categorical":
+            expanded_specs.append(spec)
+            expanded_cols.append(np.asarray(columns[j], dtype=float))
+            continue
+        values = sorted(set(columns[j]))
+        if len(values) < 2:
+            raise SchemaError(
+                f"categorical column {spec.name!r} has {len(values)} distinct value(s); "
+                "one-hot groups need at least 2"
+            )
+        for value in values:
+            expanded_specs.append(FeatureSpec(name=f"{spec.name}={value}", kind="onehot", group=spec.name,
+                                              mutable=spec.mutable, addable=spec.addable))
+            expanded_cols.append(np.asarray([float(v == value) for v in columns[j]]))
+
+    X = np.column_stack(expanded_cols) if expanded_cols else np.zeros((n, 0))
+    out_schema = FeatureSchema(features=tuple(expanded_specs), target_column=schema.target_column,
+                               positive_class_label=schema.positive_class_label,
+                               negative_class_label=schema.negative_class_label)
+    return Dataset(X=X, y=np.asarray(labels, dtype=int), schema=out_schema)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -559,6 +560,34 @@ def test_refused_forge_exits_1_and_leaves_no_run_dir(tmp_path, web_corpus, capsy
     assert run(argv) == 1, case
     assert message in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+def test_forge_into_a_run_dir_that_holds_a_forge_exits_2_and_writes_nothing(tmp_path, web_corpus, capsys):
+    base = web_corpus / "w"
+    ten = tmp_path / "ten"
+    ten.mkdir()
+    for page in sorted((base / "pages").glob("*.html"))[:10]:
+        shutil.copy(page, ten)
+        shutil.copy(page.with_name(page.name + ".url"), ten)
+    argv = ["forge", "--data", str(base / "data.csv"), "--schema", str(base / "schema.json"),
+            "--n", "9", "--epsilon", "6.0", "--out", str(tmp_path), "--run-name", "shared"]
+    run_ok(argv + ["--pages", str(base / "pages"), "--kind", "logistic_regression"])
+    shared = tmp_path / "shared"
+
+    def forged():
+        return dir_bytes(shared / "pages"), {p.name: p.read_bytes() for p in shared.glob("*.*")}
+
+    before = forged()
+    assert len(before[0]) == 40 and set(before[1]) == {"forge_report.csv", "manifest.json"}
+    again = argv + ["--pages", str(ten), "--kind", "decision_tree"]
+    capsys.readouterr()
+    assert run(again) == 2
+    assert "pick a new --run-name" in capsys.readouterr().err
+    assert forged() == before
+    (shared / "forge_report.csv").unlink()  # the pages of a forge cut short still refuse
+    before = forged()
+    assert run(again) == 2
+    assert forged() == before
 
 
 @pytest.mark.parametrize("command", ["synth", "train", "rank", "attack", "evaluate", "gridsearch", "curves",

@@ -1,3 +1,4 @@
+import collections
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import stat
 import numpy as np
 import pytest
 
+from oracles import load_dataset_reference
 from tabevade.data import (
     Dataset,
     FeatureSchema,
@@ -13,6 +15,7 @@ from tabevade.data import (
     ScalerState,
     atomic_write_text,
     fit_scaler,
+    format_number,
     inverse_transform,
     load_dataset,
     load_schema,
@@ -21,6 +24,7 @@ from tabevade.data import (
     transform,
 )
 from tabevade.errors import ParseError, SchemaError, ShapeError, StratificationError
+from tabevade.synth import census_like, census_like_rows, census_like_schema, demo_pages, web_demo_dataset
 
 
 def make_schema(*specs, target="class", pos="1", neg="0"):
@@ -218,6 +222,93 @@ def test_dataset_validates_onehot_consistency():
     )
     with pytest.raises(SchemaError, match="exactly-one-hot"):
         Dataset(X=np.array([[1.0, 1.0]]), y=np.array([1]), schema=schema)
+
+
+# ---------------------------------------------------------------------------
+# the columnar loader against the per-cell reference
+
+# cell texts a mutation writes: good and bad numbers as float() reads them, blanks, labels and text
+_MUTANT_CELLS = ("", " ", "\t", "nan", "inf", "-Infinity", "1e400", "1e-400", "1_000", "1__0", "\u0661\u0662",
+                 "\xa01\xa0", " 2 ", "-0", "0", "1", "0.0", "1.0", "2", "1.5", "-3", "+4", "0x1", "x", "high", "low",
+                 "1,5", "\x1c0\x1f", "\u00bd", "9" * 400)
+
+
+def _mutate(rows: list[list[str]], rng: np.random.Generator, schema: FeatureSchema) -> list[list[str]]:
+    """``rows`` (header first) with one to four seeded faults or near-faults; sometimes with shuffled columns."""
+    rows = [list(row) for row in rows]
+    if rng.random() < 0.3:
+        order = rng.permutation(len(rows[0]))
+        rows = [[row[i] for i in order] for row in rows]
+    label_pos = rows[0].index(schema.target_column)
+    labels = ["", "maybe", f" {schema.positive_class_label} ", schema.negative_class_label.upper()]
+    for _ in range(int(rng.integers(1, 5))):
+        if len(rows) < 2:
+            break
+        r = int(rng.integers(1, len(rows)))
+        kind = rng.random()
+        if len(rows[r]) <= label_pos:  # a blank or cut row: make it a fault of its own
+            rows[r] = [str(rng.choice(_MUTANT_CELLS))]
+        elif kind < 0.6:
+            rows[r][int(rng.integers(0, len(rows[r])))] = str(rng.choice(_MUTANT_CELLS))
+        elif kind < 0.7:
+            rows[r][label_pos] = str(rng.choice(labels))
+        elif kind < 0.8:
+            rows[r] = rows[r] + ["extra"] if rng.random() < 0.5 else rows[r][:-1]
+        elif kind < 0.9:
+            rows.insert(r, [] if rng.random() < 0.5 else [" "] * len(rows[0]))
+        elif kind < 0.95:
+            rows = rows[:r]  # header-only files too
+        else:
+            rows[r][int(rng.integers(0, len(rows[r])))] = "7" * 140_000  # past csv's field limit
+    return rows
+
+
+def _load_outcome(loader, text: str, schema: FeatureSchema):
+    """The loaded dataset's bits and schema, or the exception's type and message."""
+    try:
+        ds = loader(io.StringIO(text, newline=""), schema)
+    except Exception as exc:  # every failure, ours or the csv module's, must match the reference's
+        return type(exc), str(exc)
+    return ds.X.shape, ds.X.tobytes(), ds.y.tolist(), ds.schema
+
+
+def _rows(ds: Dataset) -> list[list[str]]:
+    schema = ds.schema
+    labels = (schema.negative_class_label, schema.positive_class_label)
+    return [[*schema.names, schema.target_column],
+            *([*map(format_number, x), labels[y]] for x, y in zip(ds.X, ds.y))]
+
+
+def test_columnar_load_matches_the_per_cell_reference_on_seeded_mutations(monkeypatch):
+    from tabevade import data
+
+    # raw census columns (categorical), the expanded census (one-hot) and the page features (discrete)
+    expanded, pages = census_like(n_rows=60, seed=6), web_demo_dataset(demo_pages(12, 12, seed=3))
+    bases = [(census_like_schema(), census_like_rows(n_rows=90, seed=5)), (expanded.schema, _rows(expanded)),
+             (pages.schema, _rows(pages))]
+    kinds = collections.Counter()
+    for seed in range(240):
+        schema, rows = bases[seed % len(bases)]
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(data, "_BLOCK_ROWS", int(rng.choice([1, 7, 16, 1024])))
+        text = data.csv_text(_mutate(rows, rng, schema))
+        expected = _load_outcome(load_dataset_reference, text, schema)
+        assert _load_outcome(load_dataset, text, schema) == expected, (seed, expected)
+        kinds[expected[0].__name__ if isinstance(expected[0], type) else "loaded"] += 1
+    assert kinds["ParseError"] >= 100 and kinds["loaded"] >= 20 and kinds["Error"] >= 1, kinds
+
+
+def test_a_bad_cell_is_named_before_undecodable_bytes_further_on(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"a,class\n1,1\nzz,0\n" + b"2,1\n" * 5000 + b"\xff,0\n")  # decoded a chunk at a time
+    schema = make_schema(FeatureSpec("a", "continuous"))
+    for loader in (load_dataset_reference, load_dataset):
+        with open(path, encoding="utf-8", newline="") as handle:
+            with pytest.raises(ParseError, match="row 2: non-numeric"):
+                loader(handle, schema)
+    with pytest.raises(ParseError) as info:
+        load_dataset(path, schema)
+    assert str(info.value) == f"{path}: row 2: non-numeric value 'zz' in column 'a'"
 
 
 # ---------------------------------------------------------------------------

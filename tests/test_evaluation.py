@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures.process
 import itertools
 import json
 import multiprocessing
@@ -663,7 +664,7 @@ def test_grid_resume_refuses_an_unreadable_fingerprint(tmp_path):
 
 
 def fake_pool(monkeypatch):
-    """Swap evaluation's ProcessPoolExecutor for one that starts no process:
+    """Swap the ProcessPoolExecutor that grid_search imports for one that starts no process:
     it runs its tasks here and records its max_workers and task list."""
     pools = []
 
@@ -682,7 +683,7 @@ def fake_pool(monkeypatch):
             self.tasks = list(tasks)
             return map(fn, self.tasks, *iterables)
 
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InProcessPool)
     return pools
 
 
