@@ -343,7 +343,8 @@ def _cmd_extract(args) -> int:
 def _cmd_forge(args) -> int:
     run = _run_path(args)
     if (run / "forge_report.csv").exists() or (run / "pages").exists():
-        raise ResumeError(f"{run} already holds the pages or report of a forge; pick a new --run-name")
+        raise ResumeError(f"{run} already holds pages/ or forge_report.csv from an earlier run; "
+                          "pick another --run-name (or wait for a new timestamp)")
     paths = _page_paths(Path(args.pages))
     schema = load_schema(args.schema)
     dataset = load_dataset(args.data, schema)

@@ -278,27 +278,21 @@ class Dataset:
 _BLOCK_ROWS = 1024  # data rows parsed at once; only the pending block's cells are held as text
 
 
-def _cell_error(cell: str, spec: FeatureSpec, row: int) -> ParseError:
-    """What is wrong with ``cell``, a cell of ``spec``'s column in data row ``row`` that failed its check."""
+def _parse_numeric(cell: str, spec: FeatureSpec, row: int) -> float:
     text = cell.strip()
     if not text:
-        return ParseError(f"row {row}: missing value in column {spec.name!r}")
+        raise ParseError(f"row {row}: missing value in column {spec.name!r}")
     try:
         value = float(text)
     except ValueError:
-        return ParseError(f"row {row}: non-numeric value {cell!r} in column {spec.name!r}")
+        raise ParseError(f"row {row}: non-numeric value {cell!r} in column {spec.name!r}") from None
     if not math.isfinite(value):
-        return ParseError(f"row {row}: non-finite value {cell!r} in column {spec.name!r}")
+        raise ParseError(f"row {row}: non-finite value {cell!r} in column {spec.name!r}")
     if spec.is_discrete and value != math.floor(value):
-        return ParseError(f"row {row}: non-integer value {cell!r} in discrete column {spec.name!r}")
-    return ParseError(f"row {row}: one-hot column {spec.name!r} holds {cell!r}, expected 0 or 1")
-
-
-def _float_or_nan(cell: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        return math.nan
+        raise ParseError(f"row {row}: non-integer value {cell!r} in discrete column {spec.name!r}")
+    if spec.kind == "onehot" and value not in (0.0, 1.0):
+        raise ParseError(f"row {row}: one-hot column {spec.name!r} holds {cell!r}, expected 0 or 1")
+    return value
 
 
 def _row_blocks(reader, width: int, label_pos: int, labels: Mapping[str, int]):
@@ -334,33 +328,45 @@ def _row_blocks(reader, width: int, label_pos: int, labels: Mapping[str, int]):
         raise problem
 
 
+def _raise_first_bad_cell(rows: list[list[str]], numbers: list[int], specs: tuple[FeatureSpec, ...],
+                          cells_of: list[int]) -> None:
+    """Raise the ParseError of the block's first bad cell in row-major order (row, then schema order)."""
+    for row, number in zip(rows, numbers):
+        for spec, position in zip(specs, cells_of):
+            if spec.kind != "categorical":
+                _parse_numeric(row[position], spec, number)
+            elif not row[position].strip():
+                raise ParseError(f"row {number}: missing value in column {spec.name!r}")
+
+
+def _any_invalid(values: np.ndarray, specs: list[FeatureSpec]) -> bool:
+    """Whether a value (one row of ``values`` per spec) is not finite, has a fraction in a discrete
+    column, or is other than 0 or 1 in a one-hot column."""
+    discrete = np.array([spec.is_discrete for spec in specs], dtype=bool)[:, None]
+    onehot = np.array([spec.kind == "onehot" for spec in specs], dtype=bool)[:, None]
+    return bool((~np.isfinite(values) | (discrete & (values != np.floor(values)))
+                 | (onehot & (values != 0.0) & (values != 1.0))).any())
+
+
 def _parse_block(rows: list[list[str]], numbers: list[int], specs: tuple[FeatureSpec, ...],
                  cells_of: list[int]) -> list:
     """The block's cells of each feature in schema order: floats for a numeric one, stripped text for a
-    categorical one; ``cells_of[j]`` is the CSV position of feature ``j``.  A cell that fails its check
-    raises the ParseError of the first such cell in row-major order (row, then schema order)."""
+    categorical one; ``cells_of[j]`` is the CSV position of feature ``j``.  A block with a bad cell
+    raises the ParseError of the first one in row-major order."""
     by_position = list(zip(*rows))
     columns: list = [list(map(str.strip, by_position[position])) for position in cells_of]
-    bad = np.zeros((len(specs), len(rows)), dtype=bool)
-    for j, column in enumerate(columns):
-        if "" in column:
-            bad[j] = [not cell for cell in column]
     numeric = [j for j, spec in enumerate(specs) if spec.kind != "categorical"]
     try:
-        values = np.array([columns[j] for j in numeric], dtype=float)  # float() of each stripped cell
-    except ValueError:  # some cell is no number: it reads as NaN, which the checks below flag
-        values = np.array([[_float_or_nan(cell) for cell in columns[j]] for j in numeric])
-    values = values.reshape(len(numeric), len(rows))
-    discrete = np.array([specs[j].is_discrete for j in numeric], dtype=bool)[:, None]
-    onehot = np.array([specs[j].kind == "onehot" for j in numeric], dtype=bool)[:, None]
-    bad[numeric] |= (~np.isfinite(values) | (discrete & (values != np.floor(values)))
-                     | (onehot & (values != 0.0) & (values != 1.0)))
+        # numpy calls float() on each str, so a value is float(cell.strip()), and a blank or
+        # non-numeric cell raises here as it does in _parse_numeric
+        values = np.array([columns[j] for j in numeric], dtype=float).reshape(len(numeric), len(rows))
+    except ValueError:
+        values = None
+    blank = any("" in column for column, spec in zip(columns, specs) if spec.kind == "categorical")
+    if values is None or blank or _any_invalid(values, [specs[j] for j in numeric]):
+        _raise_first_bad_cell(rows, numbers, specs, cells_of)
     for j, column in zip(numeric, values):
         columns[j] = column
-    if bad.any():
-        r = int(np.argmax(bad.any(axis=0)))
-        j = int(np.argmax(bad[:, r]))
-        raise _cell_error(rows[r][cells_of[j]], specs[j], numbers[r])
     return columns
 
 

@@ -582,12 +582,26 @@ def test_forge_into_a_run_dir_that_holds_a_forge_exits_2_and_writes_nothing(tmp_
     again = argv + ["--pages", str(ten), "--kind", "decision_tree"]
     capsys.readouterr()
     assert run(again) == 2
-    assert "pick a new --run-name" in capsys.readouterr().err
+    assert "pick another --run-name" in capsys.readouterr().err
     assert forged() == before
     (shared / "forge_report.csv").unlink()  # the pages of a forge cut short still refuse
     before = forged()
     assert run(again) == 2
     assert forged() == before
+
+
+def test_forge_into_the_run_dir_of_a_webpages_synth_exits_2_and_writes_nothing(tmp_path, capsys):
+    run_ok(["synth", "--dataset", "webpages", "--seed", "4", "--out", str(tmp_path), "--run-name", "w"])
+    w = tmp_path / "w"
+    before = dir_bytes(w / "pages"), {p.name: p.read_bytes() for p in w.glob("*.*")}
+    capsys.readouterr()
+    argv = ["forge", "--data", str(w / "data.csv"), "--schema", str(w / "schema.json"), "--pages", str(w / "pages"),
+            "--kind", "logistic_regression", "--n", "9", "--epsilon", "6.0", "--out", str(tmp_path), "--run-name", "w"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "from an earlier run" in err and "pick another --run-name" in err
+    assert (dir_bytes(w / "pages"), {p.name: p.read_bytes() for p in w.glob("*.*")}) == before
+    assert set(before[1]) == {"data.csv", "schema.json", "manifest.json"}
 
 
 @pytest.mark.parametrize("command", ["synth", "train", "rank", "attack", "evaluate", "gridsearch", "curves",
