@@ -35,6 +35,7 @@ from .evaluation import (
     evaluate_attack,
     grid_search,
     max_success_curve,
+    numeric_platform,
 )
 from .metrics import recall
 from .models import MODEL_KINDS, fit, load_model, save_model
@@ -62,6 +63,7 @@ def _run_dir(args, run: Path | None = None) -> Path:
     payload["version"] = __version__
     payload["python"] = ".".join(str(part) for part in sys.version_info[:3])
     payload["numpy"] = numpy.__version__
+    payload.update(numeric_platform())
     atomic_write_text(run / "manifest.json", json.dumps(payload, indent=2, default=str) + "\n")
     return run
 

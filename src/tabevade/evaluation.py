@@ -206,9 +206,38 @@ def _trim_torn_tail(sink: Union[str, Path]) -> None:
             handle.truncate(text.rfind(b"\n") + 1)
 
 
+def numeric_platform() -> dict:
+    """The kernels a fit's last bits depend on: numpy's OpenBLAS core and its SIMD targets.
+
+    ``blas_core`` is the core OpenBLAS picked at load (``OPENBLAS_CORETYPE``
+    overrides it), or ``"unknown"`` for a BLAS that does not say.
+    ``numpy_simd`` is numpy's baseline targets plus the dispatch targets
+    this CPU runs (``NPY_DISABLE_CPU_FEATURES`` turns some off).
+    """
+    import ctypes  # numpy has loaded it already; a read takes about 0.1 ms
+
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    core = "unknown"
+    try:
+        library = ctypes.CDLL(umath.__file__)  # its symbol lookup reaches the OpenBLAS numpy links
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+            if hasattr(library, name):
+                getter = getattr(library, name)
+                getter.argtypes, getter.restype = [], ctypes.c_char_p
+                core = getter().decode("ascii", "replace").strip() or core
+                break
+    except OSError:
+        pass
+    found = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+    return {"blas_core": core, "numpy_simd": list(umath.__cpu_baseline__) + found}
+
+
 def grid_fingerprint(train: Dataset, test: Dataset, spec: GridSpec, seed: int) -> dict:
     """What a grid's cells depend on: content hashes of the data and schema,
-    the seed, the spec and the package version."""
+    the seed, the spec, the package version and the :func:`numeric_platform`."""
     import hashlib  # loads OpenSSL, a few ms that only a grid with a sink should pay
 
     from . import __version__
@@ -228,6 +257,7 @@ def grid_fingerprint(train: Dataset, test: Dataset, spec: GridSpec, seed: int) -
         "seed": int(seed),
         "spec": {name: list(getattr(spec, name)) for name in ("n_values", "epsilon_values", "methods", "model_kinds")},
         "version": __version__,
+        **numeric_platform(),
     }
 
 

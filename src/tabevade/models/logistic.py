@@ -10,7 +10,7 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))  # numerically stable form
 
 
-def descend(X: np.ndarray, y: np.ndarray, epochs: int, l2: float, learning_rate: float):
+def descend(X: np.ndarray, y: np.ndarray, epochs: int, l2: float, learning_rate: float, counts=None):
     """Fit one logistic regression per design matrix of a (C, n, k) stack.
 
     All C fits share the labels ``y`` and run the same full-batch steps
@@ -20,16 +20,29 @@ def descend(X: np.ndarray, y: np.ndarray, epochs: int, l2: float, learning_rate:
     BLAS kernel per slice.  With one column, ``X @ w`` is one multiply per
     row, so a broadcast product gives its bits without numpy's slow
     stacked-matmul loop for an inner dimension of 1.
+
+    With ``counts`` (C, n), row r of slice c stands for ``counts[c, r]``
+    training rows, ``y[c, r]`` (a (C, n) array) of them positive: the same
+    descent on the same loss, its sums grouped by row, so the error is
+    ``sigmoid(z) * counts - y`` and the sums divide by the slice's total
+    count.  A row of count 0 adds nothing.
     """
     C, n, k = X.shape
     Xt = X.transpose(0, 2, 1)
     times = np.multiply if k == 1 else np.matmul
-    # labels copied to every slice: the per-epoch error is then a same-shape subtraction
-    Y = np.ascontiguousarray(np.broadcast_to(y[:, None], (C, n, 1)))
+    if counts is None:
+        # labels copied to every slice: the per-epoch error is then a same-shape subtraction
+        Y = np.ascontiguousarray(np.broadcast_to(y[:, None], (C, n, 1)))
+    else:
+        Y, counts = y[:, :, None], counts[:, :, None]
+        n = counts.sum(axis=1, keepdims=True)
     w = np.zeros((C, k, 1))
     b = np.zeros((C, 1, 1))
     for _ in range(epochs):
-        err = sigmoid(times(X, w) + b) - Y
+        p = sigmoid(times(X, w) + b)
+        if counts is not None:
+            p *= counts
+        err = p - Y
         w -= learning_rate * (Xt @ err / n + l2 * w)
         b -= learning_rate * (err.sum(axis=1, keepdims=True) / n)
     return w[:, :, 0], b[:, 0, 0]

@@ -21,7 +21,8 @@ from .models import Model, logistic, tree
 
 RANKING_METHODS = ("info_gain_ratio", "gini_impurity", "permutation", "rfe", "ffs")
 
-# ffs fits a step's candidates in stacks of at most this many (candidate, row, column) elements
+# ffs fits a step's candidates of one table size in stacks of at most this many (candidate, row, column)
+# elements; padding each table to its own size keeps a candidate's bits whatever its stack-mates
 _FFS_BLOCK = 1 << 14
 
 
@@ -250,9 +251,18 @@ def ffs_rank(train: Dataset, seed: int = 0) -> FeatureRanking:
     The holdout is a 75/25 stratified split of ``train``.  Starts from the
     empty model (recall 0); stops once the best candidate no longer improves
     recall, then appends the remaining features ordered by their last
-    evaluated recall.  Each step fits all its candidates together, in
-    stacks of at most ``_FFS_BLOCK`` elements, with the bits of fitting
-    ``LogisticRegression`` on each candidate's columns alone.
+    evaluated recall.
+
+    Each candidate's logistic regression runs on the distinct rows of its
+    columns, each weighted by the training rows it stands for
+    (``logistic.descend`` with counts), so an epoch costs the distinct rows,
+    not all of them.  A table is padded with rows of count 0 to the next
+    power of two; one that would reach the training rows' count is no
+    saving, and that candidate is fitted on all of its rows instead.  A step
+    fits its candidates of one table size together, in stacks of at most
+    ``_FFS_BLOCK`` elements, and each gets the bits it would get alone.
+    Grouped sums round differently, so the weights may differ from a lone
+    ``LogisticRegression`` fit in their last bits.
     """
     _class_arrays(train)
     n_features = train.n_features
@@ -260,33 +270,58 @@ def ffs_rank(train: Dataset, seed: int = 0) -> FeatureRanking:
         raise RankingError("forward selection needs at least 2 features")
     train, holdout = split(train, 0.75, seed)
     scaler = fit_scaler(train)
+    Xs = transform(train.X, scaler)
+    codes, distinct, offsets, _ = tree.code_values(Xs)
+    spans = np.diff(offsets, append=distinct.size)
     # feature-major copies: XsT[cols] viewed as (C, n, k) lays each slice out
     # like Xs[:, cols] (F order), so the stacked products take a lone fit's bits
-    XsT = np.ascontiguousarray(transform(train.X, scaler).T)
+    XsT = np.ascontiguousarray(Xs.T)
     HsT = np.ascontiguousarray(transform(holdout.X, scaler).T)
     y = train.y.astype(float)
+    n = y.size
     positive = holdout.y == 1
     positives = int(positive.sum())
 
-    def holdout_recalls(cols: np.ndarray) -> np.ndarray:
-        """Holdout recall of a logistic regression fitted on each row of ``cols``."""
-        w, b = logistic.descend(XsT[cols].transpose(0, 2, 1), y, **logistic.DEFAULTS)
+    def holdout_recalls(cols: np.ndarray, tables, size: int) -> np.ndarray:
+        """Holdout recall of a logistic regression fitted on each row of ``cols``:
+        over all training rows at ``size`` n, else over each one's table of
+        ``(first, inverse)`` distinct rows, padded to ``size``."""
+        if size == n:
+            w, b = logistic.descend(XsT[cols].transpose(0, 2, 1), y, **logistic.DEFAULTS)
+        else:
+            X = np.zeros((len(cols), cols.shape[1], size))
+            counts = np.zeros((len(cols), size))
+            ones = np.zeros((len(cols), size))
+            for c, (first, inverse) in enumerate(tables):
+                X[c, :, :first.size] = XsT[np.ix_(cols[c], first)]
+                counts[c, :first.size] = np.bincount(inverse, minlength=first.size)
+                ones[c, :first.size] = np.bincount(inverse, weights=y, minlength=first.size)
+            w, b = logistic.descend(X.transpose(0, 2, 1), ones, **logistic.DEFAULTS, counts=counts)
         scores = logistic.sigmoid((HsT[cols].transpose(0, 2, 1) @ w[:, :, None])[:, :, 0] + b[:, None])
         return ((scores >= 0.5) & positive).sum(axis=1) / positives
 
     selected: list[int] = []
+    joint = np.zeros(n, dtype=np.int64)  # one code per distinct row of the selected columns
     current = 0.0
     last_eval = np.zeros(n_features)
     while len(selected) < n_features:
         candidates = [j for j in range(n_features) if j not in selected]
-        cols = np.array([selected + [j] for j in candidates])
-        step = max(1, _FFS_BLOCK // (cols.shape[1] * XsT.shape[1]))
-        for start in range(0, len(candidates), step):
-            last_eval[candidates[start:start + step]] = holdout_recalls(cols[start:start + step])
+        by_size: dict[int, list] = {}  # padded table size (n: all rows) -> [(candidate, table)]
+        for j in candidates:
+            _, first, inverse = np.unique(joint * spans[j] + codes[:, j], return_index=True, return_inverse=True)
+            size = min(1 << (first.size - 1).bit_length(), n)
+            by_size.setdefault(size, []).append((j, (first, inverse)))
+        for size, members in by_size.items():
+            step = max(1, _FFS_BLOCK // ((len(selected) + 1) * size))
+            for start in range(0, len(members), step):
+                js, tables = zip(*members[start:start + step])
+                cols = np.array([selected + [j] for j in js])
+                last_eval[list(js)] = holdout_recalls(cols, tables, size)
         best_j = max(candidates, key=lambda j: last_eval[j])  # the lowest index among equal recalls
         if last_eval[best_j] - current <= 0.0:
             break
         selected.append(best_j)
+        joint = np.unique(joint * spans[best_j] + codes[:, best_j], return_inverse=True)[1]
         current = last_eval[best_j]
     rest = [j for j in range(n_features) if j not in selected]
     rest.sort(key=lambda j: (-last_eval[j], j))

@@ -367,6 +367,29 @@ def logistic_descend_reference(X, y, epochs: int, l2: float, learning_rate: floa
     return w[:, :, 0], b[:, 0, 0]
 
 
+def logistic_counted_descend_reference(X, y, counts, epochs: int, l2: float, learning_rate: float):
+    """``logistic.descend(X, y, ..., counts=counts)``, one slice at a time.
+
+    Row r of slice c stands for ``counts[c, r]`` training rows, ``y[c, r]``
+    of them positive; each slice runs its own 2-D epoch loop.
+    """
+    import numpy as np
+
+    C, m, k = X.shape
+    weights, biases = np.zeros((C, k)), np.zeros(C)
+    for c in range(C):
+        Xc, yc, nc = X[c], y[c][:, None], counts[c][:, None]
+        n = nc.sum()
+        w = np.zeros((k, 1))
+        b = np.zeros((1, 1))
+        for _ in range(epochs):
+            err = 0.5 * (1.0 + np.tanh(0.5 * (Xc @ w + b))) * nc - yc
+            w -= learning_rate * (Xc.T @ err / n + l2 * w)
+            b -= learning_rate * (err.sum(axis=0, keepdims=True) / n)
+        weights[c], biases[c] = w[:, 0], b[0, 0]
+    return weights, biases
+
+
 def rfe_reference(Xs, y) -> list[tuple[list[int], dict, int]]:
     """Recursive elimination refitting a tree at every step, as ``(survivors, tree arrays, eliminated)`` per step.
 
@@ -417,6 +440,56 @@ def permutation_importance_reference(train, holdout, probe_model, repeats: int =
             drops += base - recall(probe_model, shuffled, y_pos)
         scores[j] = drops / repeats
     return scores
+
+
+def ffs_rank_reference(train, seed: int = 0):
+    """Greedy forward selection with every candidate fitted on all of its training rows.
+
+    The body ``ranking.ffs_rank`` had before it fitted each candidate on its
+    distinct rows: each step stacks its candidates, at most ``2 ** 14``
+    (candidate, row, column) elements at a time, over the full scaled rows.
+    """
+    import numpy as np
+
+    from tabevade.data import fit_scaler, split, transform
+    from tabevade.models import logistic
+    from tabevade.ranking import FeatureRanking
+
+    n_features = train.n_features
+    train, holdout = split(train, 0.75, seed)
+    scaler = fit_scaler(train)
+    XsT = np.ascontiguousarray(transform(train.X, scaler).T)
+    HsT = np.ascontiguousarray(transform(holdout.X, scaler).T)
+    y = train.y.astype(float)
+    positive = holdout.y == 1
+    positives = int(positive.sum())
+
+    def holdout_recalls(cols):
+        w, b = logistic.descend(XsT[cols].transpose(0, 2, 1), y, **logistic.DEFAULTS)
+        scores = logistic.sigmoid((HsT[cols].transpose(0, 2, 1) @ w[:, :, None])[:, :, 0] + b[:, None])
+        return ((scores >= 0.5) & positive).sum(axis=1) / positives
+
+    selected = []
+    current = 0.0
+    last_eval = np.zeros(n_features)
+    while len(selected) < n_features:
+        candidates = [j for j in range(n_features) if j not in selected]
+        cols = np.array([selected + [j] for j in candidates])
+        step = max(1, (1 << 14) // (cols.shape[1] * XsT.shape[1]))
+        for start in range(0, len(candidates), step):
+            last_eval[candidates[start:start + step]] = holdout_recalls(cols[start:start + step])
+        best_j = max(candidates, key=lambda j: last_eval[j])
+        if last_eval[best_j] - current <= 0.0:
+            break
+        selected.append(best_j)
+        current = last_eval[best_j]
+    rest = [j for j in range(n_features) if j not in selected]
+    rest.sort(key=lambda j: (-last_eval[j], j))
+    order = selected + rest
+    scores = [0.0] * n_features
+    for position, j in enumerate(order):
+        scores[j] = float(n_features - position)
+    return FeatureRanking(order=tuple(order), scores=tuple(scores), method="ffs")
 
 
 def forest_node_draws(trees, X, y, rng, k: int, bootstrap: bool, max_depth: int, min_leaf: int):

@@ -89,6 +89,15 @@ def test_manifest_records_the_interpreter_and_numpy(tmp_path):
     assert manifest["numpy"] == numpy.__version__
     assert manifest["version"] == tabevade.__version__
 
+
+def test_manifest_names_the_blas_core_and_numpy_simd_targets(tmp_path):
+    run_ok(["synth", "--dataset", "blobs", "--rows", "20", "--seed", "1", "--out", str(tmp_path), "--run-name", "b"])
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    platform = evaluation.numeric_platform()
+    assert {key: manifest[key] for key in platform} == platform
+    assert isinstance(manifest["blas_core"], str) and manifest["blas_core"]
+    assert manifest["numpy_simd"] and all(isinstance(target, str) for target in manifest["numpy_simd"])
+
 def test_rank_on_separating_feature(tmp_path):
     data = tmp_path / "tiny.csv"
     schema_path = tmp_path / "tiny.json"

@@ -22,6 +22,7 @@ from tabevade.evaluation import (
     epsilon_grid,
     evaluate_attack,
     fingerprint_path,
+    numeric_platform,
     grid_search,
     max_success_curve,
 )
@@ -635,6 +636,21 @@ def test_grid_resume_refuses_a_sink_fingerprinted_by_another_version(tmp_path):
     assert stored["version"] == tabevade.__version__
     fingerprint_path(sink).write_text(json.dumps({**stored, "version": "0.1.0"}), encoding="utf-8")
     with pytest.raises(ResumeError, match=r"\(differing: version\)"):
+        grid_search(train, test, spec, seed=0, sink=sink)
+
+
+@pytest.mark.parametrize("field, other", [("blas_core", "Prescott"), ("numpy_simd", ["X86_V2"])])
+def test_grid_resume_refuses_a_sink_fingerprinted_on_other_kernels(tmp_path, field, other):
+    # a fit's last bits depend on the BLAS core and numpy's SIMD targets, so cells of two must not mix
+    train, test = split(gaussian_blobs(60, seed=6, separation=1.0), 0.7, seed=0)
+    spec = GridSpec(n_values=(1,), epsilon_values=(0.5,), methods=("gini_impurity",),
+                    model_kinds=("decision_tree",))
+    sink = tmp_path / "grid.csv"
+    grid_search(train, test, spec, seed=0, sink=sink)
+    stored = json.loads(fingerprint_path(sink).read_text(encoding="utf-8"))
+    assert stored[field] == numeric_platform()[field]
+    fingerprint_path(sink).write_text(json.dumps({**stored, field: other}), encoding="utf-8")
+    with pytest.raises(ResumeError, match=rf"\(differing: {field}\)"):
         grid_search(train, test, spec, seed=0, sink=sink)
 
 

@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     forest_node_draws,
     gini,
+    logistic_counted_descend_reference,
     logistic_descend_reference,
     mlp_adam_reference,
     mse_split_reference,
@@ -971,3 +972,39 @@ def test_descent_takes_the_bits_of_the_all_matmul_epoch_loop(k, n_stacked):
     w, b = descend(X, y, **LOGISTIC_DEFAULTS)
     w_ref, b_ref = logistic_descend_reference(X, y, **LOGISTIC_DEFAULTS)
     assert hexes(w) == hexes(w_ref) and hexes(b) == hexes(b_ref)
+
+
+def counted_tables(rng, n_stacked: int, k: int, size: int):
+    """A stack of distinct-row tables in forward selection's layout: each slice
+    holds its first ``distinct`` rows, then rows of count 0 up to ``size``."""
+    T = np.zeros((n_stacked, k, size))
+    counts = np.zeros((n_stacked, size))
+    ones = np.zeros((n_stacked, size))
+    for c in range(n_stacked):
+        distinct = int(rng.integers(1, size + 1))
+        T[c, :, :distinct] = rng.normal(size=(k, distinct))
+        counts[c, :distinct] = rng.integers(1, 40, size=distinct)
+        ones[c, :distinct] = rng.integers(0, counts[c, :distinct] + 1)
+    return T.transpose(0, 2, 1), ones, counts
+
+
+@pytest.mark.parametrize("n_stacked", [1, 7])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_counted_descent_matches_the_per_slice_loop(k, n_stacked):
+    X, ones, counts = counted_tables(np.random.default_rng(40 + k), n_stacked, k, 16)
+    w, b = descend(X, ones, **LOGISTIC_DEFAULTS, counts=counts)
+    w_ref, b_ref = logistic_counted_descend_reference(X, ones, counts, **LOGISTIC_DEFAULTS)
+    assert hexes(w) == hexes(w_ref) and hexes(b) == hexes(b_ref)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_counted_descent_agrees_with_its_rows_expanded(k):
+    # the same loss and steps, summed per distinct row: only the rounding of the sums differs
+    X, ones, counts = counted_tables(np.random.default_rng(50 + k), 3, k, 32)
+    w, b = descend(X, ones, **LOGISTIC_DEFAULTS, counts=counts)
+    for c in range(3):
+        rows = np.repeat(np.arange(32), counts[c].astype(int))
+        labels = np.concatenate([[1.0] * int(o) + [0.0] * int(t - o) for o, t in zip(ones[c], counts[c])])
+        lone = LogisticRegression(**LOGISTIC_DEFAULTS).fit(X[c][rows], labels)
+        np.testing.assert_allclose(w[c], lone.weights, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(b[c], lone.bias, rtol=1e-12, atol=0)

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,15 +11,19 @@ from oracles import (
     brute_force_gini_gain,
     brute_force_info_gain,
     brute_force_info_gain_ratio,
+    ffs_rank_reference,
     permutation_importance_reference,
     rfe_reference,
 )
+import tabevade
 import tabevade.models as models_module
 import tabevade.ranking as ranking_module
 from tabevade.data import Dataset, FeatureSchema, FeatureSpec, fit_scaler, split, transform
 from tabevade.errors import RankingError
+from tabevade.evaluation import numeric_platform
 from tabevade.metrics import recall
 from tabevade.models import MODEL_KINDS, fit
+from tabevade.models import logistic as logistic_module
 from tabevade.models import tree as tree_module
 from tabevade.models.tree import DecisionTree
 from tabevade.ranking import (
@@ -27,7 +37,7 @@ from tabevade.ranking import (
     rank_features,
     rfe_rank,
 )
-from tabevade.synth import census_like
+from tabevade.synth import census_like, demo_pages, gaussian_blobs, web_demo_dataset
 
 
 def dataset(X, y, kinds=None):
@@ -395,3 +405,101 @@ def test_ffs_same_ranking_one_candidate_or_all_per_stack(block, monkeypatch):
     ranking = ffs_rank(train, seed=6)
     assert ranking.order == expected.order
     assert [float(s).hex() for s in ranking.scores] == [float(s).hex() for s in expected.scores]
+
+
+# ---------------------------------------------------------------------------
+# ffs on distinct rows ranks as ffs on all rows
+
+def constant_column_dataset():
+    rng = np.random.default_rng(21)
+    X = np.column_stack([rng.integers(0, 2, 300), np.full(300, 4.0), rng.integers(0, 5, 300), rng.normal(size=300)])
+    y = ((X[:, 0] + X[:, 2] + rng.normal(size=300)) > 3.0).astype(int)
+    return dataset(X, y)
+
+
+def duplicate_rows_dataset():
+    # 25 distinct rows, each repeated 12 times, with labels that disagree within a row
+    rng = np.random.default_rng(22)
+    X = np.repeat(np.round(rng.normal(size=(25, 5)), 1), 12, axis=0)
+    y = ((X[:, 1] - X[:, 3] + rng.normal(size=300)) > 0.6).astype(int)
+    return dataset(X, y)
+
+
+FFS_DATASETS = {
+    **{f"census{seed}": lambda seed=seed: split(census_like(n_rows=1000, seed=seed), 0.8, seed)[0]
+       for seed in (41, 7, 3, 6)},
+    "blobs": lambda: gaussian_blobs(400, seed=2),
+    "web": lambda: web_demo_dataset(demo_pages(40, 40, seed=1)),
+    "constant_column": constant_column_dataset,
+    "duplicate_rows": duplicate_rows_dataset,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FFS_DATASETS))
+def test_ffs_ranks_as_the_row_wise_reference(name):
+    train = FFS_DATASETS[name]()
+    ranking = ffs_rank(train, seed=4)
+    expected = ffs_rank_reference(train, seed=4)
+    assert ranking.order == expected.order
+    assert [float(s).hex() for s in ranking.scores] == [float(s).hex() for s in expected.scores]
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def recorded_fits(monkeypatch, train, block):
+    """Each candidate fit's table bytes mapped to its weight and bias bits, at stacks of ``block`` elements."""
+    fits = {}
+    descend = logistic_module.descend
+
+    def spy(X, y, *args, counts=None, **kwargs):
+        w, b = descend(X, y, *args, counts=counts, **kwargs)
+        for c in range(X.shape[0]):
+            key = (X[c].tobytes(), X.shape[1:], None if counts is None else (y[c].tobytes(), counts[c].tobytes()))
+            assert fits.setdefault(key, (hexes(w[c]), b[c].hex())) == (hexes(w[c]), b[c].hex())  # equal columns
+        return w, b
+
+    monkeypatch.setattr(ranking_module, "_FFS_BLOCK", block)
+    monkeypatch.setattr(logistic_module, "descend", spy)
+    ffs_rank(train, seed=6)
+    return fits
+
+
+def test_ffs_candidate_weights_do_not_depend_on_their_stack_mates(monkeypatch):
+    train, _ = census_holdout(37)
+    alone = recorded_fits(monkeypatch, train, 1)
+    stacked = recorded_fits(monkeypatch, train, 1 << 40)
+    assert alone == stacked
+    # both kinds of fit ran: on distinct-row tables and on all rows
+    assert {key[2] is None for key in alone} == {True, False}
+
+
+FFS_ORDERS = """
+import json
+from tabevade.data import split
+from tabevade.evaluation import numeric_platform
+from tabevade.ranking import ffs_rank
+from tabevade.synth import census_like
+orders = [list(ffs_rank(split(census_like(n_rows=1000, seed=seed), 0.8, seed)[0], seed=4).order) for seed in (41, 7)]
+print(json.dumps({"orders": orders, "platform": numeric_platform()}))
+"""
+
+
+def test_ffs_ranks_alike_under_another_blas_kernel():
+    # each OpenBLAS kernel sums the two-column products in its own order:
+    # the fits' last bits may differ between kernels, the order may not
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    if numeric_platform()["blas_core"] == "unknown" or not __cpu_features__.get("AVX2"):
+        pytest.skip("needs numpy's OpenBLAS on a CPU that runs its Haswell kernel")
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": str(Path(tabevade.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", FFS_ORDERS], env=env, capture_output=True, text=True, check=True,
+                          timeout=120)
+    child = json.loads(done.stdout)
+    assert child["platform"]["blas_core"] == "Haswell"
+    orders = [list(ffs_rank(split(census_like(n_rows=1000, seed=seed), 0.8, seed)[0], seed=4).order)
+              for seed in (41, 7)]
+    assert child["orders"] == orders
