@@ -10,7 +10,7 @@ Submodules load on first use: ``import tabevade`` loads none of them, and
 """
 import importlib
 
-__version__ = "0.4.1"
+__version__ = "0.4.2"
 
 # each public name the package exports, and the submodule that defines it
 _EXPORTS = {

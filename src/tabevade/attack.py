@@ -54,8 +54,8 @@ class AttackConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not 0 <= self.epsilon < np.inf:  # NaN fails every comparison
+            raise ValueError(f"epsilon must be a finite number >= 0, got {self.epsilon}")
         if self.method not in RANKING_METHODS:
             raise ValueError(f"unknown ranking method {self.method!r}")
         if self.feature_mask is not None:

@@ -248,12 +248,11 @@ class Dataset:
             raise SchemaError("y length must equal the X row count")
         if y.size and not np.isin(y, (0, 1)).all():
             raise SchemaError("labels must be 0 (target class) or 1 (input class)")
-        for i, spec in enumerate(self.schema.features):
-            col = X[:, i]
-            if spec.is_discrete and col.size and not np.array_equal(col, np.floor(col)):
-                raise SchemaError(f"discrete feature {spec.name!r} holds non-integer values")
-            if spec.kind == "onehot" and col.size and not np.isin(col, (0.0, 1.0)).all():
-                raise SchemaError(f"one-hot feature {spec.name!r} holds values outside {{0,1}}")
+        bad = _first_invalid(X.T, self.schema.features)
+        if bad is not None:
+            spec = self.schema.features[bad]
+            raise SchemaError(f"{spec.kind} feature {spec.name!r} holds a value that is not finite, or not whole"
+                              f" in a discrete column, or not 0 or 1 in a one-hot one")
         for group, members in self.schema.onehot_groups().items():
             if X.shape[0] and not np.all(X[:, members].sum(axis=1) == 1):
                 raise SchemaError(f"one-hot group {group!r} is not exactly-one-hot in some row")
@@ -339,13 +338,14 @@ def _raise_first_bad_cell(rows: list[list[str]], numbers: list[int], specs: tupl
                 raise ParseError(f"row {number}: missing value in column {spec.name!r}")
 
 
-def _any_invalid(values: np.ndarray, specs: list[FeatureSpec]) -> bool:
-    """Whether a value (one row of ``values`` per spec) is not finite, has a fraction in a discrete
-    column, or is other than 0 or 1 in a one-hot column."""
+def _first_invalid(values: np.ndarray, specs) -> int | None:
+    """The first spec whose row of ``values`` (one per spec) holds a value that is not finite, has a
+    fraction in a discrete column, or is other than 0 or 1 in a one-hot column; None if there is none."""
     discrete = np.array([spec.is_discrete for spec in specs], dtype=bool)[:, None]
     onehot = np.array([spec.kind == "onehot" for spec in specs], dtype=bool)[:, None]
-    return bool((~np.isfinite(values) | (discrete & (values != np.floor(values)))
-                 | (onehot & (values != 0.0) & (values != 1.0))).any())
+    bad = np.flatnonzero((~np.isfinite(values) | (discrete & (values != np.floor(values)))
+                          | (onehot & (values != 0.0) & (values != 1.0))).any(axis=1))
+    return int(bad[0]) if bad.size else None
 
 
 def _parse_block(rows: list[list[str]], numbers: list[int], specs: tuple[FeatureSpec, ...],
@@ -363,7 +363,7 @@ def _parse_block(rows: list[list[str]], numbers: list[int], specs: tuple[Feature
     except ValueError:
         values = None
     blank = any("" in column for column, spec in zip(columns, specs) if spec.kind == "categorical")
-    if values is None or blank or _any_invalid(values, [specs[j] for j in numeric]):
+    if values is None or blank or _first_invalid(values, [specs[j] for j in numeric]) is not None:
         _raise_first_bad_cell(rows, numbers, specs, cells_of)
     for j, column in zip(numeric, values):
         columns[j] = column

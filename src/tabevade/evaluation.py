@@ -89,8 +89,8 @@ class GridSpec:
             raise ValueError("grid spec lists must all be non-empty")
         if any(n < 1 for n in self.n_values):
             raise ValueError("n values must be positive")
-        if any(e < 0 for e in self.epsilon_values):
-            raise ValueError("epsilon values must be non-negative")
+        if not all(0 <= e < np.inf for e in self.epsilon_values):
+            raise ValueError(f"epsilon values must be finite numbers >= 0: {list(self.epsilon_values)}")
         eps = self.epsilon_values
         if any(b <= a for a, b in zip(eps, eps[1:])):
             raise ValueError(f"epsilon values must be sorted strictly ascending, without repeats: {list(eps)}")
@@ -112,6 +112,8 @@ class GridSpec:
 
 def epsilon_grid(lo: float, hi: float, steps: int) -> tuple[float, ...]:
     """Arithmetic progression including both endpoints."""
+    if not (0 <= lo < np.inf and 0 <= hi < np.inf):  # before np.linspace, which warns on inf
+        raise ValueError(f"epsilon range ends must be finite numbers >= 0, got {lo} and {hi}")
     if steps < 1:
         raise ValueError("steps must be positive")
     if steps == 1:

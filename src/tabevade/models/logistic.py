@@ -25,26 +25,21 @@ def descend(X: np.ndarray, y: np.ndarray, epochs: int, l2: float, learning_rate:
     training rows, ``y[c, r]`` (a (C, n) array) of them positive: the same
     descent on the same loss, its sums grouped by row, so the error is
     ``sigmoid(z) * counts - y`` and the sums divide by the slice's total
-    count.  A row of count 0 adds nothing.
+    count.  A row of count 0 adds nothing.  Without ``counts`` every row
+    counts 1 and the labels ``y`` (n,) are shared: ``p * 1.0`` is ``p``, and
+    the sums divide by n.
     """
     C, n, k = X.shape
     Xt = X.transpose(0, 2, 1)
     times = np.multiply if k == 1 else np.matmul
-    if counts is None:
-        # labels copied to every slice: the per-epoch error is then a same-shape subtraction
-        Y = np.ascontiguousarray(np.broadcast_to(y[:, None], (C, n, 1)))
-    else:
-        Y, counts = y[:, :, None], counts[:, :, None]
-        n = counts.sum(axis=1, keepdims=True)
+    Y, counts = y[..., None], (np.ones(n) if counts is None else counts)[..., None]
+    total = counts.sum(axis=-2, keepdims=True)
     w = np.zeros((C, k, 1))
     b = np.zeros((C, 1, 1))
     for _ in range(epochs):
-        p = sigmoid(times(X, w) + b)
-        if counts is not None:
-            p *= counts
-        err = p - Y
-        w -= learning_rate * (Xt @ err / n + l2 * w)
-        b -= learning_rate * (err.sum(axis=1, keepdims=True) / n)
+        err = sigmoid(times(X, w) + b) * counts - Y
+        w -= learning_rate * (Xt @ err / total + l2 * w)
+        b -= learning_rate * (err.sum(axis=1, keepdims=True) / total)
     return w[:, :, 0], b[:, 0, 0]
 
 

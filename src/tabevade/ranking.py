@@ -55,15 +55,11 @@ def _class_arrays(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gini(y: np.ndarray) -> float:
-    if y.size == 0:
-        return 0.0
     p = np.bincount(y, minlength=2) / y.size
     return float(1.0 - np.sum(p * p))
 
 
 def _entropy(y: np.ndarray) -> float:
-    if y.size == 0:
-        return 0.0
     p = np.bincount(y, minlength=2) / y.size
     p = p[p > 0]
     return float(-np.sum(p * np.log2(p)))
@@ -128,8 +124,7 @@ def info_gain_ratio(train: Dataset, feature_index: int) -> float:
 
     The split is chosen by raw gain (first/lowest threshold on ties), then
     normalized; ranking degenerate near-empty splits by their ratio would
-    let noise features score arbitrarily high.  A split entropy of 0
-    (impossible for a real two-sided split) would give ratio 0.
+    let noise features score arbitrarily high.
     """
     y, scan = _boundaries(train, feature_index)
     if scan is None:
@@ -139,8 +134,6 @@ def info_gain_ratio(train: Dataset, feature_index: int) -> float:
     gains = _entropy(y) - _conditional_entropy(left_n, right_n, left_ones, right_ones, n)
     best = int(np.argmax(gains))
     split_entropy = float(_entropy_vec(np.array([left_n[best]]), np.array([float(n)]))[0])
-    if split_entropy <= 0.0:
-        return 0.0
     return max(float(gains[best]) / split_entropy, 0.0)
 
 
@@ -257,8 +250,7 @@ def ffs_rank(train: Dataset, seed: int = 0) -> FeatureRanking:
     columns, each weighted by the training rows it stands for
     (``logistic.descend`` with counts), so an epoch costs the distinct rows,
     not all of them.  A table is padded with rows of count 0 to the next
-    power of two; one that would reach the training rows' count is no
-    saving, and that candidate is fitted on all of its rows instead.  A step
+    power of two, or to the training rows' count if that is smaller.  A step
     fits its candidates of one table size together, in stacks of at most
     ``_FFS_BLOCK`` elements, and each gets the bits it would get alone.
     Grouped sums round differently, so the weights may differ from a lone
@@ -273,9 +265,7 @@ def ffs_rank(train: Dataset, seed: int = 0) -> FeatureRanking:
     Xs = transform(train.X, scaler)
     codes, distinct, offsets, _ = tree.code_values(Xs)
     spans = np.diff(offsets, append=distinct.size)
-    # feature-major copies: XsT[cols] viewed as (C, n, k) lays each slice out
-    # like Xs[:, cols] (F order), so the stacked products take a lone fit's bits
-    XsT = np.ascontiguousarray(Xs.T)
+    # feature-major: HsT[cols] viewed as (C, rows, k) is F order per slice, as each fit's table is
     HsT = np.ascontiguousarray(transform(holdout.X, scaler).T)
     y = train.y.astype(float)
     n = y.size
@@ -283,20 +273,16 @@ def ffs_rank(train: Dataset, seed: int = 0) -> FeatureRanking:
     positives = int(positive.sum())
 
     def holdout_recalls(cols: np.ndarray, tables, size: int) -> np.ndarray:
-        """Holdout recall of a logistic regression fitted on each row of ``cols``:
-        over all training rows at ``size`` n, else over each one's table of
-        ``(first, inverse)`` distinct rows, padded to ``size``."""
-        if size == n:
-            w, b = logistic.descend(XsT[cols].transpose(0, 2, 1), y, **logistic.DEFAULTS)
-        else:
-            X = np.zeros((len(cols), cols.shape[1], size))
-            counts = np.zeros((len(cols), size))
-            ones = np.zeros((len(cols), size))
-            for c, (first, inverse) in enumerate(tables):
-                X[c, :, :first.size] = XsT[np.ix_(cols[c], first)]
-                counts[c, :first.size] = np.bincount(inverse, minlength=first.size)
-                ones[c, :first.size] = np.bincount(inverse, weights=y, minlength=first.size)
-            w, b = logistic.descend(X.transpose(0, 2, 1), ones, **logistic.DEFAULTS, counts=counts)
+        """Holdout recall of a logistic regression fitted on each row of ``cols``,
+        over its table of ``(first, inverse)`` distinct rows padded to ``size``."""
+        X = np.zeros((len(cols), cols.shape[1], size))  # each slice viewed as (size, k) in F order
+        counts = np.zeros((len(cols), size))
+        ones = np.zeros((len(cols), size))
+        for c, (first, inverse) in enumerate(tables):
+            X[c, :, :first.size] = Xs[np.ix_(first, cols[c])].T
+            counts[c, :first.size] = np.bincount(inverse, minlength=first.size)
+            ones[c, :first.size] = np.bincount(inverse, weights=y, minlength=first.size)
+        w, b = logistic.descend(X.transpose(0, 2, 1), ones, **logistic.DEFAULTS, counts=counts)
         scores = logistic.sigmoid((HsT[cols].transpose(0, 2, 1) @ w[:, :, None])[:, :, 0] + b[:, None])
         return ((scores >= 0.5) & positive).sum(axis=1) / positives
 
@@ -306,7 +292,7 @@ def ffs_rank(train: Dataset, seed: int = 0) -> FeatureRanking:
     last_eval = np.zeros(n_features)
     while len(selected) < n_features:
         candidates = [j for j in range(n_features) if j not in selected]
-        by_size: dict[int, list] = {}  # padded table size (n: all rows) -> [(candidate, table)]
+        by_size: dict[int, list] = {}  # padded table size -> [(candidate, table)]
         for j in candidates:
             _, first, inverse = np.unique(joint * spans[j] + codes[:, j], return_index=True, return_inverse=True)
             size = min(1 << (first.size - 1).bit_length(), n)

@@ -492,6 +492,25 @@ def test_gridsearch_with_fewer_than_one_worker_exits_1_and_leaves_no_run_dir(tmp
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("command, extra, message", [
+    ("gridsearch", ["--eps-min", "nan"], "epsilon range ends must be finite numbers >= 0, got nan and 1.2"),
+    ("gridsearch", ["--eps-max", "inf"], "epsilon range ends must be finite numbers >= 0, got 0.1 and inf"),
+    ("attack", ["--n", "1", "--epsilon", "nan"], "epsilon must be a finite number >= 0, got nan"),
+    ("evaluate", ["--kind", "decision_tree", "--n", "1", "--epsilon", "nan"], "epsilon must be a finite number >= 0"),
+    ("evaluate", ["--kind", "decision_tree", "--n", "1", "--epsilon=-inf"], "epsilon must be a finite number >= 0"),
+])
+def test_a_non_finite_epsilon_exits_1_and_leaves_no_run_dir(tmp_path, census_files, capsys, command, extra, message):
+    data, schema = census_files
+    grid = ["--models", "logistic_regression", "--n-values", "1", "--eps-min", "0.1", "--eps-max", "1.2",
+            "--eps-steps", "3", "--workers", "1"]
+    argv = [command, "--data", str(data), "--schema", str(schema), "--out", str(tmp_path / "runs"),
+            "--run-name", "bad", *(grid if command == "gridsearch" else []), *extra]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_gridsearch_verbose_reports_cells_on_stderr(tmp_path, census_files, capsys):
     data, schema = census_files
     args = ["gridsearch", "--data", str(data), "--schema", str(schema),
@@ -558,6 +577,7 @@ def web_corpus(tmp_path_factory):
     ("n past the eligible", ["--n", "20"], "attack wants n=20 features but only 9 are eligible"),
     ("unaddable feature", ["--features", "url_len,href"], "restricted to addable features"),
     ("missing pages", ["--pages", "{base}/nowhere"], "No such file or directory"),
+    ("non-finite epsilon", ["--epsilon", "nan"], "epsilon must be a finite number >= 0, got nan"),
 ])
 def test_refused_forge_exits_1_and_leaves_no_run_dir(tmp_path, web_corpus, capsys, case, extra, message):
     base = web_corpus / "w"

@@ -224,6 +224,36 @@ def test_dataset_validates_onehot_consistency():
         Dataset(X=np.array([[1.0, 1.0]]), y=np.array([1]), schema=schema)
 
 
+DATASET_SPECS = (FeatureSpec("c", "continuous"), FeatureSpec("d", "discrete"),
+                 FeatureSpec("g=a", "onehot", group="g"), FeatureSpec("g=b", "onehot", group="g"))
+
+
+def _set(row, column, *values):
+    def mutate(X, y, specs):
+        X[row, column:column + len(values)] = values
+        return X, y, specs
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda X, y, specs: (X, y, (FeatureSpec("v", "categorical"), *specs[1:])), "categorical columns"),
+    (lambda X, y, specs: (X[:, :3], y, specs), "X has 3 columns, schema has 4"),
+    (lambda X, y, specs: (X, y[:1], specs), "y length must equal the X row count"),
+    (lambda X, y, specs: (X, np.array([0, 2]), specs), r"labels must be 0 \(target class\) or 1"),
+    (_set(1, 1, 2.5), "discrete feature 'd'"),
+    (_set(0, 2, 0.5, 0.5), "onehot feature 'g=a'"),
+    (_set(1, 0, np.nan), "continuous feature 'c'"),
+    (_set(0, 0, np.inf), "continuous feature 'c'"),
+    (_set(0, 0, -np.inf, 0.5), "continuous feature 'c'"),  # the first bad feature is named
+], ids=["categorical", "columns", "y_length", "label_2", "fraction", "onehot_half", "nan", "inf", "first_named"])
+def test_dataset_refuses_what_the_loader_refuses(mutate, message):
+    X = np.array([[0.5, 2.0, 1.0, 0.0], [1.5, 3.0, 0.0, 1.0]])
+    Dataset(X.copy(), np.array([0, 1]), make_schema(*DATASET_SPECS))  # the unmutated table is valid
+    X, y, specs = mutate(X, np.array([0, 1]), DATASET_SPECS)
+    with pytest.raises(SchemaError, match=message):
+        Dataset(X, y, make_schema(*specs))
+
+
 # ---------------------------------------------------------------------------
 # the columnar loader against the per-cell reference
 

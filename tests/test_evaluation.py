@@ -309,6 +309,20 @@ def test_grid_spec_rejects_repeated_values(axis, values):
         GridSpec(**spec)
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf"), -0.5])
+def test_every_epsilon_entry_refuses_a_non_finite_or_negative_value(epsilon, recwarn):
+    with pytest.raises(ValueError, match="epsilon must be a finite number >= 0"):
+        AttackConfig(n=1, epsilon=epsilon)
+    with pytest.raises(ValueError, match="epsilon values must be finite numbers >= 0"):
+        GridSpec(n_values=(1,), epsilon_values=(0.5, epsilon) if epsilon > 0 else (epsilon, 0.5),
+                 methods=("gini_impurity",), model_kinds=("mlp",))
+    for lo, hi, steps in [(epsilon, 1.0, 3), (0.0, epsilon, 3), (epsilon, epsilon, 1), (0.1, epsilon, 1)]:
+        with pytest.raises(ValueError, match="epsilon range ends must be finite numbers >= 0"):
+            epsilon_grid(lo, hi, steps)
+    assert not recwarn.list  # refused before np.linspace, which warns on inf
+    assert AttackConfig(n=1, epsilon=0.0).epsilon == 0.0 and epsilon_grid(0.0, 0.0, 1) == (0.0,)
+
+
 # ---------------------------------------------------------------------------
 # curves
 

@@ -2,6 +2,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,13 @@ def test_all_and_dir_list_the_exports():
     names = {name for names in EXPORTED.values() for name in names}
     assert sorted(tabevade.__all__) == sorted(names)
     assert names <= set(dir(tabevade)) and "__version__" in dir(tabevade)
+
+
+def test_pyproject_version_is_the_package_version():
+    # a regex, not tomllib: Python 3.10 has none
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^version = "([^"]+)"$', project, re.MULTILINE) == [tabevade.__version__]
 
 
 def test_submodules_resolve_as_attributes_and_unknown_names_raise():

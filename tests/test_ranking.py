@@ -471,8 +471,9 @@ def test_ffs_candidate_weights_do_not_depend_on_their_stack_mates(monkeypatch):
     alone = recorded_fits(monkeypatch, train, 1)
     stacked = recorded_fits(monkeypatch, train, 1 << 40)
     assert alone == stacked
-    # both kinds of fit ran: on distinct-row tables and on all rows
-    assert {key[2] is None for key in alone} == {True, False}
+    # every fit runs on a distinct-row table with counts, and some table is padded to all training rows
+    assert all(key[2] is not None for key in alone)
+    assert any(key[1][0] == split(train, 0.75, 6)[0].n_rows for key in alone)
 
 
 FFS_ORDERS = """
