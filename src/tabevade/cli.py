@@ -7,7 +7,7 @@ manifest.json with the resolved configuration.  Output files are written
 atomically (temp file + rename).
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage error (a bad
 command line, a grid resume against other data or flags than the sink's,
-or a --run-name that already holds a grid or a forge's output).
+or a run directory that already holds one of the command's outputs).
 """
 from __future__ import annotations
 
@@ -48,24 +48,19 @@ from .webspace import check_problem_space_plan, problem_space_attack
 # ---------------------------------------------------------------------------
 # small helpers
 
-def _run_path(args) -> Path:
-    return Path(args.out) / (args.run_name or f"{args.command}-{time.strftime('%Y%m%d-%H%M%S')}")
-
-
-def _run_dir(args, run: Path | None = None) -> Path:
-    """Make the run directory (``run``, else one named by `_run_path`) and write its manifest.json.
+def _run_dir(args) -> Path:
+    """Make the run directory ``args.run`` and write its manifest.json.
 
     Each command calls this once, after its last refusal, so a refused run leaves no directory.
     """
-    run = run or _run_path(args)
-    run.mkdir(parents=True, exist_ok=True)
-    payload = {k: v for k, v in vars(args).items() if k != "func"}
+    args.run.mkdir(parents=True, exist_ok=True)
+    payload = {k: v for k, v in vars(args).items() if k not in ("func", "outputs", "run")}
     payload["version"] = __version__
     payload["python"] = ".".join(str(part) for part in sys.version_info[:3])
     payload["numpy"] = numpy.__version__
     payload.update(numeric_platform())
-    atomic_write_text(run / "manifest.json", json.dumps(payload, indent=2, default=str) + "\n")
-    return run
+    atomic_write_text(args.run / "manifest.json", json.dumps(payload, indent=2, default=str) + "\n")
+    return args.run
 
 
 def _load(args) -> Dataset:
@@ -122,6 +117,8 @@ def _read_page(path: Path) -> WebPage:
 # subcommands
 
 def _cmd_synth(args) -> int:
+    if args.rows < 1:  # refused before the run directory is made, naming the flag
+        raise ValueError(f"--rows must be at least 1, got {args.rows}")
     run = _run_dir(args)
     if args.dataset == "blobs":
         dataset = synth.gaussian_blobs(n_rows=args.rows, seed=args.seed)
@@ -208,14 +205,11 @@ def _cmd_attack(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     dataset = _load(args)
-    train, test = split(dataset, args.train_fraction, args.seed)
-    if args.model:
-        model = load_model(args.model)
-    else:
-        model = fit(args.kind, train, seed=args.seed)
     config = AttackConfig(n=args.n, epsilon=args.epsilon, method=args.method,
                           feature_mask=_mask_indices(dataset, args.features))
-    plan = build_plan(train, config, seed=args.seed)
+    train, test = split(dataset, args.train_fraction, args.seed)
+    plan = build_plan(train, config, seed=args.seed)  # refused before the model is fitted or loaded
+    model = load_model(args.model) if args.model else fit(args.kind, train, seed=args.seed)
     report = evaluate_attack(model, test, plan)
     run = _run_dir(args)
     payload = {
@@ -252,12 +246,9 @@ def _cmd_gridsearch(args) -> int:
         methods=tuple(args.methods.split(",")),
         model_kinds=tuple(args.models.split(",")),
     )
-    run = _run_path(args)  # named once, so the sink's directory and the manifest's share a timestamp
-    sink = Path(args.resume_from) if args.resume_from else run / "grid.csv"
+    sink = Path(args.resume_from) if args.resume_from else args.run / "grid.csv"
     if args.resume_from and not sink.is_file():  # grid_search would start a new grid there
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(sink))
-    if not args.resume_from and sink.exists():
-        raise ResumeError(f"{sink} already exists; continue it with --resume-from {sink}, or pick a new --run-name")
     total = spec.n_cells
 
     def progress(done: int, _total: int) -> None:
@@ -267,10 +258,11 @@ def _cmd_gridsearch(args) -> int:
     # grid_search makes a new sink's directory once the grid passes its checks, and calls
     # started once it holds the sink's lock, so a refused run writes nothing
     result = grid_search(train, test, spec, seed=args.seed, sink=sink, workers=args.workers,
-                         progress=progress, started=lambda: _run_dir(args, run))
-    if sink != run / "grid.csv":
-        result.to_csv(run / "grid.csv")
-    print(f"evaluated {len(result.records)} cells -> {run / 'grid.csv'}")
+                         progress=progress, started=lambda: _run_dir(args))
+    grid = args.run / "grid.csv"
+    if sink.resolve() != grid.resolve():
+        result.to_csv(grid)
+    print(f"evaluated {len(result.records)} cells -> {grid}")
     return 0
 
 
@@ -343,26 +335,22 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_forge(args) -> int:
-    run = _run_path(args)
-    if (run / "forge_report.csv").exists() or (run / "pages").exists():
-        raise ResumeError(f"{run} already holds pages/ or forge_report.csv from an earlier run; "
-                          "pick another --run-name (or wait for a new timestamp)")
     paths = _page_paths(Path(args.pages))
     schema = load_schema(args.schema)
     dataset = load_dataset(args.data, schema)
     if dataset.schema.names != WEB_FEATURE_NAMES:
         raise TabevadeError("forge needs training data over the 52 page features (see `synth --dataset webpages`)")
-    model = load_model(args.model) if args.model else fit(args.kind, dataset, seed=args.seed)
-    if model.n_features != dataset.n_features:
-        raise ShapeError(f"model expects {model.n_features} features, the data has {dataset.n_features}")
     mask = _mask_indices(dataset, args.features)
     if mask is None:
         mask = frozenset(dataset.schema.addable_indices())
     config = AttackConfig(n=args.n, epsilon=args.epsilon, method=args.method, feature_mask=mask)
     plan = build_plan(dataset, config, seed=args.seed)
     check_problem_space_plan(plan)
-    select_features(plan)
-    _run_dir(args, run)
+    select_features(plan)  # the plan's refusals come before the model is fitted or loaded
+    model = load_model(args.model) if args.model else fit(args.kind, dataset, seed=args.seed)
+    if model.n_features != dataset.n_features:
+        raise ShapeError(f"model expects {model.n_features} features, the data has {dataset.n_features}")
+    run = _run_dir(args)
     page_dir = run / "pages"
     page_dir.mkdir(parents=True, exist_ok=True)
     rows = [
@@ -437,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", choices=("blobs", "census", "webpages"), default="census")
     p.add_argument("--rows", type=int, default=3000, help="row count (blobs/census; the webpage corpus is fixed at 20+20)")
     common(p)
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_cmd_synth, outputs=("data.csv", "schema.json", "pages"))
 
     p = sub.add_parser("train", help="fit a defending model")
     data_args(p)
@@ -445,20 +433,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--hyper", action="append", help="hyperparameter override key=value", default=None)
     common(p)
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, outputs=("model.json", "metrics.json"))
 
     p = sub.add_parser("rank", help="rank features by importance")
     data_args(p)
     p.add_argument("--method", choices=RANKING_METHODS, required=True)
     common(p)
-    p.set_defaults(func=_cmd_rank)
+    p.set_defaults(func=_cmd_rank, outputs=("rank.csv",))
 
     p = sub.add_parser("attack", help="perturb the input-class rows of a dataset")
     data_args(p)
     attack_args(p)
     p.add_argument("--onehot-consistency", action="store_true")
     common(p)
-    p.set_defaults(func=_cmd_attack)
+    p.set_defaults(func=_cmd_attack, outputs=("adversarial.csv", "deltas.csv"))
 
     p = sub.add_parser("evaluate", help="train/test split, attack the test rows, report metrics")
     data_args(p)
@@ -466,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack_args(p)
     p.add_argument("--train-fraction", type=float, default=0.8)
     common(p)
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(func=_cmd_evaluate, outputs=("report.json",))
 
     p = sub.add_parser("gridsearch", help="exhaustive (model, method, n, epsilon) search")
     data_args(p)
@@ -485,17 +473,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="existing grid.csv sink to continue; refused (exit 2) if started with other data or flags")
     p.add_argument("--verbose", action="store_true")
     common(p)
-    p.set_defaults(func=_cmd_gridsearch)
+    p.set_defaults(func=_cmd_gridsearch, outputs=("grid.csv",))
 
     p = sub.add_parser("curves", help="max-success curves + SVG charts from a grid CSV")
     p.add_argument("--grid", required=True)
     common(p)
-    p.set_defaults(func=_cmd_curves)
+    p.set_defaults(func=_cmd_curves, outputs=("summary.csv",))
 
     p = sub.add_parser("extract", help="extract the 52 page features to CSV")
     p.add_argument("--pages", required=True, help="HTML file or directory of .html files")
     common(p)
-    p.set_defaults(func=_cmd_extract)
+    p.set_defaults(func=_cmd_extract, outputs=("features.csv",))
 
     p = sub.add_parser("forge", help="inverse-map an attack into invisible HTML additions")
     p.add_argument("--pages", required=True)
@@ -503,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     model_args(p)
     attack_args(p)
     common(p)
-    p.set_defaults(func=_cmd_forge)
+    p.set_defaults(func=_cmd_forge, outputs=("forge_report.csv", "pages"))
 
     return parser
 
@@ -511,7 +499,15 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
+    # named once, so the check below, a grid's sink and the manifest share one timestamp
+    run_dir = args.run = Path(args.out) / (args.run_name or f"{args.command}-{time.strftime('%Y%m%d-%H%M%S')}")
+    try:  # one rule for every command: a run directory describes one run, and a resume continues its own grid
+        held = [name for name in args.outputs if (run_dir / name).exists()]
+        resume = getattr(args, "resume_from", None)
+        if held and not (resume and Path(resume).resolve() == (run_dir / "grid.csv").resolve()):
+            hint = f"continue its grid with --resume-from {run_dir / 'grid.csv'}, or " if "grid.csv" in held else ""
+            raise ResumeError(f"{run_dir} already exists and holds {', '.join(held)} from an earlier run; "
+                              f"{hint}pick another --run-name")
         return args.func(args)
     except ResumeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -402,7 +402,7 @@ def grid_search(
             for kind in here:
                 if kind not in run:
                     preds = predict(prepared["fit", kind], rows)
-                    run[kind] = float(preds.mean()) if preds.size else 0.0
+                    run[kind] = float(preds.mean())
                 recalls[kind, method, n, epsilon] = run[kind]
 
         for finished, (kind, method, n, epsilon) in enumerate(pending, start=len(done) + 1):

@@ -13,6 +13,7 @@ import pytest
 
 import tabevade
 import tabevade.evaluation as evaluation
+from tabevade import cli
 from tabevade.cli import run
 from tabevade.data import load_dataset, load_schema, save_dataset_csv, save_schema
 from tabevade.errors import FitError
@@ -661,6 +662,95 @@ def test_every_command_without_a_run_name_makes_one_timestamped_run_dir(tmp_path
     [made] = out.iterdir()
     assert re.fullmatch(rf"{command}-\d{{8}}-\d{{6}}", made.name)
     assert json.loads((made / "manifest.json").read_text(encoding="utf-8"))["command"] == command
+
+
+def tree_bytes(path: Path) -> dict[str, bytes]:
+    return {p.relative_to(path).as_posix(): p.read_bytes() for p in path.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "rank", "attack", "evaluate", "gridsearch", "curves",
+                                     "extract", "forge"])
+def test_a_second_run_into_one_run_name_exits_2_and_keeps_every_byte(tmp_path, census_files, web_corpus, capsys,
+                                                                      command):
+    data, schema = census_files
+    census = ["--data", str(data), "--schema", str(schema)]
+    web = web_corpus / "w"
+    grid = tmp_path / "grid.csv"
+    evaluation.GridResult(records=(evaluation.GridRecord("logistic_regression", "gini_impurity", 1, 0.5,
+                                                         0.8, 0.4, 0.5),)).to_csv(grid)
+    argv = {
+        "synth": ["--dataset", "webpages"],
+        "train": census + ["--kind", "logistic_regression"],
+        "rank": census + ["--method", "gini_impurity"],
+        "attack": census + ["--n", "1", "--epsilon", "0.5"],
+        "evaluate": census + ["--kind", "logistic_regression", "--n", "1", "--epsilon", "0.5"],
+        "gridsearch": census + ["--models", "logistic_regression", "--n-values", "1", "--eps-steps", "2",
+                                "--workers", "1"],
+        "curves": ["--grid", str(grid)],
+        "extract": ["--pages", str(web / "pages")],
+        "forge": ["--pages", str(web / "pages"), "--data", str(web / "data.csv"), "--schema", str(web / "schema.json"),
+                  "--kind", "logistic_regression", "--n", "9", "--epsilon", "6.0"],
+    }[command]
+    argv = [command, *argv, "--out", str(tmp_path / "runs"), "--run-name", "r"]
+    run_ok(argv)
+    before = tree_bytes(tmp_path / "runs")
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "from an earlier run" in err and "pick another --run-name" in err
+    assert ("--resume-from" in err) == (command == "gridsearch")
+    assert tree_bytes(tmp_path / "runs") == before
+
+
+def test_gridsearch_resume_from_another_sink_into_a_run_dir_that_holds_a_grid_exits_2(tmp_path, census_files,
+                                                                                       capsys):
+    data, schema = census_files
+    args = ["gridsearch", "--data", str(data), "--schema", str(schema),
+            "--models", "logistic_regression", "--methods", "gini_impurity",
+            "--n-values", "1", "--eps-min", "0.1", "--eps-max", "1.2", "--eps-steps", "3",
+            "--workers", "1", "--out", str(tmp_path)]
+    run_ok(args + ["--run-name", "other"])
+    run_ok(args + ["--run-name", "g", "--seed", "3"])
+    other = tmp_path / "other"
+    (other / "grid.csv.lock").unlink()  # so a lock taken on the other sink would show
+    before = dir_bytes(other), dir_bytes(tmp_path / "g")
+    capsys.readouterr()
+    # the other sink resumes cleanly, and its grid would have been copied over g's
+    assert run(args + ["--run-name", "g", "--resume-from", str(other / "grid.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"--resume-from {tmp_path / 'g' / 'grid.csv'}" in err and "--run-name" in err
+    assert (dir_bytes(other), dir_bytes(tmp_path / "g")) == before
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("evaluate", ["--n", "1", "--epsilon", "nan"], "epsilon must be a finite number >= 0, got nan"),
+    ("evaluate", ["--n", "0", "--epsilon", "0.5"], "n must be a positive integer"),
+    ("forge", ["--n", "9", "--epsilon", "nan"], "epsilon must be a finite number >= 0, got nan"),
+    ("forge", ["--n", "9", "--epsilon", "6.0", "--features", "nosuch"], "unknown feature 'nosuch'"),
+])
+def test_a_refused_attack_exits_1_before_any_model_is_fitted(tmp_path, census_files, web_corpus, monkeypatch, capsys,
+                                                              command, extra, message):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit called")
+
+    monkeypatch.setattr(cli, "fit", no_fit)
+    data, schema = census_files
+    web = web_corpus / "w"
+    inputs = {"evaluate": ["--data", str(data), "--schema", str(schema)],
+              "forge": ["--pages", str(web / "pages"), "--data", str(web / "data.csv"),
+                        "--schema", str(web / "schema.json")]}[command]
+    capsys.readouterr()
+    assert run([command, *inputs, *extra, "--out", str(tmp_path / "runs"), "--run-name", "bad"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("dataset, rows", [("blobs", "-1"), ("census", "0")])
+def test_synth_with_fewer_than_one_row_exits_1_and_leaves_no_run_dir(tmp_path, capsys, dataset, rows):
+    assert run(["synth", "--dataset", dataset, "--rows", rows, "--out", str(tmp_path / "runs"), "--run-name", "s"]) == 1
+    assert f"error: --rows must be at least 1, got {rows}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 # sha256 of every CSV the runs below write, line endings included: CRLF in grid.csv and labels.csv, LF elsewhere

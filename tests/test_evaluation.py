@@ -248,6 +248,14 @@ def test_grid_deterministic_across_runs():
     assert a.records == b.records
 
 
+def test_grid_on_a_test_split_without_positives_raises_metric_error():
+    train, test = small_grid_inputs()
+    spec = GridSpec(n_values=(1,), epsilon_values=(0.5,), methods=("gini_impurity",),
+                    model_kinds=("logistic_regression",))
+    with pytest.raises(MetricError, match="recall is undefined without positive samples"):
+        grid_search(train, test.take(test.rows_of_class(0)), spec, seed=0)
+
+
 def test_grid_resume_from_partial_sink(tmp_path):
     train, test = small_grid_inputs(seed=3)
     spec = GridSpec(
