@@ -138,38 +138,45 @@ def build_plan(train: Dataset, config: AttackConfig, seed: int = 0) -> AttackPla
     )
 
 
-def _perturb_rows(X: np.ndarray, plan: AttackPlan) -> np.ndarray:
-    """Perturb every row of a raw matrix at once; unselected features stay bit-identical.
+def perturbations(X: np.ndarray, plan: AttackPlan, epsilons):
+    """Each of ``epsilons``' perturbation of every row of a raw matrix, in turn, under ``plan`` with that budget.
 
-    A row whose budget is not positive (zero epsilon, or a pathological
-    negative scaled sum) comes back unchanged, and so does a selected value
-    whose clamp lands back on the original.
+    The plan's own epsilon is not used.  The samples are scaled, and the
+    selection worked out, once for every epsilon; only one epsilon's rows
+    are built at a time.  Unselected features stay bit-identical.  A row
+    whose budget is not positive (zero epsilon, or a pathological negative
+    scaled sum) comes back unchanged, and so does a selected value whose
+    clamp lands back on the original.
     """
     selected, discrete = plan._selection
     config, scaler = plan.config, plan.scaler
     scaled = transform(X, scaler)
-    delta = (config.epsilon / config.n) * scaled.sum(axis=1, keepdims=True)
+    total = scaled.sum(axis=1, keepdims=True)
     signs = plan.direction.signs[selected]
     before = scaled[:, selected]
-    moved = np.minimum(np.maximum(before + delta * signs, 0.0), 1.0)
     mins = scaler.mins[selected]
-    raw = moved * (scaler.maxs[selected] - mins) + mins
-    # discrete features round toward the original: floor when growing, ceil when shrinking
-    raw = np.where(discrete, np.floor(raw * signs) * signs, raw)
-    live = delta > 0.0
-    out = X.copy()
-    out[:, selected] = np.where(live & (moved != before), raw, out[:, selected])
-    if config.onehot_consistency:
-        # exactly one hot per touched group: the member with the highest scaled
-        # value wins, the lowest index on ties; only rows that had a budget
-        rows = np.flatnonzero(live)
-        hot_scaled = transform(out[rows], scaler)
-        for members in plan.schema.onehot_groups().values():
-            if set(members).isdisjoint(selected):
-                continue
-            hot = np.argmax(hot_scaled[:, members], axis=1)[:, None] == np.arange(len(members))
-            out[np.ix_(rows, members)] = np.where(hot, scaler.maxs[members], scaler.mins[members])
-    return out
+    span = scaler.maxs[selected] - mins
+    original = X[:, selected]
+    for epsilon in epsilons:
+        delta = (epsilon / config.n) * total
+        moved = np.minimum(np.maximum(before + delta * signs, 0.0), 1.0)
+        raw = moved * span + mins
+        # discrete features round toward the original: floor when growing, ceil when shrinking
+        raw = np.where(discrete, np.floor(raw * signs) * signs, raw)
+        live = delta > 0.0
+        out = X.copy()
+        out[:, selected] = np.where(live & (moved != before), raw, original)
+        if config.onehot_consistency:
+            # exactly one hot per touched group: the member with the highest scaled
+            # value wins, the lowest index on ties; only rows that had a budget
+            rows = np.flatnonzero(live)
+            hot_scaled = transform(out[rows], scaler)
+            for members in plan.schema.onehot_groups().values():
+                if set(members).isdisjoint(selected):
+                    continue
+                hot = np.argmax(hot_scaled[:, members], axis=1)[:, None] == np.arange(len(members))
+                out[np.ix_(rows, members)] = np.where(hot, scaler.maxs[members], scaler.mins[members])
+        yield out
 
 
 def perturb(x: np.ndarray, plan: AttackPlan) -> np.ndarray:
@@ -177,7 +184,7 @@ def perturb(x: np.ndarray, plan: AttackPlan) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != plan.schema.n_features:
         raise ShapeError(f"sample must be a vector of {plan.schema.n_features} features")
-    return _perturb_rows(x[None], plan)[0]
+    return next(perturbations(x[None], plan, [plan.config.epsilon]))[0]
 
 
 def perturb_batch(samples: Dataset, plan: AttackPlan) -> np.ndarray:
@@ -190,4 +197,4 @@ def perturb_batch(samples: Dataset, plan: AttackPlan) -> np.ndarray:
         raise ValueError("perturb_batch expects input-class rows only")
     if samples.n_features != plan.schema.n_features:
         raise ShapeError("sample columns do not match the plan's schema")
-    return _perturb_rows(samples.X, plan)
+    return next(perturbations(samples.X, plan, [plan.config.epsilon]))

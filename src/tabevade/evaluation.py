@@ -10,7 +10,8 @@ cell is evaluated in the calling process.
 Once epsilon saturates the n selected features (each is clamped to the
 training range, and discrete ones round back toward the original), a
 larger epsilon perturbs to exactly the same rows.  So the grid perturbs
-each pending (method, n, epsilon) triple once, and each model kind
+each pending (method, n, epsilon) triple once, with one plan and one
+scaling of the test positives per (method, n), and each model kind
 predicts once per run of consecutive triples with equal perturbed rows.
 """
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .attack import AttackConfig, AttackPlan, compute_direction, eligible_features, perturb_batch
+from .attack import AttackConfig, AttackPlan, compute_direction, eligible_features, perturb_batch, perturbations
 from .data import Dataset, atomic_write_text, csv_text, fit_scaler, format_number, schema_to_dict
 from .errors import MetricError, ResumeError, TabevadeError
 from .metrics import auprc, label_recall, recall, success_rate
@@ -319,12 +320,16 @@ def grid_search(
     are then evaluated here, in order, so results are identical for any
     worker count.  A worker that dies raises :class:`TabevadeError`.
     Before anything is fitted, ranked, read or written, ``workers`` below 1
-    raises :class:`ValueError`, and an n above the count of features that
+    raises :class:`ValueError`, an n above the count of features that
     :func:`~tabevade.attack.eligible_features` allows raises
-    :class:`SelectionError`; only then is a missing sink directory made.
+    :class:`SelectionError`, and a ``test`` without positive rows, on which
+    recall is undefined, raises :class:`MetricError`; only then is a
+    missing sink directory made.
 
     Before the first cell is written, one pass takes the pending (method, n,
-    epsilon) triples in spec order and perturbs each once; a triple whose
+    epsilon) triples in spec order and perturbs each once, with one plan
+    and one scaling of the positives per (method, n)
+    (:func:`~tabevade.attack.perturbations`); a triple whose
     rows are not exactly equal (``np.array_equal``) to the previous triple's
     starts a new run.  Each model kind with a pending cell at the triple
     predicts once per run, on those rows, so a resume that skips cells inside
@@ -335,6 +340,8 @@ def grid_search(
         raise ValueError(f"workers must be at least 1, got {workers}")
     scaler, direction = fit_scaler(train), compute_direction(train)
     eligible_features(range(train.n_features), max(spec.n_values), train.schema, direction, scaler)
+    if not np.any(test.y == 1):
+        raise MetricError("recall is undefined without positive samples, and the test split holds none")
     with ExitStack() as stack:  # holds the sink's lock, then the sink, until the last cell is written
         done: dict[tuple, GridRecord] = {}
         fingerprinted = False
@@ -389,21 +396,24 @@ def grid_search(
         positives = test.take(test.rows_of_class(1))
         recalls: dict[tuple, float] = {}  # each pending cell's attack recall
         previous = None  # only the previous triple's rows are held
-        for method, n, epsilon in product(spec.methods, spec.n_values, spec.epsilon_values):
-            here = [kind for kind in kinds if _cell_key(kind, method, n, epsilon) not in done]
-            if not here:
+        for method, n in product(spec.methods, spec.n_values):
+            epsilons = [epsilon for epsilon in spec.epsilon_values
+                        if any(_cell_key(kind, method, n, epsilon) not in done for kind in kinds)]
+            if not epsilons:
                 continue
-            config = AttackConfig(n=n, epsilon=epsilon, method=method)
+            config = AttackConfig(n=n, epsilon=epsilons[0], method=method)
             plan = AttackPlan(train.schema, prepared["rank_features", method], direction, config, scaler)
-            rows = perturb_batch(positives, plan)
-            if previous is None or not np.array_equal(rows, previous):
-                run: dict[str, float] = {}  # the new run's attack recall per kind
-            previous = rows
-            for kind in here:
-                if kind not in run:
-                    preds = predict(prepared["fit", kind], rows)
-                    run[kind] = float(preds.mean())
-                recalls[kind, method, n, epsilon] = run[kind]
+            for epsilon, rows in zip(epsilons, perturbations(positives.X, plan, epsilons)):
+                if previous is None or not np.array_equal(rows, previous):
+                    run: dict[str, float] = {}  # the new run's attack recall per kind
+                previous = rows
+                for kind in kinds:
+                    if _cell_key(kind, method, n, epsilon) in done:
+                        continue
+                    if kind not in run:
+                        preds = predict(prepared["fit", kind], rows)
+                        run[kind] = float(preds.mean())
+                    recalls[kind, method, n, epsilon] = run[kind]
 
         for finished, (kind, method, n, epsilon) in enumerate(pending, start=len(done) + 1):
             attack_recall = recalls[kind, method, n, epsilon]

@@ -14,7 +14,7 @@ most a few nodes, so :mod:`boosting` sums residuals per (node, value)
 instead, over the same :func:`code_values`, :func:`_partition` and
 :func:`_preorder`.  The fitted tree also exposes impurity-decrease feature
 importances, which recursive feature elimination uses; it keeps one
-:class:`Growth` across its steps and regrows only the levels that an
+:class:`Growth` across its steps and regrows only the subtrees that an
 eliminated feature can change.
 """
 from __future__ import annotations
@@ -220,7 +220,7 @@ def shares(gains: np.ndarray) -> np.ndarray:
 
 
 class Growth:
-    """Gini trees grown together level by level (:func:`grow_trees`), kept so that they can regrow from a level.
+    """Gini trees grown together level by level (:func:`grow_trees`), kept so that they can regrow by subtree.
 
     Per level j, ``levels[j]`` holds its nodes' (tree, feature, threshold,
     value, n_samples, gain), ``links[j]``, once the level splits, the ids
@@ -228,24 +228,40 @@ class Growth:
     nodes' trees, their samples node after node, and their sample and
     positive counts.  A growth that is not ``resumable`` keeps only the
     front it grows next, so that each level's samples go once split.  A
-    resumable one keeps every front, and in ``leads[j]`` which features led
-    some node's choice at level j (:func:`leaders`), so that :meth:`drop`
-    can forget a column and leave only the levels it can change to regrow.
+    resumable one keeps every front, and in ``node_leads[j]``, once the
+    level splits, which features led each node's choice (:func:`leaders`),
+    so that :meth:`drop` can forget a column and leave only the subtrees
+    it can change to regrow.
     """
 
     def __init__(self, y, rows, n_trees: int, resumable: bool = False):
         n = rows.size // n_trees
         self.n_trees = n_trees
         self.fronts = [(np.arange(n_trees), rows, np.full(n_trees, n), y[rows].reshape(n_trees, n).sum(axis=1))]
-        self.levels, self.links, self.leads = [], [], []
+        self.levels, self.links, self.node_leads = [], [], []
+        # the old levels from the first that :meth:`drop` changed, each as (kept, feature, threshold, gain, split,
+        # leads) per old node: kept is False where a dropped column led, and leads None on a level without splits
+        self.regrow = []
         self.resumable = resumable
         self.grown = False
 
+    @property
+    def leads(self) -> list[np.ndarray]:
+        """Per split level of a resumable growth, which features led some node's choice."""
+        return [lead.any(axis=0) for lead in self.node_leads]
+
     def grow(self, X, y, columns, streams, k: int, max_depth: int, min_leaf: int) -> None:
-        """Grow from the last front until no node splits, as :func:`grow_trees` documents."""
+        """Grow from the last front until no node splits, as :func:`grow_trees` documents.
+
+        After :meth:`drop`, a node whose old counterpart kept its choice
+        copies that choice, and only the others are scanned.  The children
+        of a node that kept its choice are its old children, in level order.
+        """
         n_trees, d = self.n_trees, X.shape[1]
         count = sum(level[0].size for level in self.levels)  # nodes numbered so far, level by level
-        for depth in itertools.count(len(self.levels)):
+        start, regrow, self.regrow = len(self.levels), self.regrow, []
+        twins = np.arange(self.fronts[-1][0].size) if regrow else None  # each node's old counterpart, -1 for none
+        for depth in itertools.count(start):
             tree, rows, sizes, ones = self.fronts[-1] if self.resumable else self.fronts.pop()
             m = tree.size
             value = ones / np.maximum(sizes, 1)  # only a tree fitted on no rows has an empty node
@@ -258,47 +274,92 @@ class Growth:
             if depth >= max_depth or searched.size == 0 or d == 0:
                 break
             rows = rows[np.repeat(is_searched, sizes)]
-            if k < d:
-                counts = np.bincount(tree[searched], minlength=n_trees).tolist()
-                keys = np.concatenate([g.random((c, d)) for g, c in zip(streams, counts) if c])
-                drawn = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :k], axis=1)
-            else:
-                drawn = np.broadcast_to(np.arange(d), (searched.size, d))
-            pair_cost, pair_threshold = pair_costs(rows, sizes[searched], ones[searched], drawn, columns, min_leaf)
-            leads = leaders(pair_cost)
-            cost, best, cut = pick_features(pair_cost, pair_threshold, drawn, leads)
-            split = np.isfinite(cost)
+            split = np.zeros(searched.size, dtype=bool)
+            lead = np.zeros((m, d), dtype=bool) if self.resumable else None
+            scan_at, scan_rows = slice(None), rows  # which searched nodes are scanned, and their samples
+            if twins is not None:
+                kept, old_feature, old_threshold, old_gain, old_split, old_lead = regrow[depth - start]
+                twin = twins[searched]
+                copied = twin >= 0
+                copied[copied] = kept[twin[copied]]
+                twin[~copied] = -1
+                nodes, twin_kept = searched[copied], twin[copied]
+                feature[nodes], threshold[nodes], gain[nodes] = (old_feature[twin_kept], old_threshold[twin_kept],
+                                                                 old_gain[twin_kept])
+                split[copied] = old_split[twin_kept]
+                if old_lead is not None:
+                    lead[nodes] = old_lead[twin_kept]
+                scan_at = np.flatnonzero(~copied)
+                scan_rows = rows[np.repeat(~copied, sizes[searched])]
+            scan = searched[scan_at]
+            if scan.size:
+                if k < d:
+                    counts = np.bincount(tree[scan], minlength=n_trees).tolist()
+                    keys = np.concatenate([g.random((c, d)) for g, c in zip(streams, counts) if c])
+                    drawn = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :k], axis=1)
+                else:
+                    drawn = np.broadcast_to(np.arange(d), (scan.size, d))
+                pair_cost, pair_threshold = pair_costs(scan_rows, sizes[scan], ones[scan], drawn, columns, min_leaf)
+                leads = leaders(pair_cost)
+                cost, best, cut = pick_features(pair_cost, pair_threshold, drawn, leads)
+                found = np.isfinite(cost)
+                split[scan_at] = found
+                nodes = scan[found]
+                feature[nodes], threshold[nodes] = best[found], cut[found]
+                gain[nodes] = sizes[nodes] * np.maximum(impurity[nodes] - cost[found], 0.0)
+                if lead is not None:
+                    lead[scan[:, None], drawn] = leads
             if not split.any():
                 break
             parents = searched[split]
-            feature[parents], threshold[parents] = best[split], cut[split]
-            gain[parents] = sizes[parents] * np.maximum(impurity[parents] - cost[split], 0.0)
             self.links.append((count + parents, count + m + 2 * np.arange(parents.size)))
             count += m
             self.fronts.append((np.repeat(tree[parents], 2),
                                 *_partition(X, y, rows[np.repeat(split, sizes[searched])], sizes[parents],
                                             feature[parents], threshold[parents])))
-            if self.resumable:
-                self.leads.append(np.bincount(drawn[leads], minlength=d) > 0)
+            if lead is not None:
+                self.node_leads.append(lead)
+            if twins is not None and depth + 1 - start < len(regrow):
+                # a parent that kept its choice has its old children: the 2r-th and next of the old level below,
+                # for the parent's rank r among the old level's split nodes
+                old = twin[split]
+                rank = np.cumsum(old_split) - 1
+                twins = np.where(old[:, None] >= 0, 2 * rank[old][:, None] + np.arange(2), -1).ravel()
+            else:
+                twins = None
         self.grown = True
 
     def drop(self, column: int) -> None:
         """Forget ``column`` of a resumable growth's matrix, whose later columns each move down one.
 
         The trees must draw no features (k equal to d).  Only a feature
-        that led some node's choice can change that choice when it goes.
-        So the levels above the shallowest one where ``column`` led keep
-        every node's choice, partition, gain and node id, and the next
-        :meth:`grow` regrows the rest on the remaining columns; a column
-        that never led leaves the trees grown.
+        that led some node's choice can change that choice when it goes,
+        and with it the samples of every node below.  So every other node
+        keeps its choice, partition, gain and node id, and the next
+        :meth:`grow` rescans only the nodes ``column`` led and the subtrees
+        under them; a column that never led leaves the trees grown.
         """
-        led = [j for j, lead in enumerate(self.leads) if lead[column]]
-        if led:
-            del self.levels[led[0]:], self.links[led[0]:], self.leads[led[0]:], self.fronts[led[0] + 1:]
+        old, offset = [], 0  # every old level, grown or still to regrow, as :attr:`regrow` holds them
+        for j, (tree, feature, threshold, _, _, gain) in enumerate(self.levels):
+            split, lead = np.zeros(tree.size, dtype=bool), None
+            if j < len(self.links):
+                split[self.links[j][0] - offset] = True
+                lead = self.node_leads[j]
+            old.append((np.ones(tree.size, dtype=bool), feature, threshold, gain, split, lead))
+            offset += tree.size
+        levels = []  # only a node with a kept parent can keep its choice, and grow() looks no further
+        for kept, feature, threshold, gain, split, lead in old + self.regrow:
+            if lead is not None:
+                kept = kept & ~lead[:, column]
+                lead = np.delete(lead, column, axis=1)
+            feature[feature > column] -= 1
+            levels.append((kept, feature, threshold, gain, split, lead))
+        first = next((j for j, level in enumerate(levels) if not level[0].all()), len(levels))
+        self.node_leads = [level[5] for level in levels[:min(first, len(self.links))]]
+        if first < len(levels):
+            del self.levels[first:], self.links[first:], self.fronts[first + 1:]
+            self.regrow = levels[first:]
             self.grown = False
-        for level in self.levels:
-            level[1][level[1] > column] -= 1
-        self.leads = [np.delete(lead, column) for lead in self.leads]
 
     def trees(self, d: int) -> list[tuple[FlatTree, np.ndarray]]:
         """One preorder ``(FlatTree, gains)`` pair per tree.
@@ -414,18 +475,21 @@ def _cost_pairs(rows, sizes, ones, drawn, columns, min_leaf):
     cells += rows[:, None] * keyed.shape[1]
     keys += keyed.ravel().take(cells)
     keys = np.sort(keys, axis=None)  # by pair, then code, then label
-    group = keys >> 1
-    last = np.flatnonzero(group[1:] != group[:-1])  # each group's last position, but the final group's
+    ends = np.flatnonzero(np.append(keys[1:] != keys[:-1], True))  # each run of equal keys' last position
+    run = keys[ends]
+    positives = np.cumsum((run & 1) * np.diff(ends, prepend=-1))  # positive samples up to each run's end
+    group = run >> 1  # each run's (pair, code)
+    last = np.flatnonzero(group[1:] != group[:-1])  # each group's last run, but the final group's
     at = group[last] // span  # the pair left of each boundary
-    left_n = last + 1 - pair_start[at]
+    left_n = ends[last] + 1 - pair_start[at]
     right_n = pair_size[at] - left_n
     valid = np.flatnonzero((left_n >= max(min_leaf, 1)) & (right_n >= max(min_leaf, 1)))
     if valid.size == 0:
         return None
     last, at, left_n, right_n = last[valid], at[valid], left_n[valid], right_n[valid]
-    positives = np.cumsum(keys & 1)
-    left_ones = positives[last] - np.concatenate([[0], positives[pair_start[1:] - 1]])[at]
-    right_ones = ones[at // k] - left_ones
+    pair_ones = np.repeat(ones, k)  # each pair sees all its node's samples
+    left_ones = positives[last] - (np.cumsum(pair_ones) - pair_ones)[at]
+    right_ones = pair_ones[at] - left_ones
     costs = gini_cost(left_n.astype(float), right_n.astype(float), left_ones.astype(float),
                       right_ones.astype(float), pair_size[at])
     hits = first_minima(at, costs)  # each pair's first (lowest threshold) minimum

@@ -216,19 +216,22 @@ def rfe_steps(Xs: np.ndarray, y: np.ndarray):
     ``DecisionTree(**tree.DEFAULTS)`` grows on ``Xs[:, remaining]`` alone,
     its features numbered by position in ``remaining``, and ``worst`` is
     the survivor with the smallest importance.  The tree is not refitted:
-    dropping a feature that led no node's choice leaves every node as it
-    is, so the last tree stays, and otherwise it regrows from the
-    shallowest level where that feature led (:meth:`tree.Growth.drop`).
-    Every growth reads the surviving columns of one coding of ``Xs``.
+    dropping a feature leaves every node that it did not lead, nor any
+    node above, as it is, so only the subtrees under the nodes it led
+    regrow (:meth:`tree.Growth.drop`), and a feature that led nowhere
+    leaves the last tree.  Every growth reads the surviving columns of one
+    coding of ``Xs``.
     """
     keyed, distinct, offsets, span = tree.code_columns(Xs, y)
     remaining = list(range(Xs.shape[1]))
     growth = tree.Growth(y, np.arange(y.size), 1, resumable=True)
     while len(remaining) > 1:
         if not growth.grown:
-            # a bare tree on scaled columns: part of a one-hot group is no valid Dataset for models.fit
-            columns = (keyed[:, remaining], distinct, offsets[remaining], span)
-            growth.grow(Xs[:, remaining], y, columns, [None], len(remaining), tree.DEFAULTS["max_depth"],
+            # a bare tree on scaled columns: part of a one-hot group is no valid Dataset for models.fit.
+            # take() keeps the rows contiguous, which each level's scan and partition read; Xs[:, remaining]
+            # would come out column-major and be copied again at every level
+            columns = (keyed.take(remaining, axis=1), distinct, offsets[remaining], span)
+            growth.grow(Xs.take(remaining, axis=1), y, columns, [None], len(remaining), tree.DEFAULTS["max_depth"],
                         tree.DEFAULTS["min_leaf"])
         [(flat, gains)] = growth.trees(len(remaining))
         imps = tree.shares(gains)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from oracles import perturb_reference
@@ -11,6 +13,7 @@ from tabevade.attack import (
     compute_direction,
     perturb,
     perturb_batch,
+    perturbations,
     select_features,
 )
 from tabevade.data import Dataset, FeatureSchema, FeatureSpec, ScalerState, fit_scaler, transform
@@ -398,6 +401,16 @@ def test_perturb_and_batch_match_the_scalar_reference(seed):
     assert np.array_equal(batch, expected)
     for x, want in zip(rows, expected):
         assert np.array_equal(perturb(x, plan), want)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_perturbations_give_each_epsilon_the_bytes_of_its_own_plans_batch(seed):
+    plan, rows = oracle_plan_and_rows(seed)
+    samples = Dataset(X=rows, y=np.ones(len(rows), dtype=int), schema=plan.schema)
+    epsilons = [0.0, 0.05, 0.3, 1.7, 1e6]
+    for epsilon, out in zip(epsilons, perturbations(rows, plan, epsilons), strict=True):
+        own = dataclasses.replace(plan, config=dataclasses.replace(plan.config, epsilon=epsilon))
+        assert out.tobytes() == perturb_batch(samples, own).tobytes(), epsilon
 
 
 def test_zero_budget_leaves_an_unseen_category_alone():

@@ -472,18 +472,24 @@ def saturating_inputs():
     return split(census_like(400, seed=0), 0.8, seed=0)
 
 
-def perturbation_runs(train, test, spec):
-    """Each (method, n, epsilon) triple's run: runs of consecutive triples, in spec order, with equal rows."""
+def perturbed_rows(train, test, spec):
+    """Each (method, n, epsilon) triple's rows, as ``perturb_batch`` makes them with that triple's own plan."""
     direction, scaler = compute_direction(train), fit_scaler(train)
     positives = test.take(test.rows_of_class(1))
-    keys = {}
+    rows = {}
     for method in spec.methods:
         ranking = rank_features(train, method, seed=0)
         for n in spec.n_values:
             for epsilon in spec.epsilon_values:
                 plan = AttackPlan(train.schema, ranking, direction, AttackConfig(n=n, epsilon=epsilon, method=method),
                                   scaler)
-                keys[method, n, epsilon] = perturb_batch(positives, plan).tobytes()
+                rows[method, n, epsilon] = perturb_batch(positives, plan)
+    return rows
+
+
+def perturbation_runs(train, test, spec):
+    """Each (method, n, epsilon) triple's run: runs of consecutive triples, in spec order, with equal rows."""
+    keys = {triple: rows.tobytes() for triple, rows in perturbed_rows(train, test, spec).items()}
     runs, run, previous = {}, -1, None
     for triple, key in keys.items():
         run += key != previous
@@ -549,18 +555,44 @@ def test_grid_resume_of_one_run_per_kind_predicts_each_kind(tmp_path, monkeypatc
     assert [model.kind for model in predicts] == list(SATURATING.model_kinds)
 
 
+def test_grid_predicts_the_rows_perturb_batch_makes_with_each_triples_plan(monkeypatch):
+    train, test = saturating_inputs()
+    rows = perturbed_rows(train, test, SATURATING)
+    first = {}  # each run's first triple, the one whose rows its predicts get
+    for triple, run in perturbation_runs(train, test, SATURATING).items():
+        first.setdefault(run, triple)
+    predicted = counting(monkeypatch, "predict", 1)
+    grid_search(train, test, SATURATING, seed=0)
+    assert [X.tobytes() for X in predicted] == [rows[triple].tobytes() for triple in first.values()
+                                                for _ in SATURATING.model_kinds]
+
+
 def test_grid_perturbs_each_pending_triple_once(tmp_path, monkeypatch):
+    # one plan and one scaling per (method, n), whose pending epsilons are perturbed in spec order
     train, test = saturating_inputs()
     triples = list(itertools.product(SATURATING.methods, SATURATING.n_values, SATURATING.epsilon_values))
-    plans = counting(monkeypatch, "perturb_batch", 1)
+    pairs, perturbed = [], []
+    perturbations = evaluation.perturbations
+
+    def recorded(X, plan, epsilons):
+        pairs.append((plan.config.method, plan.config.n))
+        for epsilon, rows in zip(epsilons, perturbations(X, plan, epsilons)):
+            perturbed.append((plan.config.method, plan.config.n, epsilon))
+            yield rows
+
+    monkeypatch.setattr(evaluation, "perturbations", recorded)
+    batches = counting(monkeypatch, "perturb_batch", 1)
     full = grid_search(train, test, SATURATING, seed=0)
-    assert [(p.config.method, p.config.n, p.config.epsilon) for p in plans] == triples
+    assert perturbed == triples and batches == []
+    assert pairs == list(itertools.product(SATURATING.methods, SATURATING.n_values))
     sink = tmp_path / "grid.csv"
     GridResult(records=full.records[::2]).to_csv(sink)  # every other cell, so each run is cut into pieces
-    plans.clear()
+    pairs.clear()
+    perturbed.clear()
     assert grid_search(train, test, SATURATING, seed=0, sink=sink).records == full.records
     pending = {(r.method, r.n, r.epsilon) for r in full.records[1::2]}
-    assert [(p.config.method, p.config.n, p.config.epsilon) for p in plans] == [t for t in triples if t in pending]
+    assert perturbed == [t for t in triples if t in pending]
+    assert pairs == list(dict.fromkeys(t[:2] for t in triples if t in pending))
 
 
 def test_grid_progress_counts_each_pending_cell_in_order(tmp_path):
@@ -603,6 +635,19 @@ def test_grid_with_an_n_past_the_eligible_features_refuses_before_any_work(tmp_p
     for sink in (tmp_path / "grid.csv", tmp_path / "run" / "grid.csv"):
         with pytest.raises(SelectionError, match="attack wants n=38 features but only 37 are eligible"):
             grid_search(train, test, spec, seed=0, sink=sink, workers=1,
+                        started=lambda: pytest.fail("a refused run started"))
+    assert calls == {}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_on_a_test_split_without_positives_refuses_before_any_work(tmp_path, count_calls):
+    calls = count_calls(evaluation, "fit", "rank_features")
+    train, test = small_grid_inputs()
+    spec = GridSpec(n_values=(1,), epsilon_values=(0.5,), methods=("gini_impurity",),
+                    model_kinds=("logistic_regression",))
+    for sink in (tmp_path / "grid.csv", tmp_path / "run" / "grid.csv"):
+        with pytest.raises(MetricError, match="recall is undefined without positive samples"):
+            grid_search(train, test.take(test.rows_of_class(0)), spec, seed=0, sink=sink, workers=1,
                         started=lambda: pytest.fail("a refused run started"))
     assert calls == {}
     assert list(tmp_path.iterdir()) == []

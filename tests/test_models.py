@@ -591,6 +591,65 @@ def test_growth_drop_regrows_from_the_first_level_the_dropped_feature_led():
     assert flat.feature.tolist() == [0, 0, 0] and gains.tolist() == [4.0]
 
 
+def test_growth_drop_rescans_only_the_subtree_under_the_node_the_dropped_column_led(monkeypatch):
+    # the root splits on column 0; below it column 1 leads (and splits) the left child, and column 2 the right
+    y = np.array([0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 1])
+    X = np.array([[2, 1, 1, 2, 0, 2, 3, 0, 3, 3, 0, 3],
+                  [3, 3, 1, 0, 1, 2, 3, 0, 3, 3, 3, 3],
+                  [0, 3, 1, 3, 1, 2, 0, 2, 2, 0, 0, 3]], dtype=float).T
+
+    def grown(X):
+        growth = tree_module.Growth(y, np.arange(12), 1, resumable=True)
+        growth.grow(X, y, code_columns(X, y), [None], X.shape[1], 12, 1)
+        return growth
+
+    growth = grown(X)
+    assert [lead[:, 1].tolist() for lead in growth.node_leads] == [[False], [True, False], [False] * 4]
+    before = growth.trees(3)[0][0]
+    assert before.feature[[0, 1, 6]].tolist() == [0, 1, 2] and before.threshold[0] == 2.5
+    scanned = []
+    pair_costs = tree_module.pair_costs
+
+    def recorded(rows, *args):
+        scanned.append(rows.tolist())
+        return pair_costs(rows, *args)
+
+    monkeypatch.setattr(tree_module, "pair_costs", recorded)
+    growth.drop(1)
+    assert not growth.grown and len(growth.levels) == 1
+    survivors = X[:, [0, 2]]
+    growth.grow(survivors, y, code_columns(survivors, y), [None], 2, 12, 1)
+    left = np.flatnonzero(X[:, 0] < 2.5).tolist()
+    assert scanned[0] == left  # the left child alone; the right child keeps its choice unscanned
+    assert set().union(*scanned) <= set(left)
+    [(flat, gains)] = growth.trees(2)
+    fresh_flat, fresh_gains = grown(survivors).trees(2)[0]
+    assert flat.to_dict() == fresh_flat.to_dict() and gains.tolist() == fresh_gains.tolist()
+    assert flat.feature[0] == 0 and flat.feature[flat.right[0]] == 1  # the right child's column 2, renumbered
+
+
+@pytest.mark.parametrize("columns", [(1, 1), (1, 0), (2, 1), (0, 0)])
+def test_growth_dropping_two_columns_before_it_regrows_grows_the_tree_of_the_survivor(columns):
+    rng = np.random.default_rng(4)
+    X = rng.integers(0, 4, size=(40, 3)).astype(float)
+    y = (X[:, 0] + rng.integers(0, 3, size=40) > 3).astype(np.intp)
+
+    def grown(X):
+        growth = tree_module.Growth(y, np.arange(40), 1, resumable=True)
+        growth.grow(X, y, code_columns(X, y), [None], X.shape[1], 12, 1)
+        return growth
+
+    growth = grown(X)
+    survivors = list(range(3))
+    for column in columns:
+        growth.drop(column)
+        survivors.pop(column)
+    survivor = X[:, survivors]
+    if not growth.grown:
+        growth.grow(survivor, y, code_columns(survivor, y), [None], 1, 12, 1)
+    assert growth.trees(1)[0][0].to_dict() == grown(survivor).trees(1)[0][0].to_dict()
+
+
 def test_growth_drop_regrows_after_an_overtaken_leader_goes(monkeypatch):
     # the root costs 0.3, 0.3 - 5e-16 and 0.3 - 1.2e-15: column 0 leads, the margin refuses column 1, and
     # column 2 overtakes column 0 and splits.  Without column 0 the margin refuses column 2 instead, so

@@ -266,7 +266,7 @@ def test_rfe_coded_once_ranks_as_a_decision_tree_refitted_on_the_survivors(seed)
     assert rfe_rank(ds, seed=seed).order == tuple(remaining + eliminated[::-1])
 
 
-@pytest.mark.parametrize("rows, seed", [(300, 0), (300, 3), (3000, 41)])
+@pytest.mark.parametrize("rows, seed", [(300, 0), (300, 3), (3000, 41), (3000, 7)])
 def test_every_rfe_step_holds_the_tree_a_refit_on_the_survivors_grows(rows, seed, monkeypatch):
     # kept, resumed or regrown from the root, a step's tree is the one fitted on the survivors alone
     ds = census_like(n_rows=rows, seed=seed)
