@@ -128,14 +128,14 @@ def select_features(plan: AttackPlan) -> list[int]:
 
 
 def build_plan(train: Dataset, config: AttackConfig, seed: int = 0) -> AttackPlan:
-    """Rank, orient and fit the scaler on the training data in one step."""
-    return AttackPlan(
-        schema=train.schema,
-        ranking=rank_features(train, config.method, seed=seed),
-        direction=compute_direction(train),
-        config=config,
-        scaler=fit_scaler(train),
-    )
+    """Orient, fit the scaler and rank on the training data in one step.
+
+    A config that cannot select ``config.n`` features (see `eligible_features`)
+    is refused with SelectionError before the ranking runs.
+    """
+    direction, scaler = compute_direction(train), fit_scaler(train)
+    eligible_features(range(train.n_features), config.n, train.schema, direction, scaler, config.feature_mask)
+    return AttackPlan(train.schema, rank_features(train, config.method, seed=seed), direction, config, scaler)
 
 
 def perturbations(X: np.ndarray, plan: AttackPlan, epsilons):

@@ -23,7 +23,7 @@ from urllib.parse import unquote
 import numpy
 
 from . import __version__, synth
-from .attack import AttackConfig, build_plan, perturb_batch, select_features
+from .attack import AttackConfig, AttackPlan, build_plan, perturb_batch, select_features
 from .data import (Dataset, atomic_write_text, csv_text, format_number, load_dataset, load_schema, save_dataset_csv,
                    save_schema, split)
 from .errors import ExtractionError, ResumeError, ShapeError, TabevadeError
@@ -38,11 +38,11 @@ from .evaluation import (
     numeric_platform,
 )
 from .metrics import recall
-from .models import MODEL_KINDS, fit, load_model, save_model
+from .models import MODEL_KINDS, Model, fit, load_model, save_model
 from .ranking import RANKING_METHODS, rank_features
 from .svgchart import bar_chart, line_chart
 from .webfeatures import WEB_FEATURE_NAMES, WebPage, default_web_schema, extract_features
-from .webspace import check_problem_space_plan, problem_space_attack
+from .webspace import check_problem_space, problem_space_attack
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +84,22 @@ def _mask_indices(dataset: Dataset, names: str | None) -> frozenset[int] | None:
     if not names:
         return None
     return frozenset(dataset.schema.index_of(n.strip()) for n in names.split(",") if n.strip())
+
+
+def _plan(args, train: Dataset, feature_mask: frozenset[int] | None = None) -> AttackPlan:
+    """The plan the attack flags ask for over ``train``; ``feature_mask``, if given, stands in for --features'."""
+    config = AttackConfig(n=args.n, epsilon=args.epsilon, method=args.method,
+                          feature_mask=_mask_indices(train, args.features) if feature_mask is None else feature_mask,
+                          onehot_consistency=getattr(args, "onehot_consistency", False))
+    return build_plan(train, config, seed=args.seed)  # refused, before any ranking, when it cannot select --n
+
+
+def _defender(args, train: Dataset) -> Model:
+    """The model --model names, or a --kind fitted on ``train``; refused unless it is as wide as the data."""
+    model = load_model(args.model) if args.model else fit(args.kind, train, seed=args.seed)
+    if model.n_features != train.n_features:
+        raise ShapeError(f"model expects {model.n_features} features, the data has {train.n_features}")
+    return model
 
 
 def _read_text(path: Path) -> str:
@@ -171,14 +187,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_attack(args) -> int:
     dataset = _load(args)
-    config = AttackConfig(
-        n=args.n,
-        epsilon=args.epsilon,
-        method=args.method,
-        feature_mask=_mask_indices(dataset, args.features),
-        onehot_consistency=args.onehot_consistency,
-    )
-    plan = build_plan(dataset, config, seed=args.seed)
+    plan = _plan(args, dataset)
     positives = dataset.take(dataset.rows_of_class(1))
     perturbed = perturb_batch(positives, plan)
     selected = select_features(plan)
@@ -205,12 +214,9 @@ def _cmd_attack(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     dataset = _load(args)
-    config = AttackConfig(n=args.n, epsilon=args.epsilon, method=args.method,
-                          feature_mask=_mask_indices(dataset, args.features))
     train, test = split(dataset, args.train_fraction, args.seed)
-    plan = build_plan(train, config, seed=args.seed)  # refused before the model is fitted or loaded
-    model = load_model(args.model) if args.model else fit(args.kind, train, seed=args.seed)
-    report = evaluate_attack(model, test, plan)
+    plan = _plan(args, train)
+    report = evaluate_attack(_defender(args, train), test, plan)
     run = _run_dir(args)
     payload = {
         "model": report.model_kind,
@@ -219,9 +225,9 @@ def _cmd_evaluate(args) -> int:
         "success_rate": report.success_rate,
         "auprc_baseline": report.auprc_baseline,
         "auprc_attack": report.auprc_attack,
-        "n": config.n,
-        "epsilon": config.epsilon,
-        "method": config.method,
+        "n": plan.config.n,
+        "epsilon": plan.config.epsilon,
+        "method": plan.config.method,
     }
     atomic_write_text(run / "report.json", json.dumps(payload, indent=2) + "\n")
     print(
@@ -336,20 +342,13 @@ def _cmd_extract(args) -> int:
 
 def _cmd_forge(args) -> int:
     paths = _page_paths(Path(args.pages))
-    schema = load_schema(args.schema)
-    dataset = load_dataset(args.data, schema)
-    if dataset.schema.names != WEB_FEATURE_NAMES:
-        raise TabevadeError("forge needs training data over the 52 page features (see `synth --dataset webpages`)")
+    dataset = _load(args)
     mask = _mask_indices(dataset, args.features)
     if mask is None:
         mask = frozenset(dataset.schema.addable_indices())
-    config = AttackConfig(n=args.n, epsilon=args.epsilon, method=args.method, feature_mask=mask)
-    plan = build_plan(dataset, config, seed=args.seed)
-    check_problem_space_plan(plan)
-    select_features(plan)  # the plan's refusals come before the model is fitted or loaded
-    model = load_model(args.model) if args.model else fit(args.kind, dataset, seed=args.seed)
-    if model.n_features != dataset.n_features:
-        raise ShapeError(f"model expects {model.n_features} features, the data has {dataset.n_features}")
+    check_problem_space(dataset.schema, mask)
+    plan = _plan(args, dataset, mask)
+    model = _defender(args, dataset)
     run = _run_dir(args)
     page_dir = run / "pages"
     page_dir.mkdir(parents=True, exist_ok=True)

@@ -149,14 +149,13 @@ class ProblemSpaceRecord:
     evaded: bool
 
 
-def check_problem_space_plan(plan: AttackPlan) -> None:
-    """Refuse a plan that is not over the 52 page features or may move a feature no addition realizes."""
-    if plan.schema.names != WEB_FEATURE_NAMES:
+def check_problem_space(schema, feature_mask: frozenset[int] | None) -> None:
+    """Refuse a schema not over the 52 page features, or a mask that lets a feature no addition realizes move."""
+    if schema.names != WEB_FEATURE_NAMES:
         raise InfeasibleInjectionError(
-            "problem-space attacks need a plan built over the 52 page features"
+            "problem-space attacks need a schema over the 52 page features (see `synth --dataset webpages`)"
         )
-    addable = set(plan.schema.addable_indices())
-    if plan.config.feature_mask is None or not plan.config.feature_mask <= addable:
+    if feature_mask is None or not feature_mask <= set(schema.addable_indices()):
         raise InfeasibleInjectionError(
             "problem-space attacks need config.feature_mask restricted to addable features"
         )
@@ -173,7 +172,7 @@ def problem_space_attack(
     and the re-extracted vector once each, and each label is drawn from
     its score as :func:`~tabevade.models.predict` draws it.
     """
-    check_problem_space_plan(plan)
+    check_problem_space(plan.schema, plan.config.feature_mask)
     original = extract_features(page)
     adversarial = WebFeatureVector(values=perturb(original.values, plan))
     injection = plan_injection(original, adversarial, plan.schema)

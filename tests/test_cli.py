@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import tabevade
+import tabevade.attack as attack
 import tabevade.evaluation as evaluation
 from tabevade import cli
 from tabevade.cli import run
@@ -744,6 +745,29 @@ def test_a_refused_attack_exits_1_before_any_model_is_fitted(tmp_path, census_fi
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command, n, eligible", [("attack", 40, 37), ("evaluate", 40, 37), ("forge", 20, 9)])
+def test_an_n_past_the_eligible_features_is_refused_before_any_ranking_or_fit(tmp_path, census_files, web_corpus,
+                                                                              count_calls, capsys, command, n,
+                                                                              eligible):
+    data, schema = census_files
+    web = web_corpus / "w"
+    inputs = {"attack": ["--data", str(data), "--schema", str(schema)],
+              "evaluate": ["--data", str(data), "--schema", str(schema), "--kind", "logistic_regression"],
+              "forge": ["--pages", str(web / "pages"), "--data", str(web / "data.csv"),
+                        "--schema", str(web / "schema.json"), "--kind", "logistic_regression"]}[command]
+    ranked, fitted = count_calls(attack, "rank_features"), count_calls(cli, "fit", "load_model")
+    argv = [command, *inputs, "--epsilon", "0.5", "--out", str(tmp_path / "runs"), "--run-name", "r"]
+    capsys.readouterr()
+    assert run([*argv, "--n", str(n)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"attack wants n={n} features but only {eligible} are eligible" in err
+    assert (ranked, fitted) == ({}, {})
+    assert not (tmp_path / "runs").exists()
+    run_ok([*argv, "--n", str(eligible)])  # the spies see the work a plan that can be met does
+    assert ranked == {"rank_features": 1}
+    assert fitted == ({} if command == "attack" else {"fit": 1})
 
 
 @pytest.mark.parametrize("dataset, rows", [("blobs", "-1"), ("census", "0")])
