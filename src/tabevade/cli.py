@@ -15,6 +15,7 @@ import argparse
 import errno
 import json
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -350,41 +351,28 @@ def _cmd_forge(args) -> int:
     plan = _plan(args, dataset, mask)
     model = _defender(args, dataset)
     run = _run_dir(args)
-    page_dir = run / "pages"
-    page_dir.mkdir(parents=True, exist_ok=True)
-    rows = [
-        [
-            "page",
-            "baseline_label",
-            "attack_label",
-            "baseline_score",
-            "attack_score",
-            "evaded",
-            "planned",
-            "side_effects",
-        ]
-    ]
+    # the pages go to a private directory, renamed to pages/ once every one is written
+    page_dir = run / f".pages.{os.urandom(8).hex()}.tmp"
+    page_dir.mkdir()
+    rows = [["page", "baseline_label", "attack_label", "baseline_score", "attack_score", "evaded", "planned",
+             "side_effects"]]
     flipped = 0
-    for path in paths:
-        page = _read_page(path)
-        forged, record = problem_space_attack(page, plan, model)
-        # forge_report.csv, written last and synced, vouches for the pages
-        atomic_write_text(page_dir / path.name, forged.html, fsync=False)
-        planned = ";".join(f"{k}:+{v}" for k, v in sorted(record.planned.items()))
-        effects = ";".join(f"{k}:{v:+g}" for k, v in sorted(record.side_effects.items()))
-        rows.append(
-            [
-                path.name,
-                str(record.baseline_label),
-                str(record.attack_label),
-                format_number(record.baseline_score),
-                format_number(record.attack_score),
-                str(int(record.evaded)),
-                planned,
-                effects,
-            ]
-        )
-        flipped += int(record.evaded)
+    try:
+        for path in paths:
+            page = _read_page(path)
+            forged, record = problem_space_attack(page, plan, model)
+            # forge_report.csv, written last and synced, vouches for the pages
+            atomic_write_text(page_dir / path.name, forged.html, fsync=False)
+            planned = ";".join(f"{k}:+{v}" for k, v in sorted(record.planned.items()))
+            effects = ";".join(f"{k}:{v:+g}" for k, v in sorted(record.side_effects.items()))
+            rows.append([path.name, str(record.baseline_label), str(record.attack_label),
+                         format_number(record.baseline_score), format_number(record.attack_score),
+                         str(int(record.evaded)), planned, effects])
+            flipped += int(record.evaded)
+        os.rename(page_dir, run / "pages")
+    except BaseException:
+        shutil.rmtree(page_dir)
+        raise
     atomic_write_text(run / "forge_report.csv", csv_text(rows))
     print(f"forged {len(rows) - 1} pages, {flipped} evaded -> {run}")
     return 0

@@ -309,8 +309,10 @@ def grid_search(
     ranked.  A fingerprint of the inputs is kept beside the sink (see
     :func:`fingerprint_path`), and resuming a sink whose fingerprint differs
     raises :class:`ResumeError`; a sink without one resumes and gets one.  A new sink and its fingerprint are
-    written only once the fits and rankings have returned, so a run that fails
-    there leaves nothing behind to resume.  From before the fingerprint
+    written only once the fits and rankings have returned and every fitted
+    kind's baseline recall on ``test`` is above 0 (a kind at 0 raises
+    :class:`MetricError`, naming it, as its success rate is undefined), so a
+    run that fails there leaves nothing behind to resume.  From before the fingerprint
     check until the last cell, the run holds an exclusive ``flock`` on
     ``<sink>.lock``; a run that finds it held raises :class:`ResumeError`
     before it reads or writes anything.  ``started`` is called once the run
@@ -385,14 +387,18 @@ def grid_search(
         else:
             results = [_prepare(task, train, seed) for task in tasks]
         prepared = dict(zip(tasks, results))
-        if sink is not None:  # created only now, so a failed fit or ranking leaves no sink behind
+        baselines = {kind: recall(prepared["fit", kind], test.X, test.y) for kind in kinds}
+        unattackable = [kind for kind in kinds if baselines[kind] <= 0.0]
+        if unattackable:
+            raise MetricError(f"success rate is undefined when the baseline recall is 0, as it is for "
+                              f"{', '.join(unattackable)} on this test split")
+        if sink is not None:  # created only now, so a failed fit or ranking, or a baseline of 0, leaves no sink
             if not fingerprinted:
                 atomic_write_text(fingerprint_path(sink), json.dumps(fingerprint, indent=2) + "\n")
             handle = stack.enter_context(open(sink, "a", encoding="utf-8", newline=""))
             if handle.tell() == 0:
                 handle.write(csv_text([GRID_COLUMNS], "\r\n"))
                 handle.flush()
-        baselines = {kind: recall(prepared["fit", kind], test.X, test.y) for kind in kinds}
         positives = test.take(test.rows_of_class(1))
         recalls: dict[tuple, float] = {}  # each pending cell's attack recall
         previous = None  # only the previous triple's rows are held

@@ -553,13 +553,17 @@ class DecisionTree:
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator | None = None):
         """Grow on every row, drawing ``max_features`` per node as a one-tree forest without bootstrap does.
 
-        Without ``rng`` every node scans every feature.
+        A tree that draws fewer than all the features needs ``rng`` (FitError
+        without one); a tree that scans them all draws nothing from it.
         """
         X = np.ascontiguousarray(X, dtype=float)
         y = np.asarray(y, dtype=np.intp)
         n, d = X.shape
-        k = d if rng is None else feature_count(self.max_features, d)
-        streams = [None] if rng is None else tree_streams(rng, 1)
+        k = feature_count(self.max_features, d)
+        if k < d and rng is None:
+            raise FitError(f"max_features={self.max_features!r} draws {k} of {d} features per node, "
+                           "which needs an rng")
+        streams = tree_streams(rng, 1) if k < d else [None]
         [(self.flat, self.importances)] = grow_trees(X, y, code_columns(X, y), np.arange(n), streams, k,
                                                      self.max_depth, self.min_leaf)
         self.n_features = d

@@ -9,6 +9,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tabevade
@@ -19,7 +20,7 @@ from tabevade.cli import run
 from tabevade.data import load_dataset, load_schema, save_dataset_csv, save_schema
 from tabevade.errors import FitError
 from tabevade.svgchart import bar_chart, line_chart
-from tabevade.synth import census_like_rows, census_like_schema
+from tabevade.synth import census_like_rows, census_like_schema, gaussian_blobs
 
 
 @pytest.fixture()
@@ -160,6 +161,18 @@ def test_gridsearch_epsilon_grid_has_50_values(tmp_path, census_files):
     assert eps[0] == "0.001" and eps[-1] == "4"
 
 
+def test_gridsearch_n_min_and_n_max_write_only_that_range(tmp_path, census_files):
+    data, schema = census_files
+    common = ["gridsearch", "--data", str(data), "--schema", str(schema), "--models", "logistic_regression",
+              "--eps-steps", "2", "--workers", "1", "--out", str(tmp_path)]
+    run_ok([*common, "--n-min", "2", "--n-max", "3", "--run-name", "range"])
+    run_ok([*common, "--n-values", "2,3", "--run-name", "values"])
+    grid = read_csv(tmp_path / "range" / "grid.csv")
+    n = grid[0].index("n")
+    assert sorted({row[n] for row in grid[1:]}) == ["2", "3"] and len(grid) == 1 + 2 * 2
+    assert grid == read_csv(tmp_path / "values" / "grid.csv")
+
+
 def test_gridsearch_deterministic_csv_bytes(tmp_path, census_files):
     data, schema = census_files
     args = ["gridsearch", "--data", str(data), "--schema", str(schema),
@@ -222,6 +235,30 @@ def test_extract_writes_52_feature_columns(tmp_path):
     assert rows[0][0] == "page"
     assert len(rows[0]) == 53  # page id + the 52 features
     assert len(rows) == 41  # 20 phishing + 20 benign pages
+
+
+def test_extract_of_a_single_page_file_writes_one_row(tmp_path):
+    run_ok(["synth", "--dataset", "webpages", "--seed", "4", "--out", str(tmp_path), "--run-name", "w"])
+    pages = tmp_path / "w" / "pages"
+    page = sorted(pages.glob("*.html"))[3]
+    run_ok(["extract", "--pages", str(page), "--out", str(tmp_path), "--run-name", "one"])
+    run_ok(["extract", "--pages", str(pages), "--out", str(tmp_path), "--run-name", "all"])
+    one, every = read_csv(tmp_path / "one" / "features.csv"), read_csv(tmp_path / "all" / "features.csv")
+    assert one == [every[0], next(row for row in every if row[0] == page.name)]
+
+
+def test_train_hyper_without_an_equals_sign_exits_1_and_a_bare_word_stays_a_string(tmp_path, census_files,
+                                                                                    capsys):
+    data, schema = census_files
+    argv = ["train", "--data", str(data), "--schema", str(schema), "--kind", "decision_tree", "--out", str(tmp_path)]
+    assert run([*argv, "--hyper", "max_depth", "--run-name", "bad"]) == 1
+    assert "error: --hyper expects key=value, got 'max_depth'" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    run_ok([*argv, "--hyper", "max_features=sqrt", "--hyper", "max_depth=3", "--run-name", "ok"])
+    model = json.loads((tmp_path / "ok" / "model.json").read_text(encoding="utf-8"))
+    assert model["hyperparameters"]["max_features"] == "sqrt" and model["hyperparameters"]["max_depth"] == 3
+    assert cli._parse_hyper(["a=1", "b=sqrt", "c=[1, 2]", "d=x=y", "e="]) == {"a": 1, "b": "sqrt", "c": [1, 2],
+                                                                        "d": "x=y", "e": ""}
 
 
 def test_forge_end_to_end(tmp_path):
@@ -560,6 +597,25 @@ def test_gridsearch_that_fails_in_a_fit_leaves_no_sink_and_reruns(tmp_path, cens
     assert len(read_csv(tmp_path / "g" / "grid.csv")) == 1 + 2 * 2 * 3
 
 
+def test_gridsearch_on_a_kind_whose_baseline_recall_is_0_leaves_no_sink_and_reruns(tmp_path, capsys):
+    blobs = gaussian_blobs(400, seed=0, separation=0.0)
+    save_dataset_csv(blobs.take(np.sort(np.concatenate([blobs.rows_of_class(1)[:30], blobs.rows_of_class(0)]))),
+                     tmp_path / "data.csv")
+    save_schema(blobs.schema, tmp_path / "schema.json")
+    args = ["gridsearch", "--data", str(tmp_path / "data.csv"), "--schema", str(tmp_path / "schema.json"),
+            "--methods", "gini_impurity", "--n-values", "1", "--eps-steps", "2", "--train-fraction", "0.7",
+            "--workers", "1", "--out", str(tmp_path / "runs"), "--run-name", "z"]
+    grid = tmp_path / "runs" / "z" / "grid.csv"
+    for _ in range(2):  # the failed run leaves nothing that refuses the next into its --run-name
+        capsys.readouterr()
+        assert run(args + ["--models", "logistic_regression,decision_tree"]) == 1
+        assert "error: success rate is undefined when the baseline recall is 0, as it is for logistic_regression" \
+            in capsys.readouterr().err
+        assert not grid.exists() and not evaluation.fingerprint_path(grid).exists()
+    run_ok(args + ["--models", "decision_tree"])
+    assert len(read_csv(grid)) == 1 + 2
+
+
 @pytest.fixture(scope="module")
 def web_corpus(tmp_path_factory):
     base = tmp_path_factory.mktemp("web")
@@ -619,6 +675,26 @@ def test_forge_into_a_run_dir_that_holds_a_forge_exits_2_and_writes_nothing(tmp_
     before = forged()
     assert run(again) == 2
     assert forged() == before
+
+
+def test_a_forge_cut_short_by_a_bad_page_leaves_no_pages_and_reruns(tmp_path, web_corpus, capsys):
+    base = web_corpus / "w"
+    pages = tmp_path / "pages"
+    shutil.copytree(base / "pages", pages)
+    (pages / "zzz_bad.html").write_bytes(b"<html><body><p>caf\xff</p></body></html>")
+    argv = ["forge", "--data", str(base / "data.csv"), "--schema", str(base / "schema.json"),
+            "--kind", "logistic_regression", "--n", "9", "--epsilon", "6.0", "--out", str(tmp_path / "runs")]
+    capsys.readouterr()
+    assert run(argv + ["--pages", str(pages), "--run-name", "f1"]) == 1
+    assert f"error: {pages / 'zzz_bad.html'} is not UTF-8 text" in capsys.readouterr().err
+    assert [p.name for p in (tmp_path / "runs" / "f1").iterdir()] == ["manifest.json"]
+    (pages / "zzz_bad.html").unlink()
+    run_ok(argv + ["--pages", str(pages), "--run-name", "f1"])
+    run_ok(argv + ["--pages", str(base / "pages"), "--run-name", "clean"])
+    f1, clean = tmp_path / "runs" / "f1", tmp_path / "runs" / "clean"
+    assert dir_bytes(f1 / "pages") == dir_bytes(clean / "pages") and len(dir_bytes(f1 / "pages")) == 40
+    assert (f1 / "forge_report.csv").read_bytes() == (clean / "forge_report.csv").read_bytes()
+    assert sorted(p.name for p in f1.iterdir()) == ["forge_report.csv", "manifest.json", "pages"]
 
 
 def test_forge_into_the_run_dir_of_a_webpages_synth_exits_2_and_writes_nothing(tmp_path, capsys):

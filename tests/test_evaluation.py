@@ -555,6 +555,17 @@ def test_grid_resume_of_one_run_per_kind_predicts_each_kind(tmp_path, monkeypatc
     assert [model.kind for model in predicts] == list(SATURATING.model_kinds)
 
 
+def test_grid_resume_with_one_whole_method_and_n_written_perturbs_only_the_others(tmp_path, monkeypatch):
+    train, test = saturating_inputs()
+    reference = grid_reference(train, test, SATURATING, seed=0)
+    sink = tmp_path / "grid.csv"
+    GridResult(records=tuple(r for r in reference if (r.method, r.n) == ("gini_impurity", 2))).to_csv(sink)
+    plans = counting(monkeypatch, "perturbations", 1)
+    assert grid_search(train, test, SATURATING, seed=0, sink=sink).records == reference
+    assert [(plan.config.method, plan.config.n) for plan in plans] == [
+        pair for pair in itertools.product(SATURATING.methods, SATURATING.n_values) if pair != ("gini_impurity", 2)]
+
+
 def test_grid_predicts_the_rows_perturb_batch_makes_with_each_triples_plan(monkeypatch):
     train, test = saturating_inputs()
     rows = perturbed_rows(train, test, SATURATING)
@@ -651,6 +662,29 @@ def test_grid_on_a_test_split_without_positives_refuses_before_any_work(tmp_path
                         started=lambda: pytest.fail("a refused run started"))
     assert calls == {}
     assert list(tmp_path.iterdir()) == []
+
+
+def baseline_zero_inputs():
+    """Train and test splits on which a logistic regression predicts no positive, and a decision tree some."""
+    blobs = gaussian_blobs(400, seed=0, separation=0.0)
+    return split(blobs.take(np.sort(np.concatenate([blobs.rows_of_class(1)[:30], blobs.rows_of_class(0)]))), 0.7, 0)
+
+
+def test_a_kind_whose_baseline_recall_is_0_fails_the_grid_before_its_sink_is_written(tmp_path):
+    train, test = baseline_zero_inputs()
+    assert recall(fit("logistic_regression", train, seed=0), test.X, test.y) == 0.0
+    assert recall(fit("decision_tree", train, seed=0), test.X, test.y) > 0.0
+    spec = GridSpec(n_values=(1,), epsilon_values=(0.5,), methods=("gini_impurity",),
+                    model_kinds=("logistic_regression", "decision_tree"))
+    sink = tmp_path / "grid.csv"
+    with pytest.raises(MetricError, match=r"baseline recall is 0, as it is for logistic_regression on this"):
+        grid_search(train, test, spec, seed=0, sink=sink)
+    assert not sink.exists() and not fingerprint_path(sink).exists()
+    # a resume with nothing pending fits nothing, so it still passes
+    done = GridResult(records=tuple(GridRecord(kind, "gini_impurity", 1, 0.5, 0.5, 0.25, 0.5)
+                                    for kind in spec.model_kinds))
+    done.to_csv(sink)
+    assert grid_search(train, test, spec, seed=0, sink=sink) == done
 
 
 def test_grid_makes_a_missing_sink_directory(tmp_path):

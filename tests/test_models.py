@@ -807,6 +807,20 @@ def test_decision_tree_draws_max_features_as_a_one_tree_forest(min_leaf, max_fea
     assert forest.trees[0].to_dict() == trees[0]
 
 
+def test_a_decision_tree_that_draws_features_refuses_to_fit_without_an_rng():
+    rng = np.random.default_rng(5)
+    X = rng.random((200, 6))
+    y = (X[:, 0] + X[:, 1] > 1).astype(int)
+    for max_features in (2, "sqrt"):
+        with pytest.raises(FitError, match=f"max_features={max_features!r} draws 2 of 6 features per node, "
+                                           "which needs an rng"):
+            DecisionTree(max_features=max_features).fit(X, y)
+    # a tree over every feature draws nothing, so an rng leaves it as it is
+    whole = DecisionTree(max_features=6).fit(X, y)
+    assert whole.flat.to_dict() == DecisionTree().fit(X, y, np.random.default_rng(1)).flat.to_dict()
+    assert whole.flat.left.size > 5
+
+
 def assert_nodes_match_reference(trees, nodes, X, y, min_leaf):
     """Each node of ``trees`` (``to_dict`` payloads) against the node scan of its samples and drawn features.
 

@@ -92,6 +92,12 @@ def test_info_gain_ratio_constant_feature():
     assert info_gain_ratio(ds, 0) == 0.0
 
 
+def test_info_gain_constant_feature():
+    column, labels = [7, 7, 7, 7], [0, 1, 1, 0]
+    assert info_gain(dataset([[v] for v in column], labels), 0) == 0.0
+    assert brute_force_info_gain(column, labels) == 0.0
+
+
 def test_info_gain_ratio_noise_stays_small():
     rng = np.random.default_rng(123)
     X = rng.random((1000, 1))
