@@ -351,11 +351,21 @@ def _cmd_forge(args) -> int:
     plan = _plan(args, dataset, mask)
     model = _defender(args, dataset)
     run = _run_dir(args)
-    # the pages go to a private directory, renamed to pages/ once every one is written
+    # a private directory, renamed to pages/ once every page is in it, so a forge that fails leaves no pages/
     page_dir = run / f".pages.{os.urandom(8).hex()}.tmp"
     page_dir.mkdir()
-    rows = [["page", "baseline_label", "attack_label", "baseline_score", "attack_score", "evaded", "planned",
-             "side_effects"]]
+    rows = [
+        [
+            "page",
+            "baseline_label",
+            "attack_label",
+            "baseline_score",
+            "attack_score",
+            "evaded",
+            "planned",
+            "side_effects",
+        ]
+    ]
     flipped = 0
     try:
         for path in paths:
@@ -365,9 +375,18 @@ def _cmd_forge(args) -> int:
             atomic_write_text(page_dir / path.name, forged.html, fsync=False)
             planned = ";".join(f"{k}:+{v}" for k, v in sorted(record.planned.items()))
             effects = ";".join(f"{k}:{v:+g}" for k, v in sorted(record.side_effects.items()))
-            rows.append([path.name, str(record.baseline_label), str(record.attack_label),
-                         format_number(record.baseline_score), format_number(record.attack_score),
-                         str(int(record.evaded)), planned, effects])
+            rows.append(
+                [
+                    path.name,
+                    str(record.baseline_label),
+                    str(record.attack_label),
+                    format_number(record.baseline_score),
+                    format_number(record.attack_score),
+                    str(int(record.evaded)),
+                    planned,
+                    effects,
+                ]
+            )
             flipped += int(record.evaded)
         os.rename(page_dir, run / "pages")
     except BaseException:
