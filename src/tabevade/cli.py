@@ -4,7 +4,7 @@ Subcommands: synth, train, rank, attack, evaluate, gridsearch, curves,
 extract, forge.  Every run writes into a run directory (timestamped unless
 --run-name pins it), made after the command's last check, holding a
 manifest.json with the resolved configuration.  Output files are written
-atomically (temp file + rename).
+atomically (temp file + rename), a page set as one directory.
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage error (a bad
 command line, a grid resume against other data or flags than the sink's,
 or a run directory that already holds one of the command's outputs).
@@ -15,7 +15,6 @@ import argparse
 import errno
 import json
 import os
-import shutil
 import sys
 import time
 from pathlib import Path
@@ -25,8 +24,8 @@ import numpy
 
 from . import __version__, synth
 from .attack import AttackConfig, AttackPlan, build_plan, perturb_batch, select_features
-from .data import (Dataset, atomic_write_text, csv_text, format_number, load_dataset, load_schema, save_dataset_csv,
-                   save_schema, split)
+from .data import (Dataset, atomic_directory, atomic_write_text, csv_text, format_number, load_dataset, load_schema,
+                   save_dataset_csv, save_schema, split)
 from .errors import ExtractionError, ResumeError, ShapeError, TabevadeError
 from .evaluation import (
     CURVE_AXES,
@@ -351,9 +350,6 @@ def _cmd_forge(args) -> int:
     plan = _plan(args, dataset, mask)
     model = _defender(args, dataset)
     run = _run_dir(args)
-    # a private directory, renamed to pages/ once every page is in it, so a forge that fails leaves no pages/
-    page_dir = run / f".pages.{os.urandom(8).hex()}.tmp"
-    page_dir.mkdir()
     rows = [
         [
             "page",
@@ -367,12 +363,12 @@ def _cmd_forge(args) -> int:
         ]
     ]
     flipped = 0
-    try:
+    with atomic_directory(run / "pages") as page_dir:  # a forge that fails leaves no pages/
         for path in paths:
             page = _read_page(path)
             forged, record = problem_space_attack(page, plan, model)
             # forge_report.csv, written last and synced, vouches for the pages
-            atomic_write_text(page_dir / path.name, forged.html, fsync=False)
+            (page_dir / path.name).write_text(forged.html, encoding="utf-8", newline="")
             planned = ";".join(f"{k}:+{v}" for k, v in sorted(record.planned.items()))
             effects = ";".join(f"{k}:{v:+g}" for k, v in sorted(record.side_effects.items()))
             rows.append(
@@ -388,10 +384,6 @@ def _cmd_forge(args) -> int:
                 ]
             )
             flipped += int(record.evaded)
-        os.rename(page_dir, run / "pages")
-    except BaseException:
-        shutil.rmtree(page_dir)
-        raise
     atomic_write_text(run / "forge_report.csv", csv_text(rows))
     print(f"forged {len(rows) - 1} pages, {flipped} evaded -> {run}")
     return 0

@@ -15,10 +15,12 @@ import io
 import json
 import math
 import os
+import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Mapping, TextIO, Union
+from typing import Iterator, Mapping, TextIO, Union
 
 import numpy as np
 
@@ -191,30 +193,46 @@ def load_schema(path: Union[str, Path]) -> FeatureSchema:
         raise type(exc)(f"schema file {path}: {exc}") from exc
 
 
-def atomic_write_text(path: Union[str, Path], text: str, *, fsync: bool = True) -> None:
+def _private_name(path: Path) -> Path:
+    return path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")  # where a write stages before its rename
+
+
+def atomic_write_text(path: Union[str, Path], text: str) -> None:
     """Write-then-rename so readers never observe a partial file.
 
     The text goes, untranslated, to a temp file beside ``path`` under a
     random name, created exclusively (so concurrent writers never share one)
     with the mode a plain ``open`` gives under the umask in force, and
-    replaces ``path`` once written.
-    With ``fsync`` (the default) it reaches the disk first, so a crash
-    leaves the old file or the new one; bulk outputs that a later, synced
-    file vouches for may skip that, as it costs a journal commit per file.
+    replaces ``path`` once synced: a crash leaves the old file or the new one.
     The temp file is removed when anything fails.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    tmp = _private_name(Path(path))
     handle = open(tmp, "x", encoding="utf-8", newline="")  # before the try: a name taken is not ours to unlink
     try:
         with handle:
             handle.write(text)
-            if fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
+        raise
+
+
+@contextmanager
+def atomic_directory(path: Union[str, Path]) -> Iterator[Path]:
+    """Yield a private directory beside ``path``: renamed to it when the block ends, removed if the block raises.
+
+    ``path`` must be absent or an empty directory.  The files, unreachable until the rename, may be written
+    plainly: the caller syncs a last one that vouches for them.
+    """
+    tmp = _private_name(Path(path))
+    tmp.mkdir()  # before the try: a name taken is not ours to remove
+    try:
+        yield tmp
+        os.rename(tmp, path)
+    except BaseException:
+        shutil.rmtree(tmp)
         raise
 
 

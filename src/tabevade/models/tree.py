@@ -376,15 +376,6 @@ def _int_type(bound: int):
     return np.int32 if bound < 2**31 else np.int64
 
 
-def cheapest_splits(rows, sizes, ones, drawn, columns, min_leaf: int):
-    """Each node's cheapest ``(cost, feature, threshold)`` over its drawn features, as three arrays.
-
-    :func:`pick_features` over :func:`pair_costs`.  A node without a valid
-    split gets cost ``inf``, feature 0 and threshold 0.0.
-    """
-    return pick_features(*pair_costs(rows, sizes, ones, drawn, columns, min_leaf), drawn)
-
-
 def pair_costs(rows, sizes, ones, drawn, columns, min_leaf: int):
     """Each (node, drawn feature) pair's first cheapest split, as (nodes x slots) ``(cost, threshold)`` arrays.
 

@@ -7,11 +7,11 @@ demos, tests and the acceptance suite are reproducible offline.
 from __future__ import annotations
 
 import io
-from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, FeatureSchema, FeatureSpec, atomic_write_text, csv_text, format_number, load_dataset
+from .data import (Dataset, FeatureSchema, FeatureSpec, atomic_directory, atomic_write_text, csv_text, format_number,
+                   load_dataset)
 from .webfeatures import WebPage, default_web_schema, extract_features
 
 
@@ -198,16 +198,14 @@ def web_demo_dataset(corpus) -> Dataset:
 
 
 def write_page_corpus(corpus, out_dir) -> None:
-    """Write pages as <name>.html plus a <name>.html.url sidecar and labels.csv.
+    """Write pages as <name>.html plus a <name>.html.url sidecar and labels.csv, as one directory.
 
-    Every file is written atomically.  Pages and sidecars skip the fsync;
-    labels.csv, written last and synced, vouches for them.
+    ``out_dir`` must be absent or empty.  labels.csv, written last and synced, vouches for the rest.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     labels = [["page", "label"]]
-    for name, page, label in corpus:
-        atomic_write_text(out / f"{name}.html", page.html, fsync=False)
-        atomic_write_text(out / f"{name}.html.url", page.url + "\n", fsync=False)
-        labels.append([f"{name}.html", "phishing" if label == 1 else "legitimate"])
-    atomic_write_text(out / "labels.csv", csv_text(labels, "\r\n"))
+    with atomic_directory(out_dir) as out:
+        for name, page, label in corpus:
+            (out / f"{name}.html").write_text(page.html, encoding="utf-8", newline="")
+            (out / f"{name}.html.url").write_text(page.url + "\n", encoding="utf-8", newline="")
+            labels.append([f"{name}.html", "phishing" if label == 1 else "legitimate"])
+        atomic_write_text(out / "labels.csv", csv_text(labels, "\r\n"))

@@ -10,6 +10,7 @@ import re
 from html.parser import HTMLParser
 
 from tabevade.errors import ExtractionError
+from tabevade.models.tree import pair_costs, pick_features
 from tabevade.webfeatures import (
     _POPUP_RE,
     _PROMPT_RE,
@@ -246,6 +247,17 @@ def node_split_reference(X, rows, y, features, min_leaf: int):
         if cheapest[0] < best[0] - 1e-15:
             best = (cheapest[0], j, cheapest[1])
     return best if best[1] >= 0 else None
+
+
+def cheapest_splits(rows, sizes, ones, drawn, columns, min_leaf: int):
+    """Each node's cheapest ``(cost, feature, threshold)`` over its drawn features, as three arrays.
+
+    Not an oracle: the Gini grower's two steps, ``tree.pick_features`` over
+    ``tree.pair_costs``, composed for the tests that check them
+    against :func:`node_split_reference`.  A node without a valid split gets
+    cost ``inf``, feature 0 and threshold 0.0.
+    """
+    return pick_features(*pair_costs(rows, sizes, ones, drawn, columns, min_leaf), drawn)
 
 
 def _midpoint(low, high) -> float:

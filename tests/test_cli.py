@@ -15,12 +15,13 @@ import pytest
 import tabevade
 import tabevade.attack as attack
 import tabevade.evaluation as evaluation
-from tabevade import cli
+from tabevade import cli, synth
 from tabevade.cli import run
 from tabevade.data import load_dataset, load_schema, save_dataset_csv, save_schema
 from tabevade.errors import FitError
 from tabevade.svgchart import bar_chart, line_chart
 from tabevade.synth import census_like_rows, census_like_schema, gaussian_blobs
+from tabevade.webfeatures import WebPage
 
 
 @pytest.fixture()
@@ -354,6 +355,23 @@ def test_gridsearch_resume_of_a_sink_from_another_version_exits_2(tmp_path, cens
     assert sink.read_bytes() == written
 
 
+def test_gridsearch_resume_of_a_sink_whose_fingerprint_is_not_an_object_exits_2(tmp_path, census_files, capsys):
+    data, schema = census_files
+    args = ["gridsearch", "--data", str(data), "--schema", str(schema),
+            "--models", "logistic_regression", "--methods", "gini_impurity",
+            "--n-values", "1", "--eps-min", "0.1", "--eps-max", "1.2", "--eps-steps", "3",
+            "--workers", "1", "--out", str(tmp_path)]
+    run_ok(args + ["--run-name", "first"])
+    sink = tmp_path / "first" / "grid.csv"
+    evaluation.fingerprint_path(sink).write_text("[]\n", encoding="utf-8")  # valid JSON, not an object
+    written = sink.read_bytes()
+    capsys.readouterr()
+    assert run(args + ["--run-name", "again", "--resume-from", str(sink)]) == 2
+    assert "does not hold a JSON object" in capsys.readouterr().err
+    assert sink.read_bytes() == written
+    assert not (tmp_path / "again").exists()
+
+
 def test_gridsearch_refuses_a_run_dir_that_holds_a_grid(tmp_path, census_files, capsys):
     data, schema = census_files
     args = ["gridsearch", "--data", str(data), "--schema", str(schema),
@@ -550,6 +568,16 @@ def test_a_non_finite_epsilon_exits_1_and_leaves_no_run_dir(tmp_path, census_fil
     assert not (tmp_path / "runs").exists()
 
 
+def test_gridsearch_with_a_decreasing_epsilon_range_exits_1_and_leaves_no_run_dir(tmp_path, census_files, capsys):
+    data, schema = census_files
+    argv = ["gridsearch", "--data", str(data), "--schema", str(schema), "--models", "logistic_regression",
+            "--n-values", "1", "--eps-min", "2", "--eps-max", "1", "--eps-steps", "3", "--workers", "1",
+            "--out", str(tmp_path / "runs"), "--run-name", "bad"]
+    assert run(argv) == 1
+    assert "error: epsilon range must be non-decreasing" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_gridsearch_verbose_reports_cells_on_stderr(tmp_path, census_files, capsys):
     data, schema = census_files
     args = ["gridsearch", "--data", str(data), "--schema", str(schema),
@@ -636,6 +664,8 @@ def web_corpus(tmp_path_factory):
     ("unaddable feature", ["--features", "url_len,href"], "restricted to addable features"),
     ("missing pages", ["--pages", "{base}/nowhere"], "No such file or directory"),
     ("non-finite epsilon", ["--epsilon", "nan"], "epsilon must be a finite number >= 0, got nan"),
+    ("census data", ["--data", "{base}/census/data.csv", "--schema", "{base}/census/schema.json"],
+     "problem-space attacks need a schema over the 52 page features (see `synth --dataset webpages`)"),
 ])
 def test_refused_forge_exits_1_and_leaves_no_run_dir(tmp_path, web_corpus, capsys, case, extra, message):
     base = web_corpus / "w"
@@ -695,6 +725,31 @@ def test_a_forge_cut_short_by_a_bad_page_leaves_no_pages_and_reruns(tmp_path, we
     assert dir_bytes(f1 / "pages") == dir_bytes(clean / "pages") and len(dir_bytes(f1 / "pages")) == 40
     assert (f1 / "forge_report.csv").read_bytes() == (clean / "forge_report.csv").read_bytes()
     assert sorted(p.name for p in f1.iterdir()) == ["forge_report.csv", "manifest.json", "pages"]
+
+
+def test_a_webpages_synth_cut_short_leaves_no_pages_and_reruns(tmp_path, monkeypatch, capsys):
+    real = synth.demo_pages
+
+    def with_a_surrogate(*args, **kwargs):
+        corpus = real(*args, **kwargs)
+        name, page, label = corpus[6]
+        corpus[6] = (name, WebPage(page.url, page.html + "\ud800"), label)  # cannot be encoded as UTF-8
+        return corpus
+
+    argv = ["synth", "--dataset", "webpages", "--seed", "4", "--out", str(tmp_path)]
+    monkeypatch.setattr(synth, "demo_pages", with_a_surrogate)
+    capsys.readouterr()
+    assert run([*argv, "--run-name", "web"]) == 1
+    assert "surrogates not allowed" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["web"]
+    assert [p.name for p in (tmp_path / "web").iterdir()] == ["manifest.json"]
+    monkeypatch.setattr(synth, "demo_pages", real)
+    run_ok([*argv, "--run-name", "web"])
+    run_ok([*argv, "--run-name", "clean"])
+    web, clean = tmp_path / "web", tmp_path / "clean"
+    assert dir_bytes(web / "pages") == dir_bytes(clean / "pages") and len(dir_bytes(web / "pages")) == 81
+    assert sorted(p.name for p in web.iterdir()) == ["data.csv", "manifest.json", "pages", "schema.json"]
+    assert all((web / name).read_bytes() == (clean / name).read_bytes() for name in ("data.csv", "schema.json"))
 
 
 def test_forge_into_the_run_dir_of_a_webpages_synth_exits_2_and_writes_nothing(tmp_path, capsys):

@@ -171,6 +171,12 @@ def test_load_expands_categorical_to_onehot():
     assert ds.y.tolist() == [1, 0, 0]
 
 
+def test_load_refuses_a_categorical_column_with_one_value():
+    schema = make_schema(FeatureSpec("workclass", "categorical"))
+    with pytest.raises(SchemaError, match=r"categorical column 'workclass' has 1 distinct value\(s\); one-hot groups"):
+        load_dataset(io.StringIO("workclass,class\ngov,1\ngov,0\n"), schema)
+
+
 def test_load_missing_column_is_schema_mismatch():
     schema = make_schema(FeatureSpec("age", "continuous"))
     with pytest.raises(SchemaError, match="age"):
@@ -383,6 +389,13 @@ def test_split_single_class_errors():
     schema = make_schema(FeatureSpec("a", "continuous"))
     ds = Dataset(X=np.ones((10, 1)), y=np.ones(10, dtype=int), schema=schema)
     with pytest.raises(StratificationError):
+        split(ds, 0.8, seed=0)
+
+
+def test_split_refuses_a_class_of_one_row():
+    schema = make_schema(FeatureSpec("a", "continuous"))
+    ds = Dataset(X=np.arange(10.0)[:, None], y=np.array([1] + [0] * 9), schema=schema)
+    with pytest.raises(StratificationError, match="class 1 has fewer than 2 rows"):
         split(ds, 0.8, seed=0)
 
 

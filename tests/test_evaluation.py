@@ -530,12 +530,24 @@ def test_grid_resume_at_every_line_inside_a_run_writes_the_uninterrupted_bytes(t
         assert sink.read_bytes() == whole, i
 
 
-def test_grid_resume_with_gaps_inside_runs_matches_the_full_grid(tmp_path):
+@pytest.mark.parametrize("written", ["every other cell", "a cut inside the first kind"])
+def test_grid_resume_with_gaps_inside_runs_matches_the_full_grid(tmp_path, monkeypatch, written):
     train, test = saturating_inputs()
     full = grid_search(train, test, SATURATING, seed=0)
+    runs = perturbation_runs(train, test, SATURATING)
+    kinds = SATURATING.model_kinds
+    # every other cell cuts each run into pieces; a cut inside the first kind leaves triples whose
+    # first-kind cell is written while the next kind's is pending
+    done = full.records[::2] if written == "every other cell" else full.records[:len(runs) // 2]
     sink = tmp_path / "grid.csv"
-    GridResult(records=full.records[::2]).to_csv(sink)  # every other cell, so each run is cut into pieces
+    GridResult(records=done).to_csv(sink)
+    predicts = counting(monkeypatch, "predict", 0)
     assert grid_search(train, test, SATURATING, seed=0, sink=sink).records == full.records
+    triples = list(runs)  # spec order, the order the grid perturbs in
+    pending = sorted((r for r in full.records if r not in done),
+                     key=lambda r: (triples.index((r.method, r.n, r.epsilon)), kinds.index(r.model)))
+    pairs = dict.fromkeys((r.model, runs[r.method, r.n, r.epsilon]) for r in pending)  # one predict per pending pair
+    assert [model.kind for model in predicts] == [kind for kind, _ in pairs]
 
 
 def test_grid_resume_of_one_run_per_kind_predicts_each_kind(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 from oracles import (
+    cheapest_splits,
     forest_node_draws,
     gini,
     logistic_counted_descend_reference,
@@ -38,7 +39,7 @@ from tabevade.models.boosting import GradientBoostedTrees, code_matrix, grow_reg
 from tabevade.models.forest import RandomForest
 from tabevade.models.logistic import DEFAULTS as LOGISTIC_DEFAULTS, LogisticRegression, descend, sigmoid
 from tabevade.models.mlp import MLP
-from tabevade.models.tree import DecisionTree, cheapest_splits, code_columns
+from tabevade.models.tree import DecisionTree, code_columns
 
 
 def schema_of(n):

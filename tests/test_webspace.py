@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -392,21 +393,47 @@ def test_problem_space_scores_each_vector_once(monkeypatch):
     assert record.attack_label == predict(model, extract_features(forged).values)[0]
 
 
-def test_page_corpus_writes_each_file_atomically_and_labels_last_synced(tmp_path, monkeypatch):
+def test_page_corpus_publishes_one_directory_with_labels_written_last_and_synced(tmp_path, monkeypatch):
+    target = tmp_path / "pages"
+    target.mkdir()  # an empty directory is replaced
     writes = []
     real = synth.atomic_write_text
 
-    def recording(path, text, *, fsync=True):
-        writes.append((Path(path).name, fsync))
-        real(path, text, fsync=fsync)
+    def recording(path, text):
+        staged = Path(path).parent
+        writes.append((Path(path).name, staged.name, sorted(p.name for p in staged.iterdir()), list(target.iterdir())))
+        real(path, text)
 
     monkeypatch.setattr(synth, "atomic_write_text", recording)
     corpus = demo_pages(2, 1, seed=3)
-    write_page_corpus(corpus, tmp_path)
+    write_page_corpus(corpus, target)
     pages = [f"{name}.html" for name, _, _ in corpus]
-    assert writes == [(f, False) for page in pages for f in (page, page + ".url")] + [("labels.csv", True)]
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(name for name, _ in writes)
-    assert (tmp_path / "labels.csv").read_bytes() == (
+    files = sorted(f for page in pages for f in (page, page + ".url"))
+    [(name, staged, present, published)] = writes  # labels.csv is the one synced write, made after the rest
+    assert (name, present, published) == ("labels.csv", files, [])
+    assert re.fullmatch(r"\.pages\.[0-9a-f]{16}\.tmp", staged)
+    assert [p.name for p in tmp_path.iterdir()] == ["pages"]
+    assert sorted(p.name for p in target.iterdir()) == sorted([*files, "labels.csv"])
+    assert (target / "labels.csv").read_bytes() == (
         b"page,label\r\n" + b"".join(f"{page},{'phishing' if label == 1 else 'legitimate'}\r\n".encode()
                                      for page, (_, _, label) in zip(pages, corpus))
     )
+
+
+def test_a_page_corpus_that_fails_partway_leaves_no_target_and_no_private_entry(tmp_path):
+    corpus = demo_pages(2, 1, seed=3)
+    name, page, label = corpus[1]
+    corpus[1] = (name, WebPage(page.url, page.html + "\ud800"), label)  # a lone surrogate cannot be encoded
+    with pytest.raises(UnicodeEncodeError):
+        write_page_corpus(corpus, tmp_path / "pages")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kept", ["pages/keep.html", "pages"], ids=["non-empty directory", "file"])
+def test_a_page_corpus_into_an_occupied_target_raises_and_leaves_no_private_entry(tmp_path, kept):
+    (tmp_path / kept).parent.mkdir(exist_ok=True)
+    (tmp_path / kept).write_text("kept", encoding="utf-8")
+    with pytest.raises(OSError):
+        write_page_corpus(demo_pages(1, 1, seed=3), tmp_path / "pages")
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == sorted({"pages", kept})
+    assert (tmp_path / kept).read_text(encoding="utf-8") == "kept"
